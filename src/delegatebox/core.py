@@ -523,12 +523,17 @@ def instance_from_obj(obj: dict, mode: Mode = "exact") -> Instance:
         else:
             cm = CostModel.additive()
         return Instance(alts, cm, as_number(obj.get("delegation_cost", 0), mode))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
+        # ValueError: a support row that is not a [value, prob] pair.
         raise InvalidParameters(f"malformed instance object: {exc}") from exc
 
 
 def instance_from_json(text: str, mode: Mode = "exact") -> Instance:
-    return instance_from_obj(json.loads(text), mode)
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidParameters(f"instance is not valid JSON: {exc}") from exc
+    return instance_from_obj(obj, mode)
 
 
 def instance_digest(instance: Instance) -> str:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm
 from typing import Optional
 
 from .core import (
@@ -223,12 +223,16 @@ def evaluate_policy(
     return total
 
 
-# Tie-break ranks: among equal-value actions prefer stopping over selecting
-# the opened best, over selecting a closed box (lowest index), over
-# inspecting (lowest index). Keeps returned policies deterministic.
-_RANK = {STOP: 0, SELECT_OPENED_BEST: 1, SELECT_CLOSED: 2, INSPECT: 3}
+def _integral(x):
+    """A scaled exact number as an int; floats pass through unchanged."""
+    return x.numerator if isinstance(x, Fraction) else x
 
 
+# Tie-break: among equal-value actions prefer stopping over selecting the
+# opened best, over selecting a closed box (lowest index), over inspecting
+# (lowest index). The kernel scans candidates in exactly this order and lets
+# only a strictly greater value replace the incumbent, which keeps returned
+# policies deterministic.
 def pnoi_optimal(
     instance: Instance, state_limit: int = DEFAULT_STATE_LIMIT
 ) -> tuple[Number, PnoiPolicy]:
@@ -238,47 +242,95 @@ def pnoi_optimal(
     across boxes means the continuation problem depends on the history only
     through these two, which the test suite checks against a full-history
     oracle.
+
+    The kernel keys a state by (bitmask of unopened boxes, index into the
+    sorted distinct values, 0 for nothing opened) and recurses top down, so
+    it visits only reachable states. In exact mode it runs on Python ints:
+    values and costs are put over one common denominator D, each box's
+    probabilities become integer weights over that box's denominator q_j, and
+    the value of a state with unopened set S is carried scaled by
+    D * prod_{j in S} q_j. Every candidate action at a state has that same
+    scale, so comparisons stay exact, and only the root is turned back into
+    a Fraction. Float mode runs the same code with unit scales. The returned
+    table keeps the public (frozenset, value or None) state keys.
     """
     _require_additive(instance, "pnoi_optimal")
     n = instance.n
     dists = [alt.dist for alt in instance.alternatives]
-    costs = [alt.inspect_cost for alt in instance.alternatives]
-    means = [d.mean() for d in dists]
-    distinct_values = {v for d in dists for v in d.values}
-    states = (2**n) * (len(distinct_values) + 1)
+    values = sorted({v for d in dists for v in d.values})
+    states = (2**n) * (len(values) + 1)
     if states > state_limit:
         raise StateLimitExceeded(f"{states} states exceed the limit {state_limit}")
 
-    z = instance.zero()
+    costs = [alt.inspect_cost for alt in instance.alternatives]
+    exact = instance.mode == "exact"
+    if exact:
+        unit = lcm(*(x.denominator for x in (*values, *costs)))
+        box_units = [lcm(*(p.denominator for p in d.probs)) for d in dists]
+    else:
+        unit, box_units = 1, [1] * n
+    index = {v: k + 1 for k, v in enumerate(values)}
+    scaled_values = [0] + [_integral(v * unit) for v in values]
+    scaled_costs = [_integral(c * unit) for c in costs]
+    # Box j's atoms as (value index, weight q_j * p), and q_j * D * E[X_j].
+    atoms = [
+        [(index[v], _integral(p * q)) for v, p in d.atoms]
+        for d, q in zip(dists, box_units)
+    ]
+    means = [sum(w * scaled_values[k] for k, w in box) for box in atoms]
+    # scale[mask] = prod of q_j over the boxes in mask.
+    scale = [1] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        scale[mask] = scale[mask ^ low] * box_units[low.bit_length() - 1]
+
+    width = len(values) + 1
+    boxes = [(j, 1 << j, (SELECT_CLOSED, j), (INSPECT, j)) for j in range(n)]
     memo: dict = {}
     chosen: dict = {}
 
-    def value(unopened: frozenset, best) -> Number:
-        key = (unopened, best)
-        if key in memo:
-            return memo[key]
-        candidates: list[tuple[Number, int, int, Action]] = [(z, 0, -1, (STOP, None))]
-        if best is not None:
-            candidates.append((best, 1, -1, (SELECT_OPENED_BEST, None)))
-        for j in sorted(unopened):
-            candidates.append((means[j], 2, j, (SELECT_CLOSED, j)))
-        for j in sorted(unopened):
-            rest = unopened - {j}
-            cont = -costs[j]
-            for v, p in dists[j].atoms:
-                nxt = v if best is None or v > best else best
-                cont = cont + p * value(rest, nxt)
-            candidates.append((cont, 3, j, (INSPECT, j)))
-        top = max(c[0] for c in candidates)
-        val, _, _, action = min(
-            (c for c in candidates if c[0] == top), key=lambda c: (c[1], c[2])
-        )
-        memo[key] = val
+    def solve(mask: int, best: int):
+        s = scale[mask]
+        top, action = 0, (STOP, None)
+        if best and scaled_values[best] * s > top:
+            top, action = scaled_values[best] * s, (SELECT_OPENED_BEST, None)
+        for j, bit, select, _ in boxes:
+            if mask & bit and means[j] * scale[mask ^ bit] > top:
+                top, action = means[j] * scale[mask ^ bit], select
+        for j, bit, _, inspect in boxes:
+            if mask & bit:
+                rest = mask ^ bit
+                base = rest * width
+                cont = -scaled_costs[j] * s
+                for k, w in atoms[j]:
+                    nxt = k if k > best else best
+                    sub = memo.get(base + nxt)
+                    if sub is None:
+                        sub = solve(rest, nxt)
+                    cont = cont + w * sub
+                if cont > top:
+                    top, action = cont, inspect
+        key = mask * width + best
+        memo[key] = top
         chosen[key] = action
-        return val
+        return top
 
-    root = value(frozenset(range(n)), None)
-    return root, PnoiPolicy(dict(chosen))
+    full = (1 << n) - 1
+    root = solve(full, 0)
+    root = Fraction(root, unit * scale[full]) if exact else float(root)
+
+    unopened_sets: dict = {}
+    bests = [None, *values]
+    table = {}
+    for key, action in chosen.items():
+        mask, best = divmod(key, width)
+        unopened = unopened_sets.get(mask)
+        if unopened is None:
+            unopened = unopened_sets[mask] = frozenset(
+                j for j in range(n) if mask >> j & 1
+            )
+        table[(unopened, bests[best])] = action
+    return root, PnoiPolicy(table)
 
 
 def pnoi_value_upper_bound(instance: Instance) -> Number:

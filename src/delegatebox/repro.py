@@ -92,12 +92,13 @@ def identical_binary_rows() -> list[dict]:
 def first_best_gap_row(n: int = 10) -> dict:
     inst = instances.inapprox_first_best(n)
     first_best = expected_of_max(inst, "identity")
+    solved = pandora.pnoi_optimal(inst)
     values = {
-        "pnoi": pandora.pnoi_optimal(inst)[0],
+        "pnoi": solved[0],
         "weitzman": pandora.weitzman_value(inst),
         "spmi": delegation.evaluate_spmi(inst, delegation.build_spmi(inst)),
         "maximal": delegation.maximal_mechanism_costless(inst).value,
-        "costly": delegation.costly_mechanism(inst).value,
+        "costly": delegation.costly_mechanism(inst, lambda _: solved).value,
         "identical": delegation.identical_cost_mechanism(inst).value,
     }
     top = max(values.values())
@@ -166,31 +167,34 @@ def spmi_half_bound_row(seed: int, count: int = CORPUS_SIZE) -> dict:
 
 
 def costly_case1_rows(seed: int, count: int = CORPUS_SIZE) -> list[dict]:
-    rows = []
-    for alpha in COSTLY_ALPHAS:
-        factor = (1 - 2 * alpha) / (3 - 4 * alpha)
-        violations = 0
-        worst_slack = None
-        for base in instances.random_corpus(seed, count):
-            surplus = expected_of_max(base, "shifted_positive")
+    factors = [(1 - 2 * alpha) / (3 - 4 * alpha) for alpha in COSTLY_ALPHAS]
+    violations = [0] * len(COSTLY_ALPHAS)
+    worst_slack = [None] * len(COSTLY_ALPHAS)
+    for base in instances.random_corpus(seed, count):
+        surplus = expected_of_max(base, "shifted_positive")
+        # The search DP never reads the delegation cost, which is all that
+        # alpha changes, so one solve of the base instance answers both
+        # oracle calls at every alpha.
+        solved = pandora.pnoi_optimal(base)
+        for a, alpha in enumerate(COSTLY_ALPHAS):
             inst = Instance(base.alternatives, base.cost_model, alpha * surplus)
-            report = delegation.costly_mechanism(inst)
-            ub = bounds.upper_bound_costly(inst)
-            slack = report.value - factor * ub
+            report = delegation.costly_mechanism(inst, lambda _: solved)
+            ub = bounds.upper_bound_costly(inst, lambda _: solved)
+            slack = report.value - factors[a] * ub
             if slack < 0:
-                violations += 1
-            if worst_slack is None or slack < worst_slack:
-                worst_slack = slack
-        rows.append(
-            _row(
-                f"costly delegation alpha={alpha} over {count} seeded instances",
-                violations == 0,
-                violations=violations,
-                worst_slack=worst_slack,
-                factor=factor,
-            )
+                violations[a] += 1
+            if worst_slack[a] is None or slack < worst_slack[a]:
+                worst_slack[a] = slack
+    return [
+        _row(
+            f"costly delegation alpha={alpha} over {count} seeded instances",
+            violations[a] == 0,
+            violations=violations[a],
+            worst_slack=worst_slack[a],
+            factor=factors[a],
         )
-    return rows
+        for a, alpha in enumerate(COSTLY_ALPHAS)
+    ]
 
 
 def run_repro(seed: int = 7) -> dict:

@@ -2,7 +2,9 @@
 
 Everything here recomputes quantities by direct enumeration of the product
 space (or of whole policy trees), sharing no code path with the library
-implementations it checks.
+implementations it checks. The one exception is ``pnoi_reference``, the
+search DP in plain recursive form, which shares only the policy container and
+action names with the kernel it checks.
 """
 
 from __future__ import annotations
@@ -10,7 +12,16 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from delegatebox.core import Instance
+from delegatebox.core import DEFAULT_STATE_LIMIT, Instance, Number, StateLimitExceeded
+from delegatebox.pandora import (
+    INSPECT,
+    SELECT_CLOSED,
+    SELECT_OPENED_BEST,
+    STOP,
+    Action,
+    PnoiPolicy,
+    _require_additive,
+)
 
 
 def enumerate_realizations(instance: Instance):
@@ -96,6 +107,58 @@ def full_history_optimal(instance: Instance):
         return max(candidates)
 
     return value((None,) * n)
+
+
+def pnoi_reference(
+    instance: Instance, state_limit: int = DEFAULT_STATE_LIMIT
+) -> tuple[Number, PnoiPolicy]:
+    """Reference for ``pandora.pnoi_optimal``: the same dynamic program in the
+    number type of the instance.
+
+    Memoized recursion over (unopened frozenset, best observed value) with
+    the same action tie-breaks, so its value and its whole decision table
+    must equal the library's scaled-integer kernel, key for key.
+    """
+    _require_additive(instance, "pnoi_optimal")
+    n = instance.n
+    dists = [alt.dist for alt in instance.alternatives]
+    costs = [alt.inspect_cost for alt in instance.alternatives]
+    means = [d.mean() for d in dists]
+    distinct_values = {v for d in dists for v in d.values}
+    states = (2**n) * (len(distinct_values) + 1)
+    if states > state_limit:
+        raise StateLimitExceeded(f"{states} states exceed the limit {state_limit}")
+
+    z = instance.zero()
+    memo: dict = {}
+    chosen: dict = {}
+
+    def value(unopened: frozenset, best) -> Number:
+        key = (unopened, best)
+        if key in memo:
+            return memo[key]
+        candidates: list[tuple[Number, int, int, Action]] = [(z, 0, -1, (STOP, None))]
+        if best is not None:
+            candidates.append((best, 1, -1, (SELECT_OPENED_BEST, None)))
+        for j in sorted(unopened):
+            candidates.append((means[j], 2, j, (SELECT_CLOSED, j)))
+        for j in sorted(unopened):
+            rest = unopened - {j}
+            cont = -costs[j]
+            for v, p in dists[j].atoms:
+                nxt = v if best is None or v > best else best
+                cont = cont + p * value(rest, nxt)
+            candidates.append((cont, 3, j, (INSPECT, j)))
+        top = max(c[0] for c in candidates)
+        val, _, _, action = min(
+            (c for c in candidates if c[0] == top), key=lambda c: (c[1], c[2])
+        )
+        memo[key] = val
+        chosen[key] = action
+        return val
+
+    root = value(frozenset(range(n)), None)
+    return root, PnoiPolicy(dict(chosen))
 
 
 def all_policy_trees(instance: Instance):

@@ -4,6 +4,7 @@ Each test registers a PASS/FAIL line rendered at the end of the pytest run
 (see conftest). Exact-mode checks use zero tolerance.
 """
 
+import hashlib
 import math
 import random
 import time
@@ -219,3 +220,15 @@ def test_criterion_12_repro_determinism(capsys):
     second = capsys.readouterr().out
     ok = code_a == 0 and code_b == 0 and first == second and len(first) > 0
     check("12. repeated repro --seed 7 runs emit byte-identical JSON", ok)
+
+
+# sha256 of `repro --seed 7 --format json` stdout. Criterion 12 only checks
+# that two runs agree; this catches a changed row, which must be deliberate.
+REPRO_SEED_7_SHA256 = "2cdb34484a3aca869a89603549df12c2fd9ac66e05ccad551192d77dabba0960"
+
+
+def test_repro_seed_7_bytes_are_pinned(capsys):
+    code = cli_main(["repro", "--seed", "7", "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REPRO_SEED_7_SHA256

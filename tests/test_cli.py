@@ -116,6 +116,31 @@ def test_missing_instance_file_yields_error_record(capsys):
     assert json.loads(stderr)["error"]["type"] == "IOError"
 
 
+def assert_one_error_record(stderr, error_type):
+    assert stderr.endswith("\n") and stderr.count("\n") == 1
+    assert json.loads(stderr)["error"]["type"] == error_type
+
+
+def test_non_json_instance_file_yields_error_record(tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_text("alternatives: not json")
+    code, _, stderr = run_cli(
+        capsys, "eval", "--instance", str(path), "--mechanism", "pnoi"
+    )
+    assert code == 2
+    assert_one_error_record(stderr, "InvalidParameters")
+
+
+def test_support_row_without_probability_yields_error_record(tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"alternatives": [{"support": [[1]], "cost": "0"}]}))
+    code, _, stderr = run_cli(
+        capsys, "eval", "--instance", str(path), "--mechanism", "pnoi"
+    )
+    assert code == 2
+    assert_one_error_record(stderr, "InvalidParameters")
+
+
 def test_monte_carlo_needs_a_seed(tmp_path, capsys):
     inst = Instance((Alternative(make_distribution([(0, "0.5"), (1, "0.5")]), 0),))
     path = write_instance(tmp_path, inst)

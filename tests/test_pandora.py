@@ -11,7 +11,7 @@ from delegatebox import (
     StateLimitExceeded,
     make_distribution,
 )
-from delegatebox.instances import random_corpus, tightness
+from delegatebox.instances import identical_binary, random_corpus, tightness
 from delegatebox.pandora import (
     INSPECT,
     SELECT_CLOSED,
@@ -29,7 +29,7 @@ from delegatebox.pandora import (
     weitzman_value,
 )
 
-from oracles import exhaustive_policy_optimum, full_history_optimal
+from oracles import exhaustive_policy_optimum, full_history_optimal, pnoi_reference
 
 
 def box(pairs, cost=0):
@@ -148,6 +148,18 @@ class TestOptimalSearch:
             value, _ = pnoi_optimal(inst)
             assert value >= weitzman_value(inst)
             assert value >= max(inst.expected_values())
+
+    def test_kernel_matches_reference_value_and_table(self):
+        exact = [inst for seed in range(5) for inst in random_corpus(seed, 40, max_n=5)]
+        exact += [identical_binary(n, F(1, n), 1, F(2, n)) for n in range(1, 7)]
+        exact.append(tightness(F(1, 100)))
+        for inst in exact:
+            for case in (inst, inst.to_float()):
+                value, policy = pnoi_optimal(case)
+                ref_value, ref_policy = pnoi_reference(case)
+                assert type(value) is type(ref_value)
+                assert value == ref_value
+                assert policy.table == ref_policy.table
 
     def test_policy_replay_reproduces_the_value(self):
         for inst in random_corpus(seed=42, count=25, max_n=3):
