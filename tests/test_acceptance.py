@@ -232,3 +232,33 @@ def test_repro_seed_7_bytes_are_pinned(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == REPRO_SEED_7_SHA256
+
+
+IB = ["--family", "identical_binary", "--n", "6", "--p", "1/6", "--c", "1/3"]
+RND = ["--family", "random", "--seed", "11", "--n", "3"]
+JSON = ["--format", "json"]
+ENCODED_CALLS = (
+    [["eval", *IB, *JSON, "--mechanism", m]
+     for m in ("pnoi", "spmi", "maximal", "costly", "identical", "weitzman")]
+    + [["eval", *RND, *JSON, "--mechanism", m]
+       for m in ("pnoi", "spmi", "maximal", "costly", "weitzman")]
+    + [
+        ["audit", *RND, "--regime", "costless", *JSON],
+        ["audit", *IB, "--regime", "identical", *JSON],
+        ["gen", "--family", "info_value", "--n", "4"],
+        ["gen", *RND],
+        ["eval", *IB, "--mechanism", "maximal", "--float", *JSON],
+        ["audit", *RND, "--regime", "costless", "--float", *JSON],
+    ]
+)
+# sha256 of the concatenated stdout of ENCODED_CALLS: eval, audit and gen
+# output in exact and float mode, i.e. every shape the JSON encoder renders.
+ENCODED_CALLS_SHA256 = "044dc842c1da813a56a5a11efeafb401013b5ae7b4a24ef605d3600272b71925"
+
+
+def test_cli_encoded_bytes_are_pinned(capsys):
+    out = []
+    for argv in ENCODED_CALLS:
+        assert cli_main(argv) == 0, argv
+        out.append(capsys.readouterr().out)
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == ENCODED_CALLS_SHA256
