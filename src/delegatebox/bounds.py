@@ -13,8 +13,8 @@ from .core import (
     Number,
     RegimeMismatch,
     expected_of_max,
-    format_number,
     instance_digest,
+    to_json,
 )
 from .delegation import MechanismReport
 from .pandora import pnoi_optimal
@@ -64,32 +64,22 @@ class AuditReport:
     tolerance: Number
 
     def to_obj(self) -> dict:
-        def enc(x):
-            if isinstance(x, Fraction):
-                return format_number(x)
-            return x
-
-        return {
-            "instance_digest": self.instance_digest,
-            "regime": self.regime,
-            "alpha": enc(self.alpha),
-            "ub_costless": enc(self.ub_costless),
-            "ub_costly": enc(self.ub_costly),
-            "ub_used": enc(self.ub_used),
-            "mechanism_value": enc(self.mechanism_value),
-            "ratio": enc(self.ratio),
-            "claimed_bound": enc(self.claimed_bound),
-            "pass": self.passed,
-            "mode": self.mode,
-            "tolerance": enc(self.tolerance),
-        }
-
-
-def render_audit_table(report: AuditReport) -> str:
-    obj = report.to_obj()
-    width = max(len(k) for k in obj)
-    lines = [f"{k.ljust(width)}  {obj[k]}" for k in obj]
-    return "\n".join(lines)
+        return to_json(
+            {
+                "instance_digest": self.instance_digest,
+                "regime": self.regime,
+                "alpha": self.alpha,
+                "ub_costless": self.ub_costless,
+                "ub_costly": self.ub_costly,
+                "ub_used": self.ub_used,
+                "mechanism_value": self.mechanism_value,
+                "ratio": self.ratio,
+                "claimed_bound": self.claimed_bound,
+                "pass": self.passed,
+                "mode": self.mode,
+                "tolerance": self.tolerance,
+            }
+        )
 
 
 def audit(

@@ -1,41 +1,51 @@
 """Command-line front end: eval | audit | repro | gen.
 
-Environment overrides use the DELEGATEBOX_ prefix (FORMAT, MODE, LIMIT, SEED,
-TRIALS) and are beaten by explicit flags. Errors print a machine-readable
-record and exit 2; audit and repro exit 1 when a check fails.
+Environment overrides use the DELEGATEBOX_ prefix (FORMAT, MODE, SEED) and are
+beaten by explicit flags. Errors, a bad override among them, print a
+machine-readable record and exit 2; audit and repro exit 1 when a check fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
-import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
 from . import bounds, delegation, instances, pandora, repro
 from .core import (
-    DEFAULT_ENUMERATION_LIMIT,
     DelegateboxError,
     Instance,
     InvalidParameters,
     as_number,
-    format_number,
     instance_digest,
     instance_from_json,
     instance_to_obj,
+    to_json,
 )
 
-MECHANISMS = ("pnoi", "spmi", "maximal", "costly", "identical", "weitzman")
-REGIMES = (bounds.COSTLESS, bounds.COSTLY, bounds.IDENTICAL)
+# The composed mechanisms, which report a branch and can be audited.
+COMPOSED = {
+    "maximal": delegation.maximal_mechanism_costless,
+    "costly": delegation.costly_mechanism,
+    "identical": delegation.identical_cost_mechanism,
+}
+MECHANISMS = ("pnoi", "spmi", *COMPOSED, "weitzman")
+# The mechanism an audit checks when --mechanism is not given.
+REGIME_MECHANISM = {
+    bounds.COSTLESS: "maximal",
+    bounds.COSTLY: "costly",
+    bounds.IDENTICAL: "identical",
+}
+REGIMES = tuple(REGIME_MECHANISM)
+FORMATS = ("table", "json")
+MODES = ("exact", "float")
 
 
-def _env(name: str, default=None):
-    return os.environ.get(f"DELEGATEBOX_{name}", default)
+def _env(name: str) -> str:
+    return os.environ.get(f"DELEGATEBOX_{name}", "")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -60,14 +70,12 @@ def _build_parser() -> argparse.ArgumentParser:
         mode = p.add_mutually_exclusive_group()
         mode.add_argument("--exact", action="store_true")
         mode.add_argument("--float", dest="float_mode", action="store_true")
-        p.add_argument("--limit", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--format", choices=("table", "json"), default=None)
+        p.add_argument("--format", choices=FORMATS, default=None)
 
     p_eval = sub.add_parser("eval", help="evaluate one mechanism on an instance")
     common(p_eval)
     p_eval.add_argument("--mechanism", choices=MECHANISMS, required=True)
-    p_eval.add_argument("--trials", type=int, default=None, help="Monte Carlo sample count")
 
     p_audit = sub.add_parser("audit", help="check a mechanism against its claimed factor")
     common(p_audit)
@@ -77,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_repro = sub.add_parser("repro", help="run the fixed suite of headline claims")
     p_repro.add_argument("--seed", type=int, default=None)
-    p_repro.add_argument("--format", choices=("table", "json"), default=None)
+    p_repro.add_argument("--format", choices=FORMATS, default=None)
 
     p_gen = sub.add_parser("gen", help="write an instance JSON")
     common(p_gen)
@@ -86,8 +94,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _env_choice(name: str, choices, default: str) -> str:
+    value = _env(name) or default
+    if value not in choices:
+        raise InvalidParameters(
+            f"DELEGATEBOX_{name} must be one of {', '.join(choices)}, not {value!r}"
+        )
+    return value
+
+
 def _resolve_format(args) -> str:
-    return getattr(args, "format", None) or _env("FORMAT", "table")
+    return getattr(args, "format", None) or _env_choice("FORMAT", FORMATS, "table")
 
 
 def _resolve_mode(args) -> str:
@@ -95,21 +112,19 @@ def _resolve_mode(args) -> str:
         return "float"
     if getattr(args, "exact", False):
         return "exact"
-    return _env("MODE", "exact")
-
-
-def _resolve_limit(args) -> int:
-    if getattr(args, "limit", None) is not None:
-        return args.limit
-    env = _env("LIMIT")
-    return int(env) if env else DEFAULT_ENUMERATION_LIMIT
+    return _env_choice("MODE", MODES, "exact")
 
 
 def _resolve_seed(args) -> Optional[int]:
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = _env("SEED")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise InvalidParameters(f"DELEGATEBOX_SEED must be an integer, not {env!r}") from None
 
 
 def _generator_spec(args) -> instances.GeneratorSpec:
@@ -145,7 +160,10 @@ def _load_instance(args) -> tuple[Instance, Optional[dict]]:
     if args.instance and args.family:
         raise InvalidParameters("give either --instance or --family, not both")
     if args.instance:
-        text = Path(args.instance).read_text()
+        try:
+            text = Path(args.instance).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise InvalidParameters(f"instance file is not UTF-8: {exc}") from None
         return instance_from_json(text, mode), None
     if args.family:
         spec = _generator_spec(args)
@@ -154,16 +172,6 @@ def _load_instance(args) -> tuple[Instance, Optional[dict]]:
         meta = {"family": spec.family, "params": {k: str(v) for k, v in spec.params.items()}}
         return inst, meta
     raise InvalidParameters("need --instance PATH or --family NAME")
-
-
-def _enc(x):
-    if isinstance(x, Fraction):
-        return format_number(x)
-    if isinstance(x, dict):
-        return {k: _enc(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_enc(v) for v in x]
-    return x
 
 
 def _emit(obj: dict, fmt: str) -> None:
@@ -181,104 +189,29 @@ def _emit(obj: dict, fmt: str) -> None:
             print(f"{key}: {value}")
 
 
-def _mechanism_report(inst: Instance, name: str, limit: int):
+def _mechanism_report(inst: Instance, name: str) -> dict:
     if name == "pnoi":
         value, _ = pandora.pnoi_optimal(inst)
         return {"mechanism": "pnoi", "value": value}
     if name == "weitzman":
-        return {"mechanism": "weitzman", "value": pandora.weitzman_value(inst, limit)}
+        return {"mechanism": "weitzman", "value": pandora.weitzman_value(inst)}
     if name == "spmi":
         spmi = delegation.build_spmi(inst)
-        value = delegation.evaluate_spmi(inst, spmi, limit=limit)
         return {
             "mechanism": "spmi",
-            "value": value,
+            "value": delegation.evaluate_spmi(inst, spmi),
             "threshold": spmi.threshold,
             "agent_model": "worst_case",
         }
-    report = {
-        "maximal": delegation.maximal_mechanism_costless,
-        "costly": delegation.costly_mechanism,
-        "identical": delegation.identical_cost_mechanism,
-    }[name](inst)
-    out = report.to_obj()
+    out = COMPOSED[name](inst).to_obj()
     out["mechanism"] = name
     return out
 
 
-def _composed_report(inst: Instance, name: str):
-    return {
-        "maximal": delegation.maximal_mechanism_costless,
-        "costly": delegation.costly_mechanism,
-        "identical": delegation.identical_cost_mechanism,
-    }[name](inst)
-
-
-def _monte_carlo_value(inst: Instance, name: str, trials: int, seed: int) -> dict:
-    # Sampling estimate for instances too large to enumerate; audits never
-    # rely on this path.
-    rng = random.Random(seed)
-    if name == "spmi":
-        spmi = delegation.build_spmi(inst)
-        threshold = spmi.threshold
-        costs = inst.singleton_costs()
-
-        def payoff(values):
-            eligible = [values[i] - costs[i] for i in range(inst.n)
-                        if values[i] - costs[i] >= threshold]
-            gross = min(eligible) if eligible else 0.0
-            return gross - float(inst.delegation_cost)
-
-    elif name == "weitzman":
-        caps = pandora.instance_caps(inst)
-        order = sorted(range(inst.n), key=lambda i: (-float(caps[i].sigma), i))
-        costs = [float(alt.inspect_cost) for alt in inst.alternatives]
-
-        def payoff(values):
-            best, paid = 0.0, 0.0
-            for i in order:
-                if best >= float(caps[i].sigma):
-                    break
-                paid += costs[i]
-                best = max(best, values[i])
-            return best - paid
-
-    else:
-        raise InvalidParameters(f"no sampling evaluator for mechanism {name!r}")
-
-    dists = [alt.dist for alt in inst.alternatives]
-    supports = [[float(v) for v in d.values] for d in dists]
-    weights = [[float(p) for p in d.probs] for d in dists]
-    samples = []
-    for _ in range(trials):
-        values = tuple(
-            rng.choices(supports[i], weights=weights[i])[0] for i in range(inst.n)
-        )
-        samples.append(payoff(values))
-    mean = sum(samples) / trials
-    var = sum((s - mean) ** 2 for s in samples) / max(trials - 1, 1)
-    band = 3 * math.sqrt(var / trials)
-    return {
-        "mechanism": name,
-        "value_estimate": mean,
-        "three_se_band": [mean - band, mean + band],
-        "trials": trials,
-        "seed": seed,
-    }
-
-
 def _cmd_eval(args) -> int:
-    inst, meta = _load_instance(args)
     fmt = _resolve_format(args)
-    limit = _resolve_limit(args)
-    if args.trials is not None:
-        seed = _resolve_seed(args)
-        if seed is None:
-            raise InvalidParameters("Monte Carlo mode needs --seed")
-        out = _monte_carlo_value(inst, args.mechanism, args.trials, seed)
-    else:
-        out = _mechanism_report(inst, args.mechanism, limit)
-    out = _enc(out)
+    inst, meta = _load_instance(args)
+    out = to_json(_mechanism_report(inst, args.mechanism))
     out["schema"] = repro.SUITE_VERSION
     out["instance_digest"] = instance_digest(inst)
     out["arithmetic_mode"] = inst.mode
@@ -289,31 +222,26 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    inst, meta = _load_instance(args)
     fmt = _resolve_format(args)
-    mechanism = args.mechanism or {
-        bounds.COSTLESS: "maximal",
-        bounds.COSTLY: "costly",
-        bounds.IDENTICAL: "identical",
-    }[args.regime]
-    if mechanism not in ("maximal", "costly", "identical"):
+    mechanism = args.mechanism or REGIME_MECHANISM[args.regime]
+    if mechanism not in COMPOSED:
         raise InvalidParameters("audit needs a composed mechanism (maximal|costly|identical)")
-    report = _composed_report(inst, mechanism)
+    inst, meta = _load_instance(args)
     alpha = as_number(args.alpha, inst.mode) if args.alpha is not None else None
-    audit_report = bounds.audit(inst, report, args.regime, alpha)
+    audit_report = bounds.audit(inst, COMPOSED[mechanism](inst), args.regime, alpha)
     out = audit_report.to_obj()
     out["schema"] = repro.SUITE_VERSION
     out["mechanism"] = mechanism
     if meta:
         out["generator"] = meta
-    _emit(_enc(out), fmt)
+    _emit(out, fmt)
     return 0 if audit_report.passed else 1
 
 
 def _cmd_repro(args) -> int:
-    fmt = args.format or _env("FORMAT", "table")
-    seed = args.seed if args.seed is not None else int(_env("SEED", "7"))
-    result = repro.run_repro(seed)
+    fmt = _resolve_format(args)
+    seed = _resolve_seed(args)
+    result = repro.run_repro(7 if seed is None else seed)
     _emit(result, fmt)
     return 0 if result["all_pass"] else 1
 

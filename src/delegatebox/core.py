@@ -83,35 +83,41 @@ class InvalidParameters(DelegateboxError):
 def as_number(value, mode: Mode = "exact") -> Number:
     """Convert ``value`` to the requested arithmetic mode.
 
-    In exact mode, floats are read through their shortest decimal
-    representation (0.1 becomes 1/10, not the 53-bit binary fraction), and
-    strings may be decimals ("0.25") or fractions ("1/3").
+    Both modes accept the same inputs: ints, Fractions, finite floats and
+    strings holding decimals ("0.25") or fractions ("1/3"). In exact mode,
+    floats are read through their shortest decimal representation (0.1
+    becomes 1/10, not the 53-bit binary fraction).
     """
     if mode == "exact":
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, bool):
-            raise InvalidParameters(f"not a number: {value!r}")
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, str):
-            try:
-                return Fraction(value)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise InvalidParameters(f"cannot parse number: {value!r}") from exc
-        if isinstance(value, float):
-            if not isfinite(value):
-                raise InvalidParameters(f"non-finite value: {value!r}")
-            return Fraction(Decimal(repr(value)))
-        raise InvalidParameters(f"unsupported number type: {type(value).__name__}")
+        return _exact_number(value)
     if mode == "float":
-        if isinstance(value, str):
-            value = Fraction(value)
-        out = float(value)
+        try:
+            out = value if isinstance(value, float) else float(_exact_number(value))
+        except OverflowError:
+            out = float("inf")
         if not isfinite(out):
             raise InvalidParameters(f"non-finite value: {value!r}")
         return out
     raise InvalidParameters(f"unknown arithmetic mode: {mode!r}")
+
+
+def _exact_number(value) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool):
+        raise InvalidParameters(f"not a number: {value!r}")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InvalidParameters(f"cannot parse number: {value!r}") from exc
+    if isinstance(value, float):
+        if not isfinite(value):
+            raise InvalidParameters(f"non-finite value: {value!r}")
+        return Fraction(Decimal(repr(value)))
+    raise InvalidParameters(f"unsupported number type: {type(value).__name__}")
 
 
 def zero(mode: Mode) -> Number:
@@ -146,6 +152,27 @@ def format_number(x: Number) -> str:
             return f"{sign}{digits[:-k]}.{digits[-k:]}"
         return f"{num}/{den}"
     return repr(float(x))
+
+
+def to_json(x):
+    """Make a report JSON-ready: each Fraction becomes its format_number string.
+
+    Dicts, lists and tuples are rebuilt with their items encoded; anything
+    else (floats, ints, strings, bools, None) passes through unchanged.
+    """
+    return _to_json(x)
+
+
+def _to_json(x):
+    # An exact type test: isinstance(x, Fraction) on a float or a string goes
+    # through the slow abstract-base-class check, once per leaf.
+    if type(x) is Fraction:
+        return format_number(x)
+    if isinstance(x, dict):
+        return {k: _to_json(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_to_json(v) for v in x]
+    return x
 
 
 @dataclass(frozen=True)
@@ -229,11 +256,6 @@ def make_distribution(pairs: Sequence[tuple], mode: Mode = "exact") -> DiscreteD
             raise ProbabilitySumMismatch(f"probabilities sum to {total!r}")
         atoms = tuple((v, p / total) for v, p in atoms)
     return DiscreteDistribution(atoms)
-
-
-def expected_value(dist: DiscreteDistribution) -> Number:
-    """E[X] for a validated distribution."""
-    return dist.mean()
 
 
 @dataclass(frozen=True)
@@ -458,10 +480,6 @@ def surplus_dists(instance: Instance) -> list[DiscreteDistribution]:
 # lost to binary floats; float mode uses plain JSON numbers.
 
 
-def _num_to_json(x: Number):
-    return format_number(x) if isinstance(x, Fraction) else float(x)
-
-
 def _subset_key(subset: frozenset) -> str:
     return ",".join(str(i) for i in sorted(subset))
 
@@ -474,29 +492,21 @@ def _subset_from_key(key: str) -> frozenset:
 
 def instance_to_obj(instance: Instance) -> dict:
     alts = [
-        {
-            "support": [[_num_to_json(v), _num_to_json(p)] for v, p in alt.dist.atoms],
-            "cost": _num_to_json(alt.inspect_cost),
-        }
+        {"support": alt.dist.atoms, "cost": alt.inspect_cost}
         for alt in instance.alternatives
     ]
     if instance.cost_model.kind == "monotone":
-        cm = {
-            "type": "monotone",
-            "table": {
-                _subset_key(s): _num_to_json(c)
-                for s, c in sorted(
-                    instance.cost_model.table.items(), key=lambda kv: _subset_key(kv[0])
-                )
-            },
-        }
+        table = {_subset_key(s): c for s, c in instance.cost_model.table.items()}
+        cm = {"type": "monotone", "table": dict(sorted(table.items()))}
     else:
         cm = {"type": "additive"}
-    return {
-        "alternatives": alts,
-        "cost_model": cm,
-        "delegation_cost": _num_to_json(instance.delegation_cost),
-    }
+    return to_json(
+        {
+            "alternatives": alts,
+            "cost_model": cm,
+            "delegation_cost": instance.delegation_cost,
+        }
+    )
 
 
 def instance_to_json(instance: Instance, indent: Optional[int] = None) -> str:
@@ -523,8 +533,9 @@ def instance_from_obj(obj: dict, mode: Mode = "exact") -> Instance:
         else:
             cm = CostModel.additive()
         return Instance(alts, cm, as_number(obj.get("delegation_cost", 0), mode))
-    except (KeyError, TypeError, ValueError) as exc:
-        # ValueError: a support row that is not a [value, prob] pair.
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # AttributeError: a JSON array where an object belongs; ValueError: a
+        # support row that is not a [value, prob] pair.
         raise InvalidParameters(f"malformed instance object: {exc}") from exc
 
 

@@ -9,7 +9,6 @@ best-responds given fixed, privately known utilities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import prod
 from typing import Optional, Sequence, Union
@@ -25,9 +24,9 @@ from .core import (
     Outcome,
     expected_max_of_dists,
     expected_of_max,
-    format_number,
     iter_realizations,
     surplus_dists,
+    to_json,
 )
 from .pandora import pnoi_optimal, policy_to_rows, run_policy
 
@@ -117,23 +116,16 @@ class MechanismReport:
     agent_model: str  # evaluation is vs. this agent; the inf over all agents is not searched
 
     def to_obj(self) -> dict:
-        def enc(x):
-            if isinstance(x, Fraction):
-                return format_number(x)
-            if isinstance(x, dict):
-                return {k: enc(v) for k, v in x.items()}
-            if isinstance(x, (list, tuple)):
-                return [enc(v) for v in x]
-            return x
-
-        return {
-            "branch": self.branch,
-            "value": enc(self.value),
-            "components": enc(self.components),
-            "delegated": self.delegated,
-            "mode": self.mode,
-            "agent_model": self.agent_model,
-        }
+        return to_json(
+            {
+                "branch": self.branch,
+                "value": self.value,
+                "components": self.components,
+                "delegated": self.delegated,
+                "mode": self.mode,
+                "agent_model": self.agent_model,
+            }
+        )
 
 
 def prophet_threshold(dists: Sequence[DiscreteDistribution]) -> Number:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from . import bounds, delegation, instances, pandora
 from .core import SCHEMA_VERSION as SUITE_VERSION
-from .core import Instance, expected_of_max, format_number
+from .core import Instance, expected_of_max, to_json
 
 TIGHTNESS_EPS = (Fraction(1, 5), Fraction(1, 10), Fraction(1, 20), Fraction(1, 100))
 IDENTICAL_NS = (6, 10, 20)
@@ -20,20 +20,9 @@ COSTLY_ALPHAS = (Fraction(1, 10), Fraction(1, 4), Fraction(2, 5))
 CORPUS_SIZE = 200
 
 
-def _s(x) -> str:
-    return format_number(x) if isinstance(x, (Fraction, int)) else repr(x)
-
-
 def _row(name: str, passed: bool, **details) -> dict:
-    enc = {}
-    for key, value in details.items():
-        if isinstance(value, (Fraction, int)):
-            enc[key] = _s(value)
-        elif isinstance(value, dict):
-            enc[key] = {k: _s(v) if isinstance(v, (Fraction, int)) else v for k, v in value.items()}
-        else:
-            enc[key] = value
-    return {"name": name, "pass": bool(passed), "details": enc}
+    # Every detail renders as a string, so callers pass counts through str().
+    return {"name": name, "pass": bool(passed), "details": to_json(details)}
 
 
 def tightness_rows() -> list[dict]:
@@ -62,7 +51,7 @@ def tightness_rows() -> list[dict]:
         _row(
             "tightness ratio sweep rises toward 3",
             monotone,
-            ratios=[_s(r) for r in ratios],
+            ratios=ratios,
         )
     )
     return rows
@@ -161,7 +150,7 @@ def spmi_half_bound_row(seed: int, count: int = CORPUS_SIZE) -> dict:
     return _row(
         f"SPMI half-of-surplus bound over {count} seeded instances",
         violations == 0,
-        violations=violations,
+        violations=str(violations),
         worst_slack=worst_slack,
     )
 
@@ -189,7 +178,7 @@ def costly_case1_rows(seed: int, count: int = CORPUS_SIZE) -> list[dict]:
         _row(
             f"costly delegation alpha={alpha} over {count} seeded instances",
             violations[a] == 0,
-            violations=violations[a],
+            violations=str(violations[a]),
             worst_slack=worst_slack[a],
             factor=factors[a],
         )

@@ -2,9 +2,10 @@
 
 Everything here recomputes quantities by direct enumeration of the product
 space (or of whole policy trees), sharing no code path with the library
-implementations it checks. The one exception is ``pnoi_reference``, the
-search DP in plain recursive form, which shares only the policy container and
-action names with the kernel it checks.
+implementations it checks. Two exceptions: ``pnoi_reference``, the search DP
+in plain recursive form, shares only the policy container and action names
+with the kernel it checks; ``descending_cap_simulation`` takes its caps from
+``pandora.instance_caps``, whose residuals are checked on their own.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from delegatebox.pandora import (
     Action,
     PnoiPolicy,
     _require_additive,
+    instance_caps,
 )
 
 
@@ -73,6 +75,31 @@ def brute_evaluate_spmi(instance: Instance, threshold, agent="worst"):
                 _, net = max(eligible, key=lambda e: (ys[e[0]], e[1], -e[0]))
                 total = total + p * py * net
     return total - instance.delegation_cost
+
+
+def descending_cap_simulation(instance: Instance):
+    """Value of the descending-cap policy, run on every product-support point.
+
+    Boxes open in decreasing cap order (lowest index on ties) until the best
+    value in hand reaches the next cap; stopping with nothing is worth 0.
+    ``pandora.weitzman_value`` computes the same number in closed form.
+    """
+    caps = instance_caps(instance)
+    order = sorted(range(instance.n), key=lambda i: (-caps[i].sigma, i))
+    costs = [alt.inspect_cost for alt in instance.alternatives]
+    z = instance.zero()
+    total = z
+    for values, p in enumerate_realizations(instance):
+        best = z
+        paid = z
+        for i in order:
+            if best >= caps[i].sigma:
+                break
+            paid = paid + costs[i]
+            if values[i] > best:
+                best = values[i]
+        total = total + p * (best - paid)
+    return total
 
 
 def full_history_optimal(instance: Instance):

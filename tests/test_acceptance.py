@@ -34,9 +34,8 @@ from delegatebox.instances import (
     random_signaling_mechanism,
     tightness,
 )
-from delegatebox.core import Alternative, expected_max_of_dists
+from delegatebox.core import Alternative
 from delegatebox.pandora import (
-    capped_value_distribution,
     expected_shortfall,
     instance_caps,
     pnoi_optimal,
@@ -44,7 +43,7 @@ from delegatebox.pandora import (
 )
 
 from conftest import record_criterion
-from oracles import full_history_optimal
+from oracles import descending_cap_simulation, full_history_optimal
 
 
 def check(name, passed):
@@ -106,14 +105,8 @@ def test_criterion_4_search_program_equals_policy_space_optimum():
 def test_criterion_5_descending_cap_consistency():
     ok = True
     for inst in random_corpus(seed=505, count=200, max_n=4, support_size=3):
-        caps = instance_caps(inst)
-        capped = [
-            capped_value_distribution(alt, cap)
-            for alt, cap in zip(inst.alternatives, caps)
-        ]
-        # the simulation path inside weitzman_value must equal this exactly
-        ok &= weitzman_value(inst) == expected_max_of_dists(capped)
-        for alt, cap in zip(inst.alternatives, caps):
+        ok &= weitzman_value(inst) == descending_cap_simulation(inst)
+        for alt, cap in zip(inst.alternatives, instance_caps(inst)):
             if not cap.never_worthwhile:
                 ok &= expected_shortfall(alt.dist, cap.sigma) == alt.inspect_cost
     check("5. descending-cap value equals capped-max exactly; cap residuals are zero", ok)

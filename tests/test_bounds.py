@@ -14,7 +14,6 @@ from delegatebox.bounds import (
     COSTLY,
     IDENTICAL,
     audit,
-    render_audit_table,
     upper_bound_costless,
     upper_bound_costly,
 )
@@ -130,10 +129,3 @@ class TestAudit:
             result = audit(inst, report, COSTLESS)
             assert result.passed
             assert pnoi_optimal(inst)[0] <= result.ub_costless
-
-    def test_render_table_mentions_the_verdict(self):
-        inst = tightness(F(1, 10))
-        result = audit(inst, maximal_mechanism_costless(inst), COSTLESS)
-        text = render_audit_table(result)
-        assert "pass" in text
-        assert "ub_used" in text

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction as F
 
+import pytest
+
 from delegatebox import Alternative, Instance, instance_to_json, make_distribution
 from delegatebox.cli import main
 
@@ -116,55 +118,77 @@ def test_missing_instance_file_yields_error_record(capsys):
     assert json.loads(stderr)["error"]["type"] == "IOError"
 
 
-def assert_one_error_record(stderr, error_type):
+RANDOM = ["--family", "random", "--seed", "3", "--n", "3"]
+ONE_BOX = {"alternatives": [{"support": [[1, 1]]}]}
+
+
+def instance_bytes(obj) -> bytes:
+    return json.dumps(obj).encode()
+
+
+# (arguments, instance file bytes appended as --instance or None, DELEGATEBOX_* env)
+BAD_INPUTS = {
+    "non_json_instance_file": (["eval", "--mechanism", "pnoi"], b"alternatives: not json", {}),
+    "support_row_without_probability": (
+        ["eval", "--mechanism", "pnoi"],
+        instance_bytes({"alternatives": [{"support": [[1]], "cost": "0"}]}),
+        {},
+    ),
+    "zero_denominator_float": (
+        ["eval", "--mechanism", "pnoi", "--float"],
+        instance_bytes({"alternatives": [{"support": [["1/0", 1]]}]}),
+        {},
+    ),
+    "bool_number_float": (
+        ["eval", "--mechanism", "pnoi", "--float"],
+        instance_bytes({"alternatives": [{"support": [[1, 1]], "cost": True}]}),
+        {},
+    ),
+    "bool_number_exact": (
+        ["eval", "--mechanism", "pnoi"],
+        instance_bytes({"alternatives": [{"support": [[1, 1]], "cost": True}]}),
+        {},
+    ),
+    "cost_model_list_exact": (
+        ["eval", "--mechanism", "pnoi"],
+        instance_bytes({**ONE_BOX, "cost_model": []}),
+        {},
+    ),
+    "cost_model_list_float": (
+        ["eval", "--mechanism", "pnoi", "--float"],
+        instance_bytes({**ONE_BOX, "cost_model": []}),
+        {},
+    ),
+    "non_utf8_instance_file": (["eval", "--mechanism", "pnoi"], b"\xff\xfe{}", {}),
+    "bad_alpha_float": (
+        ["audit", *RANDOM, "--regime", "costless", "--float", "--alpha", "abc"], None, {}
+    ),
+    "bad_env_seed_repro": (["repro"], None, {"SEED": "x"}),
+    "bad_env_seed_family": (
+        ["eval", "--family", "random", "--mechanism", "pnoi"], None, {"SEED": "x"}
+    ),
+    "bad_env_mode_family": (["eval", *RANDOM, "--mechanism", "pnoi"], None, {"MODE": "xyz"}),
+    "bad_env_mode_instance": (
+        ["eval", "--mechanism", "pnoi"], instance_bytes(ONE_BOX), {"MODE": "xyz"}
+    ),
+    "bad_env_format_eval": (["eval", *RANDOM, "--mechanism", "pnoi"], None, {"FORMAT": "xyz"}),
+    "bad_env_format_repro": (["repro"], None, {"FORMAT": "xyz"}),
+}
+
+
+@pytest.mark.parametrize("argv, instance, env", BAD_INPUTS.values(), ids=BAD_INPUTS)
+def test_bad_input_yields_one_error_record(tmp_path, capsys, monkeypatch, argv, instance, env):
+    if instance is not None:
+        path = tmp_path / "instance.json"
+        path.write_bytes(instance)
+        argv = [*argv, "--instance", str(path)]
+    for name, value in env.items():
+        monkeypatch.setenv(f"DELEGATEBOX_{name}", value)
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
     assert stderr.endswith("\n") and stderr.count("\n") == 1
-    assert json.loads(stderr)["error"]["type"] == error_type
-
-
-def test_non_json_instance_file_yields_error_record(tmp_path, capsys):
-    path = tmp_path / "instance.json"
-    path.write_text("alternatives: not json")
-    code, _, stderr = run_cli(
-        capsys, "eval", "--instance", str(path), "--mechanism", "pnoi"
-    )
-    assert code == 2
-    assert_one_error_record(stderr, "InvalidParameters")
-
-
-def test_support_row_without_probability_yields_error_record(tmp_path, capsys):
-    path = tmp_path / "instance.json"
-    path.write_text(json.dumps({"alternatives": [{"support": [[1]], "cost": "0"}]}))
-    code, _, stderr = run_cli(
-        capsys, "eval", "--instance", str(path), "--mechanism", "pnoi"
-    )
-    assert code == 2
-    assert_one_error_record(stderr, "InvalidParameters")
-
-
-def test_monte_carlo_needs_a_seed(tmp_path, capsys):
-    inst = Instance((Alternative(make_distribution([(0, "0.5"), (1, "0.5")]), 0),))
-    path = write_instance(tmp_path, inst)
-    code, _, stderr = run_cli(
-        capsys, "eval", "--instance", path, "--mechanism", "spmi", "--trials", "100"
-    )
-    assert code == 2
     assert json.loads(stderr)["error"]["type"] == "InvalidParameters"
-
-
-def test_monte_carlo_reports_a_band(tmp_path, capsys):
-    inst = Instance(
-        (Alternative(make_distribution([(0, "0.5"), (1, "0.5")]), "0.25"),)
-    )
-    path = write_instance(tmp_path, inst)
-    code, stdout, _ = run_cli(
-        capsys, "eval", "--instance", path, "--mechanism", "weitzman",
-        "--trials", "400", "--seed", "5", "--format", "json",
-    )
-    assert code == 0
-    report = json.loads(stdout)
-    lo, hi = report["three_se_band"]
-    assert lo <= report["value_estimate"] <= hi
-    assert lo <= 0.25 <= hi
 
 
 def test_float_mode_flag(tmp_path, capsys):

@@ -14,7 +14,6 @@ from delegatebox import (
     NegativeValue,
     ProbabilitySumMismatch,
     expected_of_max,
-    expected_value,
     instance_digest,
     instance_from_json,
     instance_to_json,
@@ -38,7 +37,7 @@ def test_make_distribution_two_point():
 def test_make_distribution_point_mass():
     d = make_distribution([(1, 1)])
     assert d.atoms == ((F(1), F(1)),)
-    assert expected_value(d) == 1
+    assert d.mean() == 1
 
 
 def test_make_distribution_merges_duplicates():
@@ -63,8 +62,8 @@ def test_make_distribution_errors():
 
 
 def test_expected_value_examples():
-    assert expected_value(make_distribution([(10, "0.1"), (0, "0.9")])) == 1
-    assert expected_value(make_distribution([(0, "0.25"), (2, "0.75")])) == F(3, 2)
+    assert make_distribution([(10, "0.1"), (0, "0.9")]).mean() == 1
+    assert make_distribution([(0, "0.25"), (2, "0.75")]).mean() == F(3, 2)
 
 
 def test_expected_of_max_single_alternative_is_mean():

@@ -11,6 +11,7 @@ from delegatebox import (
     StateLimitExceeded,
     make_distribution,
 )
+from delegatebox.core import DEFAULT_ENUMERATION_LIMIT, expected_max_of_dists
 from delegatebox.instances import identical_binary, random_corpus, tightness
 from delegatebox.pandora import (
     INSPECT,
@@ -20,6 +21,7 @@ from delegatebox.pandora import (
     capped_value_distribution,
     evaluate_policy,
     expected_shortfall,
+    instance_caps,
     pnoi_optimal,
     pnoi_value_upper_bound,
     policy_from_rows,
@@ -29,7 +31,12 @@ from delegatebox.pandora import (
     weitzman_value,
 )
 
-from oracles import exhaustive_policy_optimum, full_history_optimal, pnoi_reference
+from oracles import (
+    descending_cap_simulation,
+    exhaustive_policy_optimum,
+    full_history_optimal,
+    pnoi_reference,
+)
 
 
 def box(pairs, cost=0):
@@ -117,7 +124,17 @@ class TestWeitzman:
 
     def test_simulation_agrees_with_capped_expectation_on_corpus(self):
         for inst in random_corpus(seed=101, count=40):
-            weitzman_value(inst)  # raises internally on any disagreement
+            assert weitzman_value(inst) == descending_cap_simulation(inst)
+
+    def test_closed_form_needs_no_enumeration(self):
+        coin = [(0, "0.5"), (2, "0.5")]
+        inst = Instance(tuple(box(coin, F(k, 24)) for k in range(24)))
+        assert inst.support_product_size() > DEFAULT_ENUMERATION_LIMIT
+        capped = [
+            capped_value_distribution(alt, cap)
+            for alt, cap in zip(inst.alternatives, instance_caps(inst))
+        ]
+        assert weitzman_value(inst) == expected_max_of_dists(capped)
 
 
 class TestOptimalSearch:
