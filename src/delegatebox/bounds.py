@@ -97,7 +97,6 @@ def audit(
     """
     one = Fraction(1) if instance.mode == "exact" else 1.0
     tolerance = 0 * one if instance.mode == "exact" else FLOAT_TOL
-    surplus = expected_of_max(instance, "shifted_positive")
     ub_free = upper_bound_costless(instance)
 
     if regime == COSTLESS:
@@ -111,7 +110,7 @@ def audit(
             raise RegimeMismatch("costly regime needs alpha")
         if not 0 <= alpha < Fraction(1, 2):
             raise RegimeMismatch("alpha must lie in [0, 1/2)")
-        expected_cdel = alpha * surplus
+        expected_cdel = alpha * expected_of_max(instance, "shifted_positive")
         gap = abs(instance.delegation_cost - expected_cdel)
         if gap > tolerance:
             raise RegimeMismatch(

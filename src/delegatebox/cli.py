@@ -130,23 +130,27 @@ def _resolve_seed(args) -> Optional[int]:
 def _generator_spec(args) -> instances.GeneratorSpec:
     family = args.family
     params: dict = {}
+
+    def n_or(default: int) -> int:
+        return default if args.n is None else args.n
+
     if family == "identical_binary":
-        params = {"n": args.n or 6, "p": args.p or "1/6", "v": args.v or 1, "c": args.c or "1/3"}
+        params = {"n": n_or(6), "p": args.p or "1/6", "v": args.v or 1, "c": args.c or "1/3"}
     elif family == "tightness":
         params = {"eps": args.eps or "1/100"}
     elif family == "inapprox_first_best":
-        params = {"n": args.n or 10}
+        params = {"n": n_or(10)}
     elif family == "info_value":
-        params = {"n": args.n or 5, "eps": args.eps or "1/100"}
+        params = {"n": n_or(5), "eps": args.eps or "1/100"}
     elif family == "spmi_fail":
-        params = {"n": args.n or 2}
+        params = {"n": n_or(2)}
     elif family == "random":
         seed = _resolve_seed(args)
         if seed is None:
             raise InvalidParameters("random family needs --seed")
         params = {
             "seed": seed,
-            "n": args.n or 3,
+            "n": n_or(3),
             "support_size": args.support_size,
             "value_max": args.value_max,
             "cost_max": args.cost_max,

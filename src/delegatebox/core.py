@@ -13,9 +13,11 @@ import json
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import product
-from math import isfinite, prod
-from typing import Callable, Iterator, Literal, Optional, Sequence, Union
+from itertools import groupby, product
+from math import isfinite, lcm, prod
+from operator import itemgetter
+from types import MappingProxyType
+from typing import Callable, Iterator, Literal, Mapping, Optional, Sequence, Union
 
 Number = Union[Fraction, float]
 Mode = Literal["exact", "float"]
@@ -202,13 +204,6 @@ class DiscreteDistribution:
     def min_value(self) -> Number:
         return self.atoms[0][0]
 
-    def cdf(self, t: Number) -> Number:
-        """P(X <= t)."""
-        return sum(p for v, p in self.atoms if v <= t)
-
-    def prob_at_least(self, t: Number) -> Number:
-        return sum(p for v, p in self.atoms if v >= t)
-
     def transform(self, fn: Callable[[Number], Number]) -> "DiscreteDistribution":
         """Distribution of fn(X); transformed values are merged and re-sorted."""
         return DiscreteDistribution(_merge_atoms((fn(v), p) for v, p in self.atoms))
@@ -220,10 +215,17 @@ class DiscreteDistribution:
 
 
 def _merge_atoms(pairs) -> tuple[tuple[Number, Number], ...]:
-    acc: dict = {}
-    for v, p in pairs:
-        acc[v] = acc.get(v, 0) + p
-    return tuple(sorted((v, p) for v, p in acc.items() if p != 0))
+    # A stable sort keeps equal values in input order, so each run is added
+    # up in that order; on presorted input (a monotone transform) it is linear.
+    values: list = []
+    probs: list = []
+    for v, p in sorted(pairs, key=itemgetter(0)):
+        if values and values[-1] == v:
+            probs[-1] += p
+        else:
+            values.append(v)
+            probs.append(p)
+    return tuple((v, p) for v, p in zip(values, probs) if p != 0)
 
 
 def make_distribution(pairs: Sequence[tuple], mode: Mode = "exact") -> DiscreteDistribution:
@@ -273,18 +275,36 @@ class Alternative:
 
 @dataclass(frozen=True)
 class CostModel:
-    """Additive per-alternative costs, or a monotone set function over subsets."""
+    """Additive per-alternative costs, or a monotone set function over subsets.
+
+    A monotone table is copied once into a read-only mapping keyed by
+    frozensets, so the caller's dict is never touched and the model hashes.
+    """
 
     kind: Literal["additive", "monotone"]
-    table: Optional[dict] = None
+    table: Optional[Mapping] = None
+
+    def __post_init__(self):
+        if self.table is not None:
+            frozen = MappingProxyType({frozenset(k): v for k, v in self.table.items()})
+            object.__setattr__(self, "table", frozen)
+
+    def __hash__(self):
+        items = None if self.table is None else frozenset(self.table.items())
+        return hash((self.kind, items))
+
+    def __reduce__(self):
+        # A mappingproxy does not pickle; rebuild from a plain dict copy.
+        table = None if self.table is None else dict(self.table)
+        return CostModel, (self.kind, table)
 
     @staticmethod
     def additive() -> "CostModel":
         return CostModel("additive")
 
     @staticmethod
-    def monotone(table: dict) -> "CostModel":
-        return CostModel("monotone", {frozenset(k): v for k, v in table.items()})
+    def monotone(table: Mapping) -> "CostModel":
+        return CostModel("monotone", table)
 
 
 @dataclass(frozen=True)
@@ -307,15 +327,14 @@ class Instance:
         if self.delegation_cost < 0:
             raise NegativeValue(f"negative delegation cost: {self.delegation_cost}")
         if self.cost_model.kind == "monotone":
-            self._check_monotone_table(mode)
+            table = self.cost_model.table or {}
+            costs = CostModel("monotone", {k: as_number(v, mode) for k, v in table.items()})
+            object.__setattr__(self, "cost_model", costs)
+            self._check_monotone_table()
 
-    def _check_monotone_table(self, mode: Mode) -> None:
+    def _check_monotone_table(self) -> None:
         n = len(self.alternatives)
-        table = self.cost_model.table or {}
-        norm = {frozenset(k): as_number(v, mode) for k, v in table.items()}
-        # CostModel.monotone owns its dict, so normalize numbers in place.
-        table.clear()
-        table.update(norm)
+        table = self.cost_model.table
         if len(table) != 2**n:
             raise InvalidParameters("monotone cost table must cover all subsets")
         if table.get(frozenset(), None) != 0:
@@ -415,20 +434,40 @@ def iter_realizations(
 def expected_max_of_dists(dists: Sequence[DiscreteDistribution]) -> Number:
     """Exact E[max_i X_i] for independent distributions.
 
-    Computed from the product of the marginal CDFs over the union of the
-    supports, so the cost is linear in the total support size rather than in
-    the product space.
+    One merged sweep: all atoms go into one list, stably sorted by value.
+    Each box keeps its CDF as a running sum, and the product F(t) of the CDFs
+    is taken once per distinct value t, so E[max] = sum_t t * (F(t) - F(t-)).
+    For A atoms in all, U distinct values and n boxes that costs
+    O(A log A + U n), never the product space. In exact mode the sweep runs
+    on Python ints: values go over one common denominator D, box j's
+    probabilities become integer weights over its denominator q_j, and one
+    Fraction(total, D * prod q_j) is built at the end. Float mode runs the
+    same code with unit scales, adding each CDF in atom order.
     """
     if not dists:
         raise EmptySupport("need at least one distribution")
-    union = sorted({v for d in dists for v in d.values})
+    exact = dists[0].mode == "exact"
+    if exact:
+        unit = lcm(*(v.denominator for d in dists for v, _ in d.atoms))
+        box_units = [lcm(*(p.denominator for _, p in d.atoms)) for d in dists]
+        merged = [
+            (v.numerator * (unit // v.denominator), j, p.numerator * (q // p.denominator))
+            for j, (d, q) in enumerate(zip(dists, box_units))
+            for v, p in d.atoms
+        ]
+    else:
+        merged = [(v, j, p) for j, d in enumerate(dists) for v, p in d.atoms]
+    merged.sort(key=itemgetter(0))
+    cdf = [0] * len(dists)
     total = 0
     f_prev = 0
-    for t in union:
-        f_t = prod((d.cdf(t) for d in dists), start=1)
+    for t, run in groupby(merged, itemgetter(0)):
+        for _, j, w in run:
+            cdf[j] += w
+        f_t = prod(cdf, start=1)
         total += t * (f_t - f_prev)
         f_prev = f_t
-    return total
+    return Fraction(total, unit * prod(box_units)) if exact else total
 
 
 IDENTITY = "identity"
@@ -523,15 +562,18 @@ def instance_from_obj(obj: dict, mode: Mode = "exact") -> Instance:
             for alt in obj["alternatives"]
         )
         cm_obj = obj.get("cost_model", {"type": "additive"})
-        if cm_obj.get("type") == "monotone":
+        kind = cm_obj["type"]
+        if kind == "monotone":
             cm = CostModel.monotone(
                 {
                     _subset_from_key(k): as_number(v, mode)
                     for k, v in cm_obj["table"].items()
                 }
             )
-        else:
+        elif kind == "additive":
             cm = CostModel.additive()
+        else:
+            raise InvalidParameters(f"unknown cost_model type: {kind!r}")
         return Instance(alts, cm, as_number(obj.get("delegation_cost", 0), mode))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         # AttributeError: a JSON array where an object belongs; ValueError: a

@@ -173,6 +173,8 @@ def random_instance(
     """Seeded random instance on a coarse grid (values k/2, costs k/4, probs k/16)."""
     if n < 1 or support_size < 1:
         raise InvalidParameters("need n >= 1 and support_size >= 1")
+    if min(value_max, cost_max, cdel_max) < 0:
+        raise InvalidParameters("need value_max, cost_max and cdel_max >= 0")
     alternatives = []
     for _ in range(n):
         size = rng.randint(1, support_size)

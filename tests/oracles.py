@@ -2,16 +2,19 @@
 
 Everything here recomputes quantities by direct enumeration of the product
 space (or of whole policy trees), sharing no code path with the library
-implementations it checks. Two exceptions: ``pnoi_reference``, the search DP
+implementations it checks. Exceptions: ``pnoi_reference``, the search DP
 in plain recursive form, shares only the policy container and action names
 with the kernel it checks; ``descending_cap_simulation`` takes its caps from
-``pandora.instance_caps``, whose residuals are checked on their own.
+``pandora.instance_caps``, whose residuals are checked on their own;
+``cdf_product_expected_max`` is the expected-max formula with each CDF
+rescanned per support value, the form the merged sweep replaced.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from math import prod
 
 from delegatebox.core import DEFAULT_STATE_LIMIT, Instance, Number, StateLimitExceeded
 from delegatebox.pandora import (
@@ -43,6 +46,31 @@ def brute_expected_of_max(instance: Instance, transform=None):
     for values, p in enumerate_realizations(instance):
         total = total + p * max(fn(i, v) for i, v in enumerate(values))
     return total
+
+
+def cdf_product_expected_max(dists):
+    """E[max_i X_i] as sum_t t * (F(t) - F(t-)), with F(t) = prod_i P(X_i <= t).
+
+    Every P(X_i <= t) is a fresh sum over box i's atoms in atom order, the
+    same order as the running sums of ``core.expected_max_of_dists``, so in
+    float mode the two must agree bit for bit.
+    """
+    union = sorted({v for d in dists for v in d.values})
+    total = 0
+    f_prev = 0
+    for t in union:
+        f_t = prod((sum(p for v, p in d.atoms if v <= t) for d in dists), start=1)
+        total += t * (f_t - f_prev)
+        f_prev = f_t
+    return total
+
+
+def dict_merged_atoms(pairs):
+    """Atoms with equal values summed through a dict in input order, sorted by value."""
+    acc: dict = {}
+    for v, p in pairs:
+        acc[v] = acc.get(v, 0) + p
+    return tuple(sorted((v, p) for v, p in acc.items() if p != 0))
 
 
 def brute_evaluate_spmi(instance: Instance, threshold, agent="worst"):

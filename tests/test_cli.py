@@ -173,6 +173,25 @@ BAD_INPUTS = {
     ),
     "bad_env_format_eval": (["eval", *RANDOM, "--mechanism", "pnoi"], None, {"FORMAT": "xyz"}),
     "bad_env_format_repro": (["repro"], None, {"FORMAT": "xyz"}),
+    "random_negative_value_max": (
+        ["eval", "--family", "random", "--seed", "1", "--value-max", "-1", "--mechanism", "pnoi"],
+        None,
+        {},
+    ),
+    "random_negative_cost_max": (
+        ["eval", *RANDOM, "--cost-max", "-1", "--mechanism", "pnoi"], None, {}
+    ),
+    "random_negative_cdel_max": (["gen", *RANDOM, "--cdel-max", "-1"], None, {}),
+    "zero_n_eval": (
+        ["eval", "--family", "info_value", "--n", "0", "--mechanism", "pnoi"], None, {}
+    ),
+    "zero_n_gen": (["gen", "--family", "identical_binary", "--n", "0"], None, {}),
+    "zero_n_random": (["gen", "--family", "random", "--seed", "1", "--n", "0"], None, {}),
+    "unknown_cost_model_type": (
+        ["eval", "--mechanism", "pnoi"],
+        instance_bytes({**ONE_BOX, "cost_model": {"type": "foo"}}),
+        {},
+    ),
 }
 
 

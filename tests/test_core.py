@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -20,9 +21,11 @@ from delegatebox import (
     iter_realizations,
     make_distribution,
 )
-from delegatebox.core import as_number, format_number
+from delegatebox.core import as_number, expected_max_of_dists, format_number, surplus_dists
+from delegatebox.instances import random_corpus
+from delegatebox.pandora import capped_value_distribution, instance_caps
 
-from oracles import brute_expected_of_max
+from oracles import brute_expected_of_max, cdf_product_expected_max, dict_merged_atoms
 
 
 def box(pairs, cost=0):
@@ -148,6 +151,81 @@ def test_exact_and_float_modes_agree(inst):
     assert abs(float(exact) - approx) <= 1e-9
 
 
+def assert_same_number(got, want):
+    """Equal exact values, or floats with the same bits."""
+    assert type(got) is type(want)
+    assert got == want and repr(got) == repr(want)
+
+
+def transformed_dists(inst):
+    """Identity, (x - c)+ and capped distributions of one instance."""
+    capped = [
+        capped_value_distribution(alt, cap)
+        for alt, cap in zip(inst.alternatives, instance_caps(inst))
+    ]
+    return [alt.dist for alt in inst.alternatives], surplus_dists(inst), capped
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("seed", range(5))
+def test_merged_sweep_matches_cdf_oracle_on_corpus(seed, mode):
+    for inst in random_corpus(seed, 40, max_n=5):
+        inst = inst if mode == "exact" else inst.to_float()
+        for dists in transformed_dists(inst):
+            assert_same_number(expected_max_of_dists(dists), cdf_product_expected_max(dists))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_merged_sweep_matches_cdf_oracle_on_400_boxes(mode):
+    # Probabilities over 6, 28 and 55 are not dyadic, so float sums round.
+    alts = []
+    for j in range(400):
+        parts = (3, 7, 10)[j % 3]
+        total = parts * (parts + 1) // 2
+        atoms = [(F((7 * j + 3 * k) % 17, 2), F(k + 1, total)) for k in range(parts)]
+        alts.append(Alternative(make_distribution(atoms, mode), F(j % 5, 4)))
+    inst = Instance(tuple(alts))
+    for dists in transformed_dists(inst):
+        assert_same_number(expected_max_of_dists(dists), cdf_product_expected_max(dists))
+
+
+def test_clipping_three_atoms_to_zero_adds_them_in_input_order():
+    # (0.1 + 0.2) + 0.3 and 0.1 + (0.2 + 0.3) differ in the last bit.
+    pairs = [(0.1, 0.1), (0.2, 0.2), (0.3, 0.3), (1.0, 0.4)]
+    alt = Alternative(make_distribution(pairs, "float"), 0.5)
+    other = Alternative(make_distribution([(0.25, 1 / 3), (0.75, 2 / 3)], "float"), 0.0)
+    inst = Instance((alt, other))
+    clipped = surplus_dists(inst)
+    assert clipped[0].atoms == dict_merged_atoms((max(v - 0.5, 0.0), p) for v, p in pairs)
+    assert clipped[0].atoms[0] == (0.0, (0.1 + 0.2) + 0.3)
+    assert_same_number(expected_max_of_dists(clipped), cdf_product_expected_max(clipped))
+
+
+@given(small_instances(), st.sampled_from(["exact", "float"]))
+@settings(max_examples=80, deadline=None)
+def test_merged_sweep_matches_both_oracles(inst, mode):
+    inst = inst if mode == "exact" else inst.to_float()
+    costs = inst.singleton_costs()
+    z = inst.zero()
+    for fn in (lambda i, v: v, lambda i, v: max(v - costs[i], z)):
+        pairs = [
+            [(fn(i, v), p) for v, p in alt.dist.atoms]
+            for i, alt in enumerate(inst.alternatives)
+        ]
+        dists = [
+            alt.dist.transform(lambda v, i=i: fn(i, v))
+            for i, alt in enumerate(inst.alternatives)
+        ]
+        assert [d.atoms for d in dists] == [dict_merged_atoms(row) for row in pairs]
+        got = expected_max_of_dists(dists)
+        assert_same_number(got, cdf_product_expected_max(dists))
+        brute = brute_expected_of_max(inst, fn)
+        if mode == "exact":
+            assert got == brute
+        else:
+            assert abs(got - brute) <= 1e-9
+
+
 def test_iter_realizations_limit():
     inst = Instance(tuple(box([(0, "0.5"), (1, "0.5")]) for _ in range(4)))
     with pytest.raises(EnumerationLimitExceeded):
@@ -194,6 +272,18 @@ def test_monotone_table_validation():
             (box([(1, 1)]), box([(1, 1)])),
             CostModel.monotone(bad),
         )
+
+
+def test_monotone_table_is_copied_and_hashable():
+    table = {(): 0, (0,): 1, (1,): "1/2", (0, 1): 2}
+    before = dict(table)
+    inst = Instance((box([(1, 1)]), box([(2, 1)])), CostModel("monotone", table))
+    assert table == before
+    assert inst.inspection_cost({1}) == F(1, 2)
+    assert hash(inst) == hash(Instance(inst.alternatives, CostModel.monotone(before)))
+    assert pickle.loads(pickle.dumps(inst)) == inst
+    with pytest.raises(TypeError):
+        inst.cost_model.table[frozenset()] = 1
 
 
 def test_mixed_modes_rejected():
