@@ -385,17 +385,21 @@ class Instance:
         return prod(len(alt.dist.atoms) for alt in self.alternatives)
 
     def to_float(self) -> "Instance":
-        alts = tuple(
-            Alternative(alt.dist.to_float(), float(alt.inspect_cost))
-            for alt in self.alternatives
-        )
-        if self.cost_model.kind == "monotone":
-            cm = CostModel.monotone(
-                {k: float(v) for k, v in self.cost_model.table.items()}
+        try:
+            alts = tuple(
+                Alternative(alt.dist.to_float(), float(alt.inspect_cost))
+                for alt in self.alternatives
             )
-        else:
-            cm = CostModel.additive()
-        return Instance(alts, cm, float(self.delegation_cost))
+            if self.cost_model.kind == "monotone":
+                cm = CostModel.monotone(
+                    {k: float(v) for k, v in self.cost_model.table.items()}
+                )
+            else:
+                cm = CostModel.additive()
+            cdel = float(self.delegation_cost)
+        except OverflowError:
+            raise InvalidParameters("a number is outside the float range") from None
+        return Instance(alts, cm, cdel)
 
 
 Realization = tuple  # one utility per alternative, drawn from its support
@@ -442,7 +446,9 @@ def expected_max_of_dists(dists: Sequence[DiscreteDistribution]) -> Number:
     on Python ints: values go over one common denominator D, box j's
     probabilities become integer weights over its denominator q_j, and one
     Fraction(total, D * prod q_j) is built at the end. Float mode runs the
-    same code with unit scales, adding each CDF in atom order.
+    same code with unit scales, adding each CDF in atom order. A box whose
+    atoms carry total mass below 1 works too: the sum is then the integral
+    of the max over the product of those measures, which the SPMI sweeps use.
     """
     if not dists:
         raise EmptySupport("need at least one distribution")

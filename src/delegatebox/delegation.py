@@ -9,7 +9,6 @@ best-responds given fixed, privately known utilities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import prod
 from typing import Optional, Sequence, Union
 
@@ -148,89 +147,70 @@ def build_spmi(instance: Instance) -> Spmi:
     return Spmi(prophet_threshold(surplus_dists(instance)))
 
 
-def _net_atoms(instance: Instance) -> list[list[tuple[Number, Number]]]:
+def _eligible_nets(instance: Instance, threshold: Number) -> list[list[tuple]]:
+    # Per box, the (net value x - c, probability) atoms whose net clears the threshold.
     costs = instance.singleton_costs()
     return [
-        [(v - costs[i], p) for v, p in alt.dist.atoms]
-        for i, alt in enumerate(instance.alternatives)
+        [(v - c, p) for v, p in alt.dist.atoms if v - c >= threshold]
+        for alt, c in zip(instance.alternatives, costs)
     ]
 
 
 def _spmi_worst_case_value(instance: Instance, threshold: Number) -> Number:
-    # Factorized over marginals: with W = min eligible net value (+inf when
-    # none is eligible), E[W; finite] falls out of survival products.
-    nets = _net_atoms(instance)
+    # With m the largest eligible net, box i shows Y_i = m - net_i on its
+    # eligible atoms and 0 on the rest of its mass. Whenever something is
+    # eligible, max_i Y_i = m - W for W the smallest eligible net, so
+    # E[W; something eligible] = m (1 - P(nothing eligible)) - E[max_i Y_i].
     z = instance.zero()
-    lows = [sum((p for nv, p in atoms if nv < threshold), start=z) for atoms in nets]
-    eligible_values = sorted({nv for atoms in nets for nv, _ in atoms if nv >= threshold})
-    p_none = prod(lows, start=1)
-    total = z
-    survival_next = p_none
-    for t in reversed(eligible_values):
-        survival = prod(
-            (
-                lows[i] + sum((p for nv, p in nets[i] if nv >= t), start=z)
-                for i in range(instance.n)
-            ),
-            start=1,
-        )
-        total = total + t * (survival - survival_next)
-        survival_next = survival
-    return total
+    boxes = [atoms for atoms in _eligible_nets(instance, threshold) if atoms]
+    if not boxes:
+        return z
+    m = max(net for atoms in boxes for net, _ in atoms)
+    dists = []
+    p_none = z + 1
+    for atoms in boxes:
+        rest = 1 - sum(p for _, p in atoms)
+        p_none = p_none * rest
+        dists.append(DiscreteDistribution((*((m - net, p) for net, p in atoms), (z, rest))))
+    return m * (1 - p_none) - expected_max_of_dists(dists)
 
 
-def _spmi_fixed_order_value(
-    instance: Instance, threshold: Number, order: Sequence[int]
-) -> Number:
-    # Agent proposes the first eligible box in his preference order.
-    nets = _net_atoms(instance)
+def _spmi_agent_value(instance: Instance, threshold: Number, agent: AgentProfile) -> Number:
+    # Sweep the agent's utility levels from the top. The agent proposes at
+    # level u iff no box is eligible at a higher level; then it proposes the
+    # level-u box with the largest net (ties go to the principal). Box j
+    # enters level u as the sub-probability measure with atoms (net, q_j(u) p)
+    # on its eligible atoms and 0 on the mass where it is not eligible at u or
+    # above, 1 - e_j Q_j(>=u); its total mass is 1 - e_j Q_j(>u), its share of
+    # reaching level u. One kernel call per level over its own boxes, times
+    # the other boxes' share of reaching it, gives the level's contribution.
     z = instance.zero()
+    nets = _eligible_nets(instance, threshold)
+    if agent.deterministic:
+        prefs = [((u, 1),) for u in agent.utilities]
+    else:
+        prefs = [d.atoms for d in agent.dists]
+    levels: dict = {}
+    for j, atoms in enumerate(nets):
+        if atoms:
+            for u, q in prefs[j]:
+                levels.setdefault(u, []).append((j, q))
+    eligible_mass = [sum((p for _, p in atoms), start=z) for atoms in nets]
+    reach_box = [z + 1] * instance.n  # 1 - e_j Q_j(>u)
+    reach = z + 1  # P(no box is eligible at a higher level)
     total = z
-    p_prior_ineligible = 1
-    for i in order:
-        elig_gain = sum((nv * p for nv, p in nets[i] if nv >= threshold), start=z)
-        elig_mass = sum((p for nv, p in nets[i] if nv >= threshold), start=z)
-        total = total + p_prior_ineligible * elig_gain
-        p_prior_ineligible = p_prior_ineligible * (1 - elig_mass)
-    return total
-
-
-def _propose_from_eligible(eligible_nets, agent_values):
-    # Max agent utility; ties resolved in the principal's favor (larger net),
-    # then by lowest index.
-    return max(eligible_nets, key=lambda item: (agent_values[item[0]], item[1], -item[0]))
-
-
-def _spmi_enumerated_value(
-    instance: Instance,
-    threshold: Number,
-    agent: Union[AgentProfile, _WorstCase],
-    limit: Optional[int],
-) -> Number:
-    costs = instance.singleton_costs()
-    z = instance.zero()
-    total = z
-    for values, p in iter_realizations(instance, limit):
-        eligible = [
-            (i, values[i] - costs[i])
-            for i in range(instance.n)
-            if values[i] - costs[i] >= threshold
-        ]
-        if not eligible:
-            continue
-        if agent is WORST_CASE:
-            total = total + p * min(net for _, net in eligible)
-        elif agent.deterministic:
-            _, net = _propose_from_eligible(eligible, agent.utilities)
-            total = total + p * net
-        else:
-            idx = [i for i, _ in eligible]
-            y_atoms = [agent.dists[i].atoms for i in idx]
-            for combo in product(*y_atoms):
-                y_values = {i: v for i, (v, _) in zip(idx, combo)}
-                py = prod((q for _, q in combo), start=1)
-                _, net = _propose_from_eligible(eligible, y_values)
-                total = total + p * py * net
+    for u in sorted(levels, reverse=True):
+        level = levels[u]
+        others = reach / prod((reach_box[j] for j, _ in level), start=1)
+        dists = []
+        for j, q in level:
+            reach_box[j] = reach_box[j] - q * eligible_mass[j]
+            atoms = (*((net, q * p) for net, p in nets[j]), (z, reach_box[j]))
+            dists.append(DiscreteDistribution(atoms))
+        total = total + others * expected_max_of_dists(dists)
+        reach = others * prod((reach_box[j] for j, _ in level), start=1)
+        if reach == 0:
+            break
     return total
 
 
@@ -238,23 +218,21 @@ def evaluate_spmi(
     instance: Instance,
     spmi: Spmi,
     agent: Union[AgentProfile, _WorstCase] = WORST_CASE,
-    limit: Optional[int] = None,
 ) -> Number:
     """Exact expected principal utility of an SPMI.
 
     Per realization the eligible set is {i : x_i - c_i >= threshold}; the
     agent proposes his favorite eligible box (WORST_CASE: the one with the
-    smallest net value), the principal inspects it, pays its cost, and
-    accepts. An empty eligible set means the agent signals nothing and no
-    inspection happens. The delegation cost is paid either way.
+    smallest net value; ties in utility go to the larger net), the principal
+    inspects it, pays its cost, and accepts. An empty eligible set means the
+    agent signals nothing and no inspection happens. The delegation cost is
+    paid either way. Every agent model is priced in closed form through
+    ``expected_max_of_dists``; the product support is never enumerated.
     """
     if agent is WORST_CASE:
         gross = _spmi_worst_case_value(instance, spmi.threshold)
-    elif agent.deterministic and len(set(agent.utilities)) == instance.n:
-        order = sorted(range(instance.n), key=lambda i: (-agent.utilities[i], i))
-        gross = _spmi_fixed_order_value(instance, spmi.threshold, order)
     else:
-        gross = _spmi_enumerated_value(instance, spmi.threshold, agent, limit)
+        gross = _spmi_agent_value(instance, spmi.threshold, agent)
     return gross - instance.delegation_cost
 
 
@@ -283,7 +261,7 @@ def maximal_mechanism_costless(instance: Instance) -> MechanismReport:
     }
     # On ties the non-delegation branch wins.
     if half_surplus > v_closed:
-        spmi = build_spmi(instance)
+        spmi = Spmi(half_surplus)
         value = evaluate_spmi(instance, spmi, WORST_CASE)
         components["threshold"] = spmi.threshold
         return MechanismReport(
@@ -310,7 +288,7 @@ def costly_mechanism(instance: Instance, pnoi_oracle=None) -> MechanismReport:
         return MechanismReport(
             "PnoiDirect", v1, components, False, instance.mode, "none"
         )
-    spmi = build_spmi(instance)
+    spmi = Spmi(half_surplus)
     components["threshold"] = spmi.threshold
     value = evaluate_spmi(instance, spmi, WORST_CASE)
     return MechanismReport("SPMI", value, components, True, instance.mode, "worst_case")
@@ -354,6 +332,27 @@ def _principal_utility(instance: Instance, values, outcome: Outcome) -> Number:
     return gain - instance.inspection_cost(outcome.inspected) - instance.delegation_cost
 
 
+def _best_response(
+    instance: Instance, mech: SignalingMechanism, realization, agent: AgentProfile
+) -> tuple:
+    # (signal, outcome, principal utility) of the agent's best response;
+    # each signal's policy runs once.
+    if not agent.deterministic:
+        raise InvalidParameters("best response needs deterministic agent utilities")
+    y = agent.utilities
+    best_key = None
+    best = None
+    for pos, sig in enumerate(mech.signals):
+        outcome = run_policy(mech.policies[sig], realization)
+        agent_gain = y[outcome.selected] if outcome.selected is not None else 0
+        utility = _principal_utility(instance, realization, outcome)
+        key = (agent_gain, utility, -pos)
+        if best_key is None or key > best_key:
+            best_key = key
+            best = (sig, outcome, utility)
+    return best
+
+
 def agent_best_response(
     instance: Instance,
     mech: SignalingMechanism,
@@ -365,19 +364,7 @@ def agent_best_response(
     Ties go first to the signal whose outcome is better for the principal,
     then to the lowest signal index.
     """
-    if not agent.deterministic:
-        raise InvalidParameters("best response needs deterministic agent utilities")
-    y = agent.utilities
-    best_key = None
-    best_signal = None
-    for pos, sig in enumerate(mech.signals):
-        outcome = run_policy(mech.policies[sig], realization)
-        agent_gain = y[outcome.selected] if outcome.selected is not None else 0
-        key = (agent_gain, _principal_utility(instance, realization, outcome), -pos)
-        if best_key is None or key > best_key:
-            best_key = key
-            best_signal = sig
-    return best_signal
+    return _best_response(instance, mech, realization, agent)[0]
 
 
 def _signaling_sweep(
@@ -392,9 +379,8 @@ def _signaling_sweep(
     uninspected_mass = z
     clean_mass = z
     for values, p in iter_realizations(instance, limit):
-        sig = agent_best_response(instance, mech, values, agent)
-        outcome = run_policy(mech.policies[sig], values)
-        total = total + p * _principal_utility(instance, values, outcome)
+        _, outcome, utility = _best_response(instance, mech, values, agent)
+        total = total + p * utility
         sel = outcome.selected
         if sel is not None:
             if sel not in outcome.inspected:

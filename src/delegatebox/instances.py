@@ -175,6 +175,9 @@ def random_instance(
         raise InvalidParameters("need n >= 1 and support_size >= 1")
     if min(value_max, cost_max, cdel_max) < 0:
         raise InvalidParameters("need value_max, cost_max and cdel_max >= 0")
+    room = min(16, 2 * value_max + 1)  # probability steps, grid values
+    if support_size > room:
+        raise InvalidParameters(f"need support_size <= min(16, 2 * value_max + 1) = {room}")
     alternatives = []
     for _ in range(n):
         size = rng.randint(1, support_size)

@@ -320,11 +320,7 @@ def pnoi_value_upper_bound(instance: Instance) -> Number:
     closed is at most the best mean.
     """
     _require_additive(instance, "pnoi_value_upper_bound")
-    capped = [
-        capped_value_distribution(alt, cap)
-        for alt, cap in zip(instance.alternatives, instance_caps(instance))
-    ]
-    return expected_max_of_dists(capped) + max(instance.expected_values())
+    return weitzman_value(instance) + max(instance.expected_values())
 
 
 # --- policy serialization ---------------------------------------------------

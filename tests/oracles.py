@@ -7,7 +7,10 @@ in plain recursive form, shares only the policy container and action names
 with the kernel it checks; ``descending_cap_simulation`` takes its caps from
 ``pandora.instance_caps``, whose residuals are checked on their own;
 ``cdf_product_expected_max`` is the expected-max formula with each CDF
-rescanned per support value, the form the merged sweep replaced.
+rescanned per support value, the form the merged sweep replaced;
+``survival_worst_case_spmi`` and ``fixed_order_spmi`` are the per-value
+survival rescan and the fixed-order sum that ``delegation.evaluate_spmi``
+replaced with sweeps through ``expected_max_of_dists``.
 """
 
 from __future__ import annotations
@@ -103,6 +106,54 @@ def brute_evaluate_spmi(instance: Instance, threshold, agent="worst"):
                 _, net = max(eligible, key=lambda e: (ys[e[0]], e[1], -e[0]))
                 total = total + p * py * net
     return total - instance.delegation_cost
+
+
+def _net_atoms(instance: Instance):
+    costs = [instance.singleton_cost(i) for i in range(instance.n)]
+    return [
+        [(v - costs[i], p) for v, p in alt.dist.atoms]
+        for i, alt in enumerate(instance.alternatives)
+    ]
+
+
+def survival_worst_case_spmi(instance: Instance, threshold):
+    """Gross worst-case SPMI value from survival products, rescanned per value.
+
+    With W the smallest eligible net value (+inf when nothing is eligible),
+    E[W; W finite] = sum_t t * (P(W >= t) - P(W > t)), and P(W >= t) is a
+    product over boxes of P(not eligible or net >= t), each a fresh sum.
+    """
+    nets = _net_atoms(instance)
+    z = instance.zero()
+    lows = [sum((p for nv, p in atoms if nv < threshold), start=z) for atoms in nets]
+    eligible_values = sorted({nv for atoms in nets for nv, _ in atoms if nv >= threshold})
+    total = z
+    survival_next = prod(lows, start=1)
+    for t in reversed(eligible_values):
+        survival = prod(
+            (
+                lows[i] + sum((p for nv, p in nets[i] if nv >= t), start=z)
+                for i in range(instance.n)
+            ),
+            start=1,
+        )
+        total = total + t * (survival - survival_next)
+        survival_next = survival
+    return total
+
+
+def fixed_order_spmi(instance: Instance, threshold, order):
+    """Gross SPMI value when the agent proposes the first eligible box in ``order``."""
+    nets = _net_atoms(instance)
+    z = instance.zero()
+    total = z
+    p_prior_ineligible = 1
+    for i in order:
+        elig_gain = sum((nv * p for nv, p in nets[i] if nv >= threshold), start=z)
+        elig_mass = sum((p for nv, p in nets[i] if nv >= threshold), start=z)
+        total = total + p_prior_ineligible * elig_gain
+        p_prior_ineligible = p_prior_ineligible * (1 - elig_mass)
+    return total
 
 
 def descending_cap_simulation(instance: Instance):

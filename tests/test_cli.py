@@ -1,10 +1,15 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delegatebox import Alternative, Instance, instance_to_json, make_distribution
-from delegatebox.cli import main
+from delegatebox import instances
+from delegatebox.cli import FORMATS, MECHANISMS, REGIMES, main
 
 
 def run_cli(capsys, *argv):
@@ -192,6 +197,24 @@ BAD_INPUTS = {
         instance_bytes({**ONE_BOX, "cost_model": {"type": "foo"}}),
         {},
     ),
+    "random_value_max_zero": (
+        ["eval", "--family", "random", "--seed", "1", "--value-max", "0", "--mechanism", "pnoi"],
+        None,
+        {},
+    ),
+    "random_support_above_grid": (
+        ["eval", *RANDOM, "--support-size", "40", "--mechanism", "pnoi"], None, {}
+    ),
+    "float_overflow_cost": (
+        ["eval", "--family", "identical_binary", "--c", "1e400", "--mechanism", "spmi", "--float"],
+        None,
+        {},
+    ),
+    "float_overflow_value": (
+        ["eval", "--family", "tightness", "--eps", "1e-400", "--mechanism", "maximal", "--float"],
+        None,
+        {},
+    ),
 }
 
 
@@ -230,3 +253,48 @@ def test_env_format_override(tmp_path, capsys, monkeypatch):
     code, stdout, _ = run_cli(capsys, "eval", "--instance", path, "--mechanism", "pnoi")
     assert code == 0
     json.loads(stdout)  # valid JSON because the env var selected it
+
+
+NUMBER_STRINGS = ("0", "1", "2", "1/3", "0.5", "-1", "abc", "1/0", "1e400", "1e-400")
+
+
+@st.composite
+def cli_argv(draw):
+    """An argv that argparse accepts for eval, audit or gen on a generated family."""
+    command = draw(st.sampled_from(["eval", "audit", "gen"]))
+    argv = [command, "--family", draw(st.sampled_from(instances.FAMILIES))]
+    argv += ["--seed", str(draw(st.integers(0, 5)))]
+    if draw(st.booleans()):
+        argv += ["--n", str(draw(st.integers(-1, 6)))]
+    for flag in ("--p", "--v", "--c", "--eps"):
+        if draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(NUMBER_STRINGS))]
+    argv += ["--support-size", str(draw(st.integers(0, 20)))]
+    argv += ["--value-max", str(draw(st.integers(-1, 4)))]
+    argv += ["--cost-max", str(draw(st.integers(-1, 2)))]
+    argv += ["--cdel-max", str(draw(st.integers(-1, 2)))]
+    if draw(st.booleans()):
+        argv.append("--float")
+    if command == "eval":
+        argv += ["--mechanism", draw(st.sampled_from(MECHANISMS))]
+    elif command == "audit":
+        argv += ["--regime", draw(st.sampled_from(REGIMES))]
+        if draw(st.booleans()):
+            argv += ["--alpha", draw(st.sampled_from(NUMBER_STRINGS))]
+    if command != "gen":
+        argv += ["--format", draw(st.sampled_from(FORMATS))]
+    return argv
+
+
+@given(cli_argv())
+@settings(max_examples=50, deadline=None)
+def test_cli_fuzz_ends_in_an_exit_code_or_one_error_record(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    stderr = err.getvalue()
+    if stderr:
+        assert code == 2
+        assert stderr.endswith("\n") and stderr.count("\n") == 1
+        assert set(json.loads(stderr)) == {"error"}

@@ -14,7 +14,9 @@ from delegatebox import (
     expected_of_max,
     make_distribution,
 )
+from delegatebox.core import DEFAULT_ENUMERATION_LIMIT
 from delegatebox.delegation import (
+    WORST_CASE,
     Spmi,
     agent_best_response,
     best_closed_selection,
@@ -50,7 +52,12 @@ from delegatebox.pandora import (
 )
 from delegatebox import SignalingMechanism
 
-from oracles import brute_evaluate_signaling, brute_evaluate_spmi
+from oracles import (
+    brute_evaluate_signaling,
+    brute_evaluate_spmi,
+    fixed_order_spmi,
+    survival_worst_case_spmi,
+)
 
 half_coin = [(0, "0.5"), (1, "0.5")]
 
@@ -151,6 +158,84 @@ class TestEvaluateSpmi:
         inst = Instance((box([(2, 1)]), box([(1, 1)])))
         agent = deterministic_agent([3, 3])  # indifferent between both boxes
         assert evaluate_spmi(inst, Spmi(F(0)), agent) == 2
+
+
+def grid_box(rng, size):
+    """A box with exactly ``size`` atoms on the random corpus grid."""
+    values = rng.sample([F(k, 2) for k in range(17)], size)
+    cuts = sorted(rng.sample(range(1, 16), size - 1))
+    weights = [b - a for a, b in zip([0, *cuts], [*cuts, 16])]
+    atoms = [(v, F(w, 16)) for v, w in zip(values, weights)]
+    return Alternative(make_distribution(atoms), F(rng.randint(0, 8), 4))
+
+
+def random_agent_dists(rng, n):
+    return tuple(
+        dist([(rng.randint(0, 2), F(k, 4)), (rng.randint(0, 2), F(4 - k, 4))])
+        for k in (rng.randint(1, 3) for _ in range(n))
+    )
+
+
+class TestClosedFormSpmi:
+    def test_tied_agents_match_enumeration_on_corpus(self):
+        rng = random.Random(15)
+        for inst in random_corpus(seed=16, count=120, cdel_max=1):
+            threshold = F(rng.randint(0, 8), 4)
+            ys = tuple(rng.randint(0, 1) for _ in range(inst.n))
+            value = evaluate_spmi(inst, Spmi(threshold), deterministic_agent(ys))
+            assert value == brute_evaluate_spmi(inst, threshold, ys)
+
+    def test_distributional_agents_match_enumeration_on_corpus(self):
+        rng = random.Random(17)
+        for inst in random_corpus(seed=18, count=120, cdel_max=1):
+            threshold = F(rng.randint(0, 8), 4)
+            y_dists = random_agent_dists(rng, inst.n)
+            value = evaluate_spmi(inst, Spmi(threshold), distributional_agent(y_dists))
+            assert value == brute_evaluate_spmi(inst, threshold, y_dists)
+
+    def test_large_grid_matches_the_rescan_oracles(self):
+        rng = random.Random(19)
+        inst = Instance(tuple(grid_box(rng, 8) for _ in range(200)))
+        spmi = build_spmi(inst)
+        assert evaluate_spmi(inst, spmi) == survival_worst_case_spmi(inst, spmi.threshold)
+        ys = rng.sample(range(200), 200)
+        order = sorted(range(200), key=lambda i: -ys[i])
+        assert evaluate_spmi(inst, spmi, deterministic_agent(ys)) == fixed_order_spmi(
+            inst, spmi.threshold, order
+        )
+
+    @pytest.mark.parametrize("n", [6, 10, 20, 50])
+    def test_float_tracks_exact_on_identical_binary(self, n):
+        inst = identical_binary(n, F(1, n), 1, F(2, n))
+        fl = inst.to_float()
+        rng = random.Random(n)
+        y_dists = random_agent_dists(rng, n)
+        agents = [
+            (WORST_CASE, WORST_CASE),
+            (deterministic_agent(range(n)),) * 2,
+            (deterministic_agent([i % 3 for i in range(n)]),) * 2,
+            (
+                distributional_agent(y_dists),
+                distributional_agent([d.to_float() for d in y_dists]),
+            ),
+        ]
+        for exact_agent, float_agent in agents:
+            exact = evaluate_spmi(inst, build_spmi(inst), exact_agent)
+            approx = evaluate_spmi(fl, build_spmi(fl), float_agent)
+            assert abs(float(exact) - approx) <= 1e-9
+
+    def test_no_enumeration_on_a_huge_product_space(self):
+        # 2^24 points, above DEFAULT_ENUMERATION_LIMIT.
+        inst = Instance(tuple(box([(0, "0.5"), (F(i + 1, 8), "0.5")]) for i in range(24)))
+        assert inst.support_product_size() > DEFAULT_ENUMERATION_LIMIT
+        spmi = Spmi(F(0))
+        worst = evaluate_spmi(inst, spmi)
+        tied = evaluate_spmi(inst, spmi, deterministic_agent([1] * 24))
+        agent = distributional_agent([dist(half_coin)] * 24)
+        between = evaluate_spmi(inst, spmi, agent)
+        # Free boxes and a zero threshold: a fully tied agent hands over the max.
+        assert tied == expected_of_max(inst)
+        assert worst < between < tied
 
 
 def test_best_closed_selection_examples():
