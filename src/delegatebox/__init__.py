@@ -25,7 +25,6 @@ from .core import (
     instance_digest,
     instance_from_json,
     instance_to_json,
-    iter_realizations,
     make_distribution,
 )
 from .pandora import (
@@ -45,7 +44,6 @@ from .delegation import (
     MechanismReport,
     SignalingMechanism,
     Spmi,
-    agent_best_response,
     best_closed_selection,
     build_spmi,
     cost_ordered_adversary,

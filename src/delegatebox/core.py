@@ -13,11 +13,11 @@ import json
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import groupby, product
+from itertools import groupby
 from math import isfinite, lcm, prod
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Callable, Iterator, Literal, Mapping, Optional, Sequence, Union
+from typing import Callable, Literal, Mapping, Optional, Sequence, Union
 
 Number = Union[Fraction, float]
 Mode = Literal["exact", "float"]
@@ -402,9 +402,6 @@ class Instance:
         return Instance(alts, cm, cdel)
 
 
-Realization = tuple  # one utility per alternative, drawn from its support
-
-
 @dataclass(frozen=True)
 class Outcome:
     """Result of running a search: selection (if any), inspected set, delegation flag."""
@@ -412,27 +409,6 @@ class Outcome:
     selected: Optional[int]
     inspected: frozenset
     delegated: bool = False
-
-
-def iter_realizations(
-    instance: Instance, limit: Optional[int] = None
-) -> Iterator[tuple[Realization, Number]]:
-    """Yield every point of the product support with its probability.
-
-    Raises EnumerationLimitExceeded if the product support is larger than
-    ``limit`` (default 10^7).
-    """
-    cap = DEFAULT_ENUMERATION_LIMIT if limit is None else limit
-    size = instance.support_product_size()
-    if size > cap:
-        raise EnumerationLimitExceeded(
-            f"product support has {size} points, limit is {cap}"
-        )
-    atom_lists = [alt.dist.atoms for alt in instance.alternatives]
-    for combo in product(*atom_lists):
-        values = tuple(v for v, _ in combo)
-        p = prod((p for _, p in combo), start=1)
-        yield values, p
 
 
 def expected_max_of_dists(dists: Sequence[DiscreteDistribution]) -> Number:

@@ -20,14 +20,12 @@ from .core import (
     NotCostless,
     CostsNotIdentical,
     Number,
-    Outcome,
     expected_max_of_dists,
     expected_of_max,
-    iter_realizations,
     surplus_dists,
     to_json,
 )
-from .pandora import pnoi_optimal, policy_to_rows, run_policy
+from .pandora import _policy_sweep, pnoi_optimal, policy_to_rows
 
 
 class _WorstCase:
@@ -54,6 +52,14 @@ class AgentProfile:
     @property
     def deterministic(self) -> bool:
         return self.utilities is not None
+
+
+def _check_agent_size(instance: Instance, agent: AgentProfile) -> None:
+    size = len(agent.utilities if agent.deterministic else agent.dists)
+    if size != instance.n:
+        raise InvalidParameters(
+            f"agent has {size} entries for {instance.n} alternatives"
+        )
 
 
 def deterministic_agent(values: Sequence) -> AgentProfile:
@@ -98,6 +104,8 @@ class SignalingMechanism:
 
     def __post_init__(self):
         object.__setattr__(self, "signals", tuple(self.signals))
+        if not self.signals:
+            raise InvalidParameters("a signaling mechanism needs at least one signal")
         for sig in self.signals:
             if sig not in self.policies:
                 raise InvalidParameters(f"signal {sig!r} has no policy")
@@ -232,6 +240,7 @@ def evaluate_spmi(
     if agent is WORST_CASE:
         gross = _spmi_worst_case_value(instance, spmi.threshold)
     else:
+        _check_agent_size(instance, agent)
         gross = _spmi_agent_value(instance, spmi.threshold, agent)
     return gross - instance.delegation_cost
 
@@ -327,67 +336,19 @@ def identical_cost_mechanism(instance: Instance) -> MechanismReport:
     )
 
 
-def _principal_utility(instance: Instance, values, outcome: Outcome) -> Number:
-    gain = values[outcome.selected] if outcome.selected is not None else instance.zero()
-    return gain - instance.inspection_cost(outcome.inspected) - instance.delegation_cost
-
-
-def _best_response(
-    instance: Instance, mech: SignalingMechanism, realization, agent: AgentProfile
-) -> tuple:
-    # (signal, outcome, principal utility) of the agent's best response;
-    # each signal's policy runs once.
-    if not agent.deterministic:
-        raise InvalidParameters("best response needs deterministic agent utilities")
-    y = agent.utilities
-    best_key = None
-    best = None
-    for pos, sig in enumerate(mech.signals):
-        outcome = run_policy(mech.policies[sig], realization)
-        agent_gain = y[outcome.selected] if outcome.selected is not None else 0
-        utility = _principal_utility(instance, realization, outcome)
-        key = (agent_gain, utility, -pos)
-        if best_key is None or key > best_key:
-            best_key = key
-            best = (sig, outcome, utility)
-    return best
-
-
-def agent_best_response(
-    instance: Instance,
-    mech: SignalingMechanism,
-    realization,
-    agent: AgentProfile,
-):
-    """Signal maximizing the agent's utility for this realization.
-
-    Ties go first to the signal whose outcome is better for the principal,
-    then to the lowest signal index.
-    """
-    return _best_response(instance, mech, realization, agent)[0]
-
-
 def _signaling_sweep(
     instance: Instance,
     mech: SignalingMechanism,
     agent: AgentProfile,
     limit: Optional[int],
 ) -> tuple[Number, Number, Number]:
-    costs = instance.singleton_costs()
-    z = instance.zero()
-    total = z
-    uninspected_mass = z
-    clean_mass = z
-    for values, p in iter_realizations(instance, limit):
-        _, outcome, utility = _best_response(instance, mech, values, agent)
-        total = total + p * utility
-        sel = outcome.selected
-        if sel is not None:
-            if sel not in outcome.inspected:
-                uninspected_mass = uninspected_mass + p * values[sel]
-            if not any(costs[j] >= costs[sel] for j in outcome.inspected):
-                clean_mass = clean_mass + p * values[sel]
-    return total, uninspected_mass, clean_mass
+    if not agent.deterministic:
+        raise InvalidParameters("best response needs deterministic agent utilities")
+    _check_agent_size(instance, agent)
+    policies = [mech.policies[sig] for sig in mech.signals]
+    return _policy_sweep(
+        instance, policies, agent.utilities, instance.delegation_cost, limit
+    )
 
 
 def evaluate_signaling(
@@ -397,7 +358,22 @@ def evaluate_signaling(
     limit: Optional[int] = None,
 ) -> Number:
     """Exact expected principal utility under per-realization best responses,
-    net of inspection costs (set-function aware) and the delegation cost."""
+    net of inspection costs (set-function aware) and the delegation cost.
+
+    At each point of the product support the agent sends the signal whose
+    outcome it values most; ties go first to the outcome better for the
+    principal, then to the lowest signal index. One pass enumerates the
+    support. In exact mode it runs on Python ints: values, the delegation
+    cost and every cost it can charge (each table entry under a monotone
+    cost model) go over one denominator D, box j's probabilities become
+    integer weights over q_j, and one Fraction over D * prod q_j comes out.
+    Each signal's policy runs through a decision table compiled lazily for
+    this call; a state it lacks raises PolicyIncomplete at the point where
+    the policy needs it. Raises EnumerationLimitExceeded before any policy
+    runs if the product support has more than ``limit`` points (default
+    10^7). ``uninspected_selection_mass`` and ``overinspection_utility`` run
+    the same pass.
+    """
     return _signaling_sweep(instance, mech, agent, limit)[0]
 
 

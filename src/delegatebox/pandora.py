@@ -9,15 +9,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Optional
+from itertools import product
+from math import lcm, prod
+from typing import Optional, Sequence
 
 from .core import (
+    DEFAULT_ENUMERATION_LIMIT,
     DEFAULT_STATE_LIMIT,
     FLOAT_TOL,
     Alternative,
     CapMismatch,
     DiscreteDistribution,
+    EnumerationLimitExceeded,
     Instance,
     InvalidParameters,
     Number,
@@ -26,7 +29,6 @@ from .core import (
     StateLimitExceeded,
     expected_max_of_dists,
     format_number,
-    iter_realizations,
     to_json,
 )
 
@@ -193,18 +195,169 @@ def run_policy(policy: PnoiPolicy, realization) -> Outcome:
 def evaluate_policy(
     instance: Instance, policy: PnoiPolicy, limit: Optional[int] = None
 ) -> Number:
-    """Exact expected payoff of running a policy directly (no delegation)."""
-    total = instance.zero()
-    for values, p in iter_realizations(instance, limit):
-        outcome = run_policy(policy, values)
-        gain = values[outcome.selected] if outcome.selected is not None else instance.zero()
-        total = total + p * (gain - instance.inspection_cost(outcome.inspected))
-    return total
+    """Exact expected payoff of running a policy directly (no delegation).
+
+    The one-policy case of the sweep behind ``delegation.evaluate_signaling``:
+    every point of the product support is enumerated on scaled integers and
+    the policy runs through a decision table compiled per call. Raises
+    EnumerationLimitExceeded before any policy runs if the product support is
+    larger than ``limit`` (default 10^7).
+    """
+    no_agent = (0,) * instance.n
+    return _policy_sweep(instance, (policy,), no_agent, instance.zero(), limit)[0]
 
 
 def _integral(x):
     """A scaled exact number as an int; floats pass through unchanged."""
     return x.numerator if isinstance(x, Fraction) else x
+
+
+def _scaled_boxes(instance: Instance, charges) -> tuple:
+    """Values, costs and probabilities as ints, for the DP and the policy sweep.
+
+    Returns (values, D, box_units, scaled_values, atoms): the sorted distinct
+    values; a common denominator D of the values and of ``charges``, which
+    must hold every cost the caller scales (``_integral`` truncates any other
+    fraction); each box's probability denominator q_j; 0 and then D times
+    each value; and box j's atoms as (index into scaled_values, q_j * p).
+    Float mode uses unit scales.
+    """
+    dists = [alt.dist for alt in instance.alternatives]
+    values = sorted({v for d in dists for v in d.values})
+    if instance.mode == "exact":
+        unit = lcm(*(x.denominator for x in (*values, *charges)))
+        box_units = [lcm(*(p.denominator for p in d.probs)) for d in dists]
+    else:
+        unit, box_units = 1, [1] * len(dists)
+    index = {v: k + 1 for k, v in enumerate(values)}
+    scaled_values = [0] + [_integral(v * unit) for v in values]
+    atoms = [
+        [(index[v], _integral(p * q)) for v, p in d.atoms]
+        for d, q in zip(dists, box_units)
+    ]
+    return values, unit, box_units, scaled_values, atoms
+
+
+# Steps of a compiled decision table: j >= 0 inspects box j; the negative
+# codes end the run, _CLOSED - j selecting box j closed.
+_STOP = -1
+_TAKE_BEST = -2
+_CLOSED = -3
+
+
+def _policy_sweep(
+    instance: Instance,
+    policies: Sequence[PnoiPolicy],
+    utilities: Sequence,
+    delegation_cost: Number,
+    limit: Optional[int],
+) -> tuple[Number, Number, Number]:
+    """(principal utility, uninspected mass, clean mass) of best responses.
+
+    One pass over the product support: at each point every policy runs, and
+    the outcome maximizing (utilities[selected], principal utility,
+    -position) counts. Exact mode runs on the ints of ``_scaled_boxes``; D > 0
+    keeps the order of principal utilities. Each policy is compiled lazily
+    into a dict keyed mask * width + best index, filled through
+    ``policy.action`` on a miss, so PolicyIncomplete is raised exactly where
+    ``run_policy`` would raise it.
+    """
+    cap = DEFAULT_ENUMERATION_LIMIT if limit is None else limit
+    size = instance.support_product_size()
+    if size > cap:
+        raise EnumerationLimitExceeded(
+            f"product support has {size} points, limit is {cap}"
+        )
+    n = instance.n
+    if instance.cost_model.kind == "monotone":
+        charges = instance.cost_model.table.values()
+    else:
+        charges = [alt.inspect_cost for alt in instance.alternatives]
+    values, unit, box_units, scaled_values, atoms = _scaled_boxes(
+        instance, (*charges, delegation_cost)
+    )
+    cdel = _integral(delegation_cost * unit)
+    singleton = instance.singleton_costs()
+    width = len(values) + 1
+    full = (1 << n) - 1
+    bests = [None, *values]
+    boxes = frozenset(range(n))
+
+    def box_set(mask: int) -> frozenset:
+        return frozenset(j for j in range(n) if mask >> j & 1)
+
+    def compile_step(policy, mask: int, best: int) -> int:
+        unopened = box_set(mask)
+        kind, index = policy.action(unopened, bests[best])
+        if kind == STOP:
+            return _STOP
+        if kind == SELECT_OPENED_BEST:
+            if not best:
+                raise PolicyIncomplete("select_opened_best before any inspection")
+            return _TAKE_BEST
+        if kind == SELECT_CLOSED:
+            if index not in unopened:
+                what = "opened" if index in boxes else "unknown"
+                raise PolicyIncomplete(f"select_closed on {what} box {index}")
+            return _CLOSED - index
+        if kind == INSPECT:
+            if index not in unopened:
+                raise PolicyIncomplete(f"inspect on opened box {index}")
+            return index
+        raise PolicyIncomplete(f"unknown action kind {kind!r}")
+
+    tables = [(policy, {}) for policy in policies]
+    costs: dict = {}  # opened mask -> D * inspection cost
+    clean: dict = {}  # (selected, opened mask) -> no opened box costs as much
+    total = uninspected = clean_mass = 0
+    for combo in product(*atoms):
+        point = [k for k, _ in combo]
+        top = None
+        for pos, (policy, table) in enumerate(tables):
+            mask, best, holder = full, 0, None
+            while True:
+                key = mask * width + best
+                step = table.get(key)
+                if step is None:
+                    step = table[key] = compile_step(policy, mask, best)
+                if step < 0:
+                    break
+                mask ^= 1 << step
+                if point[step] > best:
+                    best, holder = point[step], step
+            if step == _STOP:
+                sel = None
+            else:
+                sel = holder if step == _TAKE_BEST else _CLOSED - step
+            opened = full ^ mask
+            cost = costs.get(opened)
+            if cost is None:
+                cost = costs[opened] = _integral(
+                    instance.inspection_cost(box_set(opened)) * unit
+                )
+            gain = 0 if sel is None else scaled_values[point[sel]]
+            utility = gain - cost - cdel
+            rank = (0 if sel is None else utilities[sel], utility, -pos)
+            if top is None or rank > top:
+                top = rank
+                chosen = sel, opened, gain
+        weight = prod(w for _, w in combo)
+        total += weight * top[1]
+        sel, opened, gain = chosen
+        if sel is not None:
+            if not opened >> sel & 1:
+                uninspected += weight * gain
+            ok = clean.get((sel, opened))
+            if ok is None:
+                ok = clean[sel, opened] = not any(
+                    singleton[j] >= singleton[sel] for j in box_set(opened)
+                )
+            if ok:
+                clean_mass += weight * gain
+    if instance.mode == "exact":
+        scale = unit * prod(box_units)
+        return tuple(Fraction(x, scale) for x in (total, uninspected, clean_mass))
+    return float(total), float(uninspected), float(clean_mass)
 
 
 # Tie-break: among equal-value actions prefer stopping over selecting the
@@ -235,27 +388,15 @@ def pnoi_optimal(
     """
     _require_additive(instance, "pnoi_optimal")
     n = instance.n
-    dists = [alt.dist for alt in instance.alternatives]
-    values = sorted({v for d in dists for v in d.values})
+    costs = [alt.inspect_cost for alt in instance.alternatives]
+    values, unit, box_units, scaled_values, atoms = _scaled_boxes(instance, costs)
     states = (2**n) * (len(values) + 1)
     if states > state_limit:
         raise StateLimitExceeded(f"{states} states exceed the limit {state_limit}")
 
-    costs = [alt.inspect_cost for alt in instance.alternatives]
     exact = instance.mode == "exact"
-    if exact:
-        unit = lcm(*(x.denominator for x in (*values, *costs)))
-        box_units = [lcm(*(p.denominator for p in d.probs)) for d in dists]
-    else:
-        unit, box_units = 1, [1] * n
-    index = {v: k + 1 for k, v in enumerate(values)}
-    scaled_values = [0] + [_integral(v * unit) for v in values]
     scaled_costs = [_integral(c * unit) for c in costs]
-    # Box j's atoms as (value index, weight q_j * p), and q_j * D * E[X_j].
-    atoms = [
-        [(index[v], _integral(p * q)) for v, p in d.atoms]
-        for d, q in zip(dists, box_units)
-    ]
+    # q_j * D * E[X_j] for box j.
     means = [sum(w * scaled_values[k] for k, w in box) for box in atoms]
     # scale[mask] = prod of q_j over the boxes in mask.
     scale = [1] * (1 << n)

@@ -10,7 +10,8 @@ with the kernel it checks; ``descending_cap_simulation`` takes its caps from
 rescanned per support value, the form the merged sweep replaced;
 ``survival_worst_case_spmi`` and ``fixed_order_spmi`` are the per-value
 survival rescan and the fixed-order sum that ``delegation.evaluate_spmi``
-replaced with sweeps through ``expected_max_of_dists``.
+replaced with sweeps through ``expected_max_of_dists``; ``agent_best_response``
+is the per-realization best response that the signaling sweep replaced.
 """
 
 from __future__ import annotations
@@ -19,7 +20,13 @@ from functools import lru_cache
 from itertools import product
 from math import prod
 
-from delegatebox.core import DEFAULT_STATE_LIMIT, Instance, Number, StateLimitExceeded
+from delegatebox.core import (
+    DEFAULT_STATE_LIMIT,
+    Instance,
+    InvalidParameters,
+    Number,
+    StateLimitExceeded,
+)
 from delegatebox.pandora import (
     INSPECT,
     SELECT_CLOSED,
@@ -33,6 +40,8 @@ from delegatebox.pandora import (
 
 
 def enumerate_realizations(instance: Instance):
+    """Every point of the product support with its probability, in
+    ``itertools.product`` order."""
     atom_lists = [alt.dist.atoms for alt in instance.alternatives]
     for combo in product(*atom_lists):
         values = tuple(v for v, _ in combo)
@@ -336,24 +345,41 @@ def walk_table_policy(table, realization):
             best_index = index
 
 
+def _best_signal(instance: Instance, mech, values, utilities):
+    """(signal, selected, inspected, principal utility) of the agent's best response."""
+    zero = instance.zero()
+    best_key = None
+    best = None
+    for pos, sig in enumerate(mech.signals):
+        sel, inspected = walk_table_policy(mech.policies[sig].table, values)
+        gain = values[sel] if sel is not None else zero
+        principal = gain - instance.inspection_cost(inspected) - instance.delegation_cost
+        agent_gain = utilities[sel] if sel is not None else 0
+        key = (agent_gain, principal, -pos)
+        if best_key is None or key > best_key:
+            best_key = key
+            best = (sig, sel, inspected, principal)
+    return best
+
+
+def agent_best_response(instance: Instance, mech, realization, agent):
+    """Signal maximizing a deterministic agent's utility for this realization.
+
+    Ties go first to the signal whose outcome is better for the principal,
+    then to the lowest signal index.
+    """
+    if not agent.deterministic:
+        raise InvalidParameters("best response needs deterministic agent utilities")
+    return _best_signal(instance, mech, realization, agent.utilities)[0]
+
+
 def brute_evaluate_signaling(instance: Instance, mech, utilities):
     """Signaling value, uninspected mass, and non-overinspected mass by enumeration."""
     costs = [instance.singleton_cost(i) for i in range(instance.n)]
     zero = instance.zero()
     total = uninspected = clean = zero
     for values, p in enumerate_realizations(instance):
-        best_key = None
-        best_outcome = None
-        for pos, sig in enumerate(mech.signals):
-            sel, inspected = walk_table_policy(mech.policies[sig].table, values)
-            gain = values[sel] if sel is not None else zero
-            principal = gain - instance.inspection_cost(inspected) - instance.delegation_cost
-            agent_gain = utilities[sel] if sel is not None else 0
-            key = (agent_gain, principal, -pos)
-            if best_key is None or key > best_key:
-                best_key = key
-                best_outcome = (sel, inspected, principal)
-        sel, inspected, principal = best_outcome
+        _, sel, inspected, principal = _best_signal(instance, mech, values, utilities)
         total = total + p * principal
         if sel is not None:
             if sel not in inspected:

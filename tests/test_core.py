@@ -9,7 +9,6 @@ from delegatebox import (
     Alternative,
     CostModel,
     EmptySupport,
-    EnumerationLimitExceeded,
     Instance,
     InvalidParameters,
     NegativeValue,
@@ -18,7 +17,6 @@ from delegatebox import (
     instance_digest,
     instance_from_json,
     instance_to_json,
-    iter_realizations,
     make_distribution,
 )
 from delegatebox.core import as_number, expected_max_of_dists, format_number, surplus_dists
@@ -224,13 +222,6 @@ def test_merged_sweep_matches_both_oracles(inst, mode):
             assert got == brute
         else:
             assert abs(got - brute) <= 1e-9
-
-
-def test_iter_realizations_limit():
-    inst = Instance(tuple(box([(0, "0.5"), (1, "0.5")]) for _ in range(4)))
-    with pytest.raises(EnumerationLimitExceeded):
-        list(iter_realizations(inst, limit=15))
-    assert len(list(iter_realizations(inst, limit=16))) == 16
 
 
 def test_instance_json_round_trip():

@@ -9,8 +9,11 @@ from delegatebox import (
     Alternative,
     CostModel,
     CostsNotIdentical,
+    EnumerationLimitExceeded,
     Instance,
+    InvalidParameters,
     NotCostless,
+    PolicyIncomplete,
     expected_of_max,
     make_distribution,
 )
@@ -18,7 +21,6 @@ from delegatebox.core import DEFAULT_ENUMERATION_LIMIT
 from delegatebox.delegation import (
     WORST_CASE,
     Spmi,
-    agent_best_response,
     best_closed_selection,
     build_spmi,
     cost_ordered_adversary,
@@ -53,6 +55,7 @@ from delegatebox.pandora import (
 from delegatebox import SignalingMechanism
 
 from oracles import (
+    agent_best_response,
     brute_evaluate_signaling,
     brute_evaluate_spmi,
     fixed_order_spmi,
@@ -404,14 +407,90 @@ class TestEvaluateSignaling:
         assert evaluate_signaling(inst, mech, agent) == evaluate_policy(inst, policy)
 
     def test_matches_brute_force_on_random_mechanisms(self):
+        # All three sums, exact and float, against the oracle: distinct and
+        # tied agents, delegation costs, and monotone cost tables whose
+        # multi-box entries carry a denominator (7) that no value and no
+        # singleton cost has.
         rng = random.Random(8)
-        for inst in random_corpus(seed=32, count=25, max_n=3):
-            mech = random_signaling_mechanism(rng, inst)
-            ys = tuple(rng.sample(range(1, 1 + 2 * inst.n), inst.n))
+        for k, inst in enumerate(random_corpus(seed=32, count=60, cdel_max=2)):
+            if k % 2:
+                inst = with_monotone_costs(rng, inst)
+            if k % 3:
+                ys = tuple(rng.randint(0, 2) for _ in range(inst.n))
+            else:
+                ys = tuple(rng.sample(range(1, 1 + 2 * inst.n), inst.n))
             agent = deterministic_agent(ys)
-            got = evaluate_signaling(inst, mech, agent)
-            want, _, _ = brute_evaluate_signaling(inst, mech, ys)
-            assert got == want
+            mech_seed = rng.random()
+            for case in (inst, inst.to_float()):
+                mech = random_signaling_mechanism(random.Random(mech_seed), case)
+                got = tuple(
+                    fn(case, mech, agent)
+                    for fn in (
+                        evaluate_signaling,
+                        uninspected_selection_mass,
+                        overinspection_utility,
+                    )
+                )
+                want = brute_evaluate_signaling(case, mech, ys)
+                assert [type(x) for x in got] == [type(x) for x in want]
+                assert got == want
+
+    def test_limit_is_checked_before_any_policy_runs(self):
+        inst = Instance(tuple(box(half_coin) for _ in range(4)))  # 16 points
+        empty = PnoiPolicy({})  # running it raises PolicyIncomplete
+        agent = deterministic_agent([1, 2, 3, 4])
+        with pytest.raises(EnumerationLimitExceeded):
+            mech = SignalingMechanism((0,), {0: empty})
+            evaluate_signaling(inst, mech, agent, limit=15)
+        with pytest.raises(EnumerationLimitExceeded):
+            evaluate_policy(inst, empty, limit=15)
+        with pytest.raises(PolicyIncomplete):
+            evaluate_policy(inst, empty, limit=16)
+        take_0 = PnoiPolicy({(frozenset(range(4)), None): (SELECT_CLOSED, 0)})
+        mech = SignalingMechanism((0,), {0: take_0})
+        assert evaluate_signaling(inst, mech, agent, limit=16) == F(1, 2)
+        assert evaluate_policy(inst, take_0, limit=16) == F(1, 2)
+
+    def test_empty_signal_set_is_rejected(self):
+        with pytest.raises(InvalidParameters):
+            SignalingMechanism((), {})
+
+
+def with_monotone_costs(rng, inst):
+    """``inst`` under a monotone table: box j costs k/4 alone, and each box
+    beyond the first adds its own cost plus 1/7."""
+    own = [F(rng.randint(0, 8), 4) for _ in range(inst.n)]
+    table = {}
+    for mask in range(1 << inst.n):
+        subset = frozenset(j for j in range(inst.n) if mask >> j & 1)
+        extra = F(max(len(subset) - 1, 0), 7)
+        table[subset] = sum((own[j] for j in subset), start=extra)
+    return Instance(inst.alternatives, CostModel.monotone(table), inst.delegation_cost)
+
+
+class TestAgentSize:
+    """An agent must rank exactly the instance's alternatives."""
+
+    def setup_method(self):
+        self.inst, self.mech = info_value(3, F(1, 10))
+
+    def test_signaling_rejects_a_deterministic_agent_of_the_wrong_length(self):
+        for ys in ([1, 2], [1, 2, 3, 4]):
+            with pytest.raises(InvalidParameters):
+                evaluate_signaling(self.inst, self.mech, deterministic_agent(ys))
+
+    def test_spmi_rejects_a_deterministic_agent_of_the_wrong_length(self):
+        spmi = build_spmi(self.inst)
+        for ys in ([1, 2], [1, 2, 3, 4]):
+            with pytest.raises(InvalidParameters):
+                evaluate_spmi(self.inst, spmi, deterministic_agent(ys))
+
+    def test_spmi_rejects_a_distributional_agent_of_the_wrong_length(self):
+        spmi = build_spmi(self.inst)
+        for count in (2, 4):
+            agent = distributional_agent([dist(half_coin)] * count)
+            with pytest.raises(InvalidParameters):
+                evaluate_spmi(self.inst, spmi, agent)
 
 
 def inspect_all_then_take_best(n, supports):

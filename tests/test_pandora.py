@@ -8,6 +8,7 @@ from delegatebox import (
     Alternative,
     CapMismatch,
     Instance,
+    PolicyIncomplete,
     StateLimitExceeded,
     make_distribution,
 )
@@ -16,8 +17,10 @@ from delegatebox.instances import identical_binary, random_corpus, tightness
 from delegatebox.pandora import (
     INSPECT,
     SELECT_CLOSED,
+    SELECT_OPENED_BEST,
     STOP,
     Cap,
+    PnoiPolicy,
     capped_value_distribution,
     evaluate_policy,
     expected_shortfall,
@@ -231,3 +234,26 @@ def test_run_policy_reports_outcome():
     outcome = run_policy(policy, (F(2), F(0), F(1)))
     assert outcome.selected == 0
     assert outcome.inspected == frozenset({0})
+
+
+def test_evaluate_policy_raises_the_errors_of_run_policy():
+    inst = Instance((box(half_coin), box(half_coin)))
+    full, rest = frozenset({0, 1}), frozenset({1})
+
+    def after_opening_0(action):
+        return {(rest, v): action for v in (F(0), F(1))}
+
+    broken = [
+        {(full, None): (SELECT_OPENED_BEST, None)},
+        {(full, None): (INSPECT, 0), **after_opening_0((INSPECT, 0))},
+        {(full, None): (INSPECT, 0), **after_opening_0((SELECT_CLOSED, 0))},
+        {(full, None): ("peek", 0)},
+        {(full, None): (INSPECT, 0)},
+    ]
+    for table in broken:
+        policy = PnoiPolicy(table)
+        with pytest.raises(PolicyIncomplete) as direct:
+            run_policy(policy, (F(0), F(0)))
+        with pytest.raises(PolicyIncomplete) as swept:
+            evaluate_policy(inst, policy)
+        assert str(swept.value) == str(direct.value)
