@@ -20,6 +20,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--count", type=int, default=500)
     args = parser.parse_args()
+    if args.count < 1:
+        parser.error("--count must be at least 1")
 
     worst = None
     failures = 0

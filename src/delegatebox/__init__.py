@@ -13,7 +13,6 @@ from .core import (
     InvalidParameters,
     NegativeValue,
     NotCostless,
-    Outcome,
     PolicyIncomplete,
     ProbabilitySumMismatch,
     RegimeMismatch,
@@ -35,7 +34,6 @@ from .pandora import (
     pnoi_optimal,
     pnoi_value_upper_bound,
     reservation_cap,
-    run_policy,
     weitzman_value,
 )
 from .delegation import (

@@ -201,9 +201,6 @@ class DiscreteDistribution:
     def max_value(self) -> Number:
         return self.atoms[-1][0]
 
-    def min_value(self) -> Number:
-        return self.atoms[0][0]
-
     def transform(self, fn: Callable[[Number], Number]) -> "DiscreteDistribution":
         """Distribution of fn(X); transformed values are merged and re-sorted."""
         return DiscreteDistribution(_merge_atoms((fn(v), p) for v, p in self.atoms))
@@ -373,8 +370,10 @@ class Instance:
     def inspection_cost(self, inspected) -> Number:
         subset = frozenset(inspected)
         if self.cost_model.kind == "additive":
+            # Summed in index order, so a set costs one float however it was built.
             return sum(
-                (self.alternatives[i].inspect_cost for i in subset), start=self.zero()
+                (self.alternatives[i].inspect_cost for i in sorted(subset)),
+                start=self.zero(),
             )
         return self.cost_model.table[subset]
 
@@ -400,15 +399,6 @@ class Instance:
         except OverflowError:
             raise InvalidParameters("a number is outside the float range") from None
         return Instance(alts, cm, cdel)
-
-
-@dataclass(frozen=True)
-class Outcome:
-    """Result of running a search: selection (if any), inspected set, delegation flag."""
-
-    selected: Optional[int]
-    inspected: frozenset
-    delegated: bool = False
 
 
 def expected_max_of_dists(dists: Sequence[DiscreteDistribution]) -> Number:
@@ -456,38 +446,25 @@ IDENTITY = "identity"
 SHIFTED_POSITIVE = "shifted_positive"
 
 
-def _transform_fn(instance: Instance, transform) -> Callable[[int, Number], Number]:
-    if transform == IDENTITY or transform is None:
-        return lambda i, v: v
-    if transform == SHIFTED_POSITIVE:
-        costs = instance.singleton_costs()
-        z = instance.zero()
-        return lambda i, v: max(v - costs[i], z)
-    if callable(transform):
-        return transform
-    raise InvalidParameters(f"unknown transform: {transform!r}")
-
-
 def expected_of_max(instance: Instance, transform=IDENTITY) -> Number:
     """Exact E[max_i f_i(X_i)] over independent alternatives.
 
-    ``transform`` is "identity", "shifted_positive" (each value maps to
-    (x - c_i)+), or a callable (index, value) -> value.
+    ``transform`` is "identity" (f_i(x) = x) or "shifted_positive"
+    (f_i(x) = (x - c_i)+ with c_i the singleton cost of alternative i).
     """
-    fn = _transform_fn(instance, transform)
-    dists = [
-        alt.dist.transform(lambda v, i=i: fn(i, v))
-        for i, alt in enumerate(instance.alternatives)
-    ]
-    return expected_max_of_dists(dists)
+    if transform == IDENTITY:
+        return expected_max_of_dists([alt.dist for alt in instance.alternatives])
+    if transform == SHIFTED_POSITIVE:
+        return expected_max_of_dists(surplus_dists(instance))
+    raise InvalidParameters(f"unknown transform: {transform!r}")
 
 
 def surplus_dists(instance: Instance) -> list[DiscreteDistribution]:
     """Per-alternative distributions of (X_i - c_i)+."""
-    fn = _transform_fn(instance, SHIFTED_POSITIVE)
+    z = instance.zero()
     return [
-        alt.dist.transform(lambda v, i=i: fn(i, v))
-        for i, alt in enumerate(instance.alternatives)
+        alt.dist.transform(lambda v, c=c: max(v - c, z))
+        for alt, c in zip(instance.alternatives, instance.singleton_costs())
     ]
 
 

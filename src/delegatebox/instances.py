@@ -106,30 +106,38 @@ def inapprox_first_best(n: int) -> Instance:
     return Instance(alts)
 
 
-def _info_policy(n: int, keep: int, support) -> PnoiPolicy:
-    # Opens every box except `keep` in ascending order; selects `keep` closed
-    # iff everything observed was 0, otherwise walks away.
+def _reachable_policy(supports, rule) -> PnoiPolicy:
+    """Decision table over the states reachable from (every box unopened, None).
+
+    ``rule(unopened, best)`` gives each new state its action; the states an
+    inspection of box j leads to are then filled depth first, in the order
+    of ``supports[j]``.
+    """
     table: dict = {}
 
     def fill(unopened: frozenset, best) -> None:
+        if (unopened, best) in table:
+            return
+        kind, j = table[(unopened, best)] = rule(unopened, best)
+        if kind == INSPECT:
+            rest = unopened - {j}
+            for v in supports[j]:
+                fill(rest, v if best is None or v > best else best)
+
+    fill(frozenset(range(len(supports))), None)
+    return PnoiPolicy(table)
+
+
+def _info_policy(n: int, keep: int, support) -> PnoiPolicy:
+    # Opens every box except `keep` in ascending order; selects `keep` closed
+    # iff everything observed was 0, otherwise walks away.
+    def rule(unopened: frozenset, best):
         others = sorted(unopened - {keep})
         if others:
-            j = others[0]
-            table[(unopened, best)] = (INSPECT, j)
-            seen = set()
-            for v in support:
-                nxt = v if best is None or v > best else best
-                if nxt in seen:
-                    continue
-                seen.add(nxt)
-                fill(unopened - {j}, nxt)
-        elif best == 0:
-            table[(unopened, best)] = (SELECT_CLOSED, keep)
-        else:
-            table[(unopened, best)] = (STOP, None)
+            return (INSPECT, others[0])
+        return (SELECT_CLOSED, keep) if best == 0 else (STOP, None)
 
-    fill(frozenset(range(n)), None)
-    return PnoiPolicy(table)
+    return _reachable_policy([support] * n, rule)
 
 
 def info_value(n: int, eps) -> tuple[Instance, SignalingMechanism]:
@@ -219,35 +227,19 @@ def random_signaling_mechanism(
     rng: random.Random, instance: Instance, max_signals: int = 3
 ) -> SignalingMechanism:
     """Random terminating decision tables over 1..max_signals signals."""
-    n = instance.n
     supports = [alt.dist.values for alt in instance.alternatives]
 
-    def fill(table: dict, unopened: frozenset, best) -> None:
-        state = (unopened, best)
-        if state in table:
-            return
+    def rule(unopened: frozenset, best):
         actions = [(STOP, None)]
         if best is not None:
             actions.append((SELECT_OPENED_BEST, None))
         actions.extend((SELECT_CLOSED, j) for j in sorted(unopened))
         actions.extend((INSPECT, j) for j in sorted(unopened))
-        kind, j = rng.choice(actions)
-        table[state] = (kind, j)
-        if kind == INSPECT:
-            seen = set()
-            for v in supports[j]:
-                nxt = v if best is None or v > best else best
-                if nxt not in seen:
-                    seen.add(nxt)
-                    fill(table, unopened - {j}, nxt)
+        return rng.choice(actions)
 
     count = rng.randint(1, max_signals)
     signals = tuple(range(count))
-    policies = {}
-    for sig in signals:
-        table: dict = {}
-        fill(table, frozenset(range(n)), None)
-        policies[sig] = PnoiPolicy(table)
+    policies = {sig: _reachable_policy(supports, rule) for sig in signals}
     return SignalingMechanism(signals, policies)
 
 

@@ -24,7 +24,6 @@ from .core import (
     Instance,
     InvalidParameters,
     Number,
-    Outcome,
     PolicyIncomplete,
     StateLimitExceeded,
     expected_max_of_dists,
@@ -160,38 +159,6 @@ class PnoiPolicy:
             ) from None
 
 
-def run_policy(policy: PnoiPolicy, realization) -> Outcome:
-    """Execute a policy on one realization of all box values."""
-    n = len(realization)
-    unopened = frozenset(range(n))
-    best = None
-    best_index: Optional[int] = None
-    inspected: set[int] = set()
-    while True:
-        kind, index = policy.action(unopened, best)
-        if kind == STOP:
-            return Outcome(None, frozenset(inspected))
-        if kind == SELECT_OPENED_BEST:
-            if best_index is None:
-                raise PolicyIncomplete("select_opened_best before any inspection")
-            return Outcome(best_index, frozenset(inspected))
-        if kind == SELECT_CLOSED:
-            if index in inspected:
-                raise PolicyIncomplete(f"select_closed on opened box {index}")
-            return Outcome(index, frozenset(inspected))
-        if kind == INSPECT:
-            if index not in unopened:
-                raise PolicyIncomplete(f"inspect on opened box {index}")
-            inspected.add(index)
-            unopened = unopened - {index}
-            value = realization[index]
-            if best is None or value > best:
-                best = value
-                best_index = index
-        else:
-            raise PolicyIncomplete(f"unknown action kind {kind!r}")
-
-
 def evaluate_policy(
     instance: Instance, policy: PnoiPolicy, limit: Optional[int] = None
 ) -> Number:
@@ -238,6 +205,11 @@ def _scaled_boxes(instance: Instance, charges) -> tuple:
     return values, unit, box_units, scaled_values, atoms
 
 
+def _box_set(mask: int) -> frozenset:
+    """The boxes whose bits are set in ``mask``."""
+    return frozenset(j for j in range(mask.bit_length()) if mask >> j & 1)
+
+
 # Steps of a compiled decision table: j >= 0 inspects box j; the negative
 # codes end the run, _CLOSED - j selecting box j closed.
 _STOP = -1
@@ -259,8 +231,8 @@ def _policy_sweep(
     -position) counts. Exact mode runs on the ints of ``_scaled_boxes``; D > 0
     keeps the order of principal utilities. Each policy is compiled lazily
     into a dict keyed mask * width + best index, filled through
-    ``policy.action`` on a miss, so PolicyIncomplete is raised exactly where
-    ``run_policy`` would raise it.
+    ``policy.action`` on a miss, so PolicyIncomplete is raised at the first
+    state a run reaches that the table leaves undefined or breaks.
     """
     cap = DEFAULT_ENUMERATION_LIMIT if limit is None else limit
     size = instance.support_product_size()
@@ -281,13 +253,9 @@ def _policy_sweep(
     width = len(values) + 1
     full = (1 << n) - 1
     bests = [None, *values]
-    boxes = frozenset(range(n))
-
-    def box_set(mask: int) -> frozenset:
-        return frozenset(j for j in range(n) if mask >> j & 1)
 
     def compile_step(policy, mask: int, best: int) -> int:
-        unopened = box_set(mask)
+        unopened = _box_set(mask)
         kind, index = policy.action(unopened, bests[best])
         if kind == STOP:
             return _STOP
@@ -297,7 +265,7 @@ def _policy_sweep(
             return _TAKE_BEST
         if kind == SELECT_CLOSED:
             if index not in unopened:
-                what = "opened" if index in boxes else "unknown"
+                what = "opened" if index in range(n) else "unknown"
                 raise PolicyIncomplete(f"select_closed on {what} box {index}")
             return _CLOSED - index
         if kind == INSPECT:
@@ -333,7 +301,7 @@ def _policy_sweep(
             cost = costs.get(opened)
             if cost is None:
                 cost = costs[opened] = _integral(
-                    instance.inspection_cost(box_set(opened)) * unit
+                    instance.inspection_cost(_box_set(opened)) * unit
                 )
             gain = 0 if sel is None else scaled_values[point[sel]]
             utility = gain - cost - cdel
@@ -350,7 +318,7 @@ def _policy_sweep(
             ok = clean.get((sel, opened))
             if ok is None:
                 ok = clean[sel, opened] = not any(
-                    singleton[j] >= singleton[sel] for j in box_set(opened)
+                    singleton[j] >= singleton[sel] for j in _box_set(opened)
                 )
             if ok:
                 clean_mass += weight * gain
@@ -446,9 +414,7 @@ def pnoi_optimal(
         mask, best = divmod(key, width)
         unopened = unopened_sets.get(mask)
         if unopened is None:
-            unopened = unopened_sets[mask] = frozenset(
-                j for j in range(n) if mask >> j & 1
-            )
+            unopened = unopened_sets[mask] = _box_set(mask)
         table[(unopened, bests[best])] = action
     return root, PnoiPolicy(table)
 
@@ -487,19 +453,3 @@ def policy_to_rows(policy: PnoiPolicy) -> list[dict]:
             action["index"] = index
         rows.append({"state": state, "action": action})
     return to_json(rows)
-
-
-def policy_from_rows(rows: list[dict], mode: str = "exact") -> PnoiPolicy:
-    from .core import as_number
-
-    table = {}
-    for row in rows:
-        state = row["state"]
-        best = state["best"]
-        best_val = None if best == "none" else as_number(best, mode)
-        action = row["action"]
-        table[(frozenset(state["unopened"]), best_val)] = (
-            action["kind"],
-            action.get("index"),
-        )
-    return PnoiPolicy(table)

@@ -12,6 +12,10 @@ rescanned per support value, the form the merged sweep replaced;
 survival rescan and the fixed-order sum that ``delegation.evaluate_spmi``
 replaced with sweeps through ``expected_max_of_dists``; ``agent_best_response``
 is the per-realization best response that the signaling sweep replaced.
+
+``walk_table_policy`` is the reference executor of ``PnoiPolicy`` decision
+tables, one realization at a time; the library runs tables only through the
+compiled sweep behind ``evaluate_policy`` and ``evaluate_signaling``.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from delegatebox.core import (
     Instance,
     InvalidParameters,
     Number,
+    PolicyIncomplete,
     StateLimitExceeded,
 )
 from delegatebox.pandora import (
@@ -323,21 +328,35 @@ def exhaustive_policy_optimum(instance: Instance):
     return max(policy_tree_value(instance, t) for t in all_policy_trees(instance))
 
 
-def walk_table_policy(table, realization):
-    """Independent executor for (unopened set, best value) decision tables."""
+def walk_table_policy(policy: PnoiPolicy, realization):
+    """(selected box or None, inspected set) of one run of a decision table.
+
+    The reference executor for ``PnoiPolicy`` tables: it follows the table
+    state by state on one realization and raises the PolicyIncomplete errors
+    of the library's compiled sweep, with the same messages.
+    """
     n = len(realization)
     unopened = frozenset(range(n))
     best = None
     best_index = None
     inspected = set()
     while True:
-        kind, index = table[(unopened, best)]
-        if kind == "stop":
+        kind, index = policy.action(unopened, best)
+        if kind == STOP:
             return None, frozenset(inspected)
-        if kind == "select_opened_best":
+        if kind == SELECT_OPENED_BEST:
+            if best_index is None:
+                raise PolicyIncomplete("select_opened_best before any inspection")
             return best_index, frozenset(inspected)
-        if kind == "select_closed":
+        if kind == SELECT_CLOSED:
+            if index not in unopened:
+                what = "opened" if index in inspected else "unknown"
+                raise PolicyIncomplete(f"select_closed on {what} box {index}")
             return index, frozenset(inspected)
+        if kind != INSPECT:
+            raise PolicyIncomplete(f"unknown action kind {kind!r}")
+        if index not in unopened:
+            raise PolicyIncomplete(f"inspect on opened box {index}")
         inspected.add(index)
         unopened = unopened - {index}
         if best is None or realization[index] > best:
@@ -351,7 +370,7 @@ def _best_signal(instance: Instance, mech, values, utilities):
     best_key = None
     best = None
     for pos, sig in enumerate(mech.signals):
-        sel, inspected = walk_table_policy(mech.policies[sig].table, values)
+        sel, inspected = walk_table_policy(mech.policies[sig], values)
         gain = values[sel] if sel is not None else zero
         principal = gain - instance.inspection_cost(inspected) - instance.delegation_cost
         agent_gain = utilities[sel] if sel is not None else 0

@@ -1,7 +1,11 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +14,9 @@ from hypothesis import strategies as st
 from delegatebox import Alternative, Instance, instance_to_json, make_distribution
 from delegatebox import instances
 from delegatebox.cli import FORMATS, MECHANISMS, REGIMES, main
+from delegatebox.repro import run_repro
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -125,6 +132,29 @@ def test_missing_instance_file_yields_error_record(capsys):
 
 RANDOM = ["--family", "random", "--seed", "3", "--n", "3"]
 ONE_BOX = {"alternatives": [{"support": [[1, 1]]}]}
+
+
+def run_script(name, *args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env,
+    )
+
+
+def test_scripts_run_end_to_end(tmp_path):
+    out = tmp_path / "repro.json"
+    repro = run_script("repro_claims.py", "--seed", "7", "--out", str(out))
+    assert repro.returncode == 0, repro.stderr
+    assert json.loads(out.read_text()) == run_repro(7)
+    audit = run_script("audit_corpus.py", "--seed", "7", "--count", "20")
+    assert audit.returncode == 0, audit.stderr
+    assert "instances audited: 20" in audit.stdout
+    for count in ("0", "-3"):
+        rejected = run_script("audit_corpus.py", "--count", count)
+        assert rejected.returncode == 2
+        assert "--count must be at least 1" in rejected.stderr
+        assert "Traceback" not in rejected.stderr
 
 
 def instance_bytes(obj) -> bytes:

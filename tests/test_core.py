@@ -1,4 +1,5 @@
 import pickle
+from itertools import combinations, permutations
 from fractions import Fraction as F
 
 import pytest
@@ -90,6 +91,8 @@ def test_expected_of_max_shifted_positive_on_three_box_gap():
     )
     inst = Instance(alts)
     assert expected_of_max(inst, "shifted_positive") == F(3, 2)
+    with pytest.raises(InvalidParameters):
+        expected_of_max(inst, "squared")
 
 
 def test_expected_of_max_matches_brute_force_with_costs():
@@ -249,6 +252,17 @@ def test_monotone_cost_model_round_trip_and_lookup():
     assert inst.inspection_cost({0, 1}) == F(3, 2)
     back = instance_from_json(instance_to_json(inst))
     assert back.inspection_cost({0, 1}) == F(3, 2)
+
+
+def test_float_inspection_cost_does_not_depend_on_set_order():
+    # Past 8 boxes a frozenset's iteration order depends on the order its
+    # elements were added, so the sum must not follow it.
+    inst = Instance(
+        tuple(Alternative(make_distribution([(1, 1)], "float"), k / 10) for k in range(1, 11))
+    )
+    for subset in combinations(range(10), 3):
+        costs = {inst.inspection_cost(frozenset(order)) for order in permutations(subset)}
+        assert len(costs) == 1, subset
 
 
 def test_monotone_table_validation():

@@ -58,8 +58,10 @@ from oracles import (
     agent_best_response,
     brute_evaluate_signaling,
     brute_evaluate_spmi,
+    enumerate_realizations,
     fixed_order_spmi,
     survival_worst_case_spmi,
+    walk_table_policy,
 )
 
 half_coin = [(0, "0.5"), (1, "0.5")]
@@ -551,23 +553,20 @@ def test_cost_ordered_adversary_prefers_cheap_inspections():
 
 
 def test_best_response_is_a_true_argmax():
-    from delegatebox.pandora import run_policy
+    def agent_gain(policy, values):
+        selected, _ = walk_table_policy(policy, values)
+        return ys[selected] if selected is not None else 0
 
     rng = random.Random(44)
-    from oracles import enumerate_realizations
-
     for inst in random_corpus(seed=45, count=15, max_n=3):
         mech = random_signaling_mechanism(rng, inst)
         ys = tuple(rng.sample(range(1, 1 + 2 * inst.n), inst.n))
         agent = deterministic_agent(ys)
         for values, _ in enumerate_realizations(inst):
             chosen = agent_best_response(inst, mech, values, agent)
-            out = run_policy(mech.policies[chosen], values)
-            got = ys[out.selected] if out.selected is not None else 0
+            got = agent_gain(mech.policies[chosen], values)
             for sig in mech.signals:
-                alt_out = run_policy(mech.policies[sig], values)
-                alt_gain = ys[alt_out.selected] if alt_out.selected is not None else 0
-                assert alt_gain <= got
+                assert agent_gain(mech.policies[sig], values) <= got
 
 
 def test_float_mode_tracks_exact_mode():

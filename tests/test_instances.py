@@ -17,7 +17,9 @@ from delegatebox.instances import (
     tightness,
 )
 from delegatebox.delegation import build_spmi, deterministic_agent, evaluate_spmi
-from delegatebox.pandora import pnoi_optimal, run_policy
+from delegatebox.pandora import pnoi_optimal
+
+from oracles import walk_table_policy
 
 
 def test_tightness_structure():
@@ -49,12 +51,12 @@ def test_spmi_fail_structure():
 def test_info_value_mechanism_walks_everything_but_its_signal_box():
     inst, mech = info_value(4, F(1, 10))
     assert mech.signals == (0, 1, 2, 3)
-    outcome = run_policy(mech.policies[2], (F(0), F(0), F(1), F(0)))
-    assert outcome.selected == 2
-    assert outcome.inspected == frozenset({0, 1, 3})
+    selected, inspected = walk_table_policy(mech.policies[2], (F(0), F(0), F(1), F(0)))
+    assert selected == 2
+    assert inspected == frozenset({0, 1, 3})
     # any other nonzero observation walks away
-    outcome = run_policy(mech.policies[2], (F(1), F(0), F(1), F(0)))
-    assert outcome.selected is None
+    selected, _ = walk_table_policy(mech.policies[2], (F(1), F(0), F(1), F(0)))
+    assert selected is None
 
 
 def test_parameter_validation():

@@ -27,10 +27,8 @@ from delegatebox.pandora import (
     instance_caps,
     pnoi_optimal,
     pnoi_value_upper_bound,
-    policy_from_rows,
     policy_to_rows,
     reservation_cap,
-    run_policy,
     weitzman_value,
 )
 
@@ -39,6 +37,7 @@ from oracles import (
     exhaustive_policy_optimum,
     full_history_optimal,
     pnoi_reference,
+    walk_table_policy,
 )
 
 
@@ -223,20 +222,22 @@ class TestUpperBound:
 def test_policy_serialization_round_trip():
     inst = tightness(F(1, 10))
     value, policy = pnoi_optimal(inst)
-    back = policy_from_rows(policy_to_rows(policy))
-    assert back.table == policy.table
-    assert evaluate_policy(inst, back) == value
+    back = {}
+    for row in policy_to_rows(policy):
+        best = row["state"]["best"]
+        state = (frozenset(row["state"]["unopened"]), None if best == "none" else F(best))
+        back[state] = (row["action"]["kind"], row["action"].get("index"))
+    assert back == policy.table
+    assert evaluate_policy(inst, PnoiPolicy(back)) == value
 
 
-def test_run_policy_reports_outcome():
+def test_walk_table_policy_reports_outcome():
     inst = tightness(F(1, 2))
     _, policy = pnoi_optimal(inst)
-    outcome = run_policy(policy, (F(2), F(0), F(1)))
-    assert outcome.selected == 0
-    assert outcome.inspected == frozenset({0})
+    assert walk_table_policy(policy, (F(2), F(0), F(1))) == (0, frozenset({0}))
 
 
-def test_evaluate_policy_raises_the_errors_of_run_policy():
+def test_evaluate_policy_raises_the_errors_of_walk_table_policy():
     inst = Instance((box(half_coin), box(half_coin)))
     full, rest = frozenset({0, 1}), frozenset({1})
 
@@ -247,13 +248,17 @@ def test_evaluate_policy_raises_the_errors_of_run_policy():
         {(full, None): (SELECT_OPENED_BEST, None)},
         {(full, None): (INSPECT, 0), **after_opening_0((INSPECT, 0))},
         {(full, None): (INSPECT, 0), **after_opening_0((SELECT_CLOSED, 0))},
+        {(full, None): (SELECT_CLOSED, 2)},
         {(full, None): ("peek", 0)},
         {(full, None): (INSPECT, 0)},
     ]
+    messages = set()
     for table in broken:
         policy = PnoiPolicy(table)
         with pytest.raises(PolicyIncomplete) as direct:
-            run_policy(policy, (F(0), F(0)))
+            walk_table_policy(policy, (F(0), F(0)))
         with pytest.raises(PolicyIncomplete) as swept:
             evaluate_policy(inst, policy)
         assert str(swept.value) == str(direct.value)
+        messages.add(str(direct.value))
+    assert "select_closed on unknown box 2" in messages
