@@ -196,7 +196,19 @@ class DiscreteDistribution:
         return "exact" if isinstance(self.atoms[0][0], Fraction) else "float"
 
     def mean(self) -> Number:
-        return sum(v * p for v, p in self.atoms)
+        """E[X]; in exact mode one integer sum over the two lcms of denominators."""
+        atoms = self.atoms
+        # An exact type test: isinstance(v, Fraction) on a float goes through
+        # the slow abstract-base-class check.
+        if type(atoms[0][0]) is not Fraction:
+            return sum(v * p for v, p in atoms)
+        vu = lcm(*(v.denominator for v, _ in atoms))
+        pu = lcm(*(p.denominator for _, p in atoms))
+        total = sum(
+            v.numerator * (vu // v.denominator) * p.numerator * (pu // p.denominator)
+            for v, p in atoms
+        )
+        return Fraction(total, vu * pu)
 
     def max_value(self) -> Number:
         return self.atoms[-1][0]
@@ -401,8 +413,10 @@ class Instance:
         return Instance(alts, cm, cdel)
 
 
-def expected_max_of_dists(dists: Sequence[DiscreteDistribution]) -> Number:
-    """Exact E[max_i X_i] for independent distributions.
+def expected_max_of_dists(
+    dists: Sequence[DiscreteDistribution], costs: Optional[Sequence[Number]] = None
+) -> Number:
+    """Exact E[max_i X_i] for independent distributions, or E[max_i (X_i - c_i)+].
 
     One merged sweep: all atoms go into one list, stably sorted by value.
     Each box keeps its CDF as a running sum, and the product F(t) of the CDFs
@@ -415,12 +429,23 @@ def expected_max_of_dists(dists: Sequence[DiscreteDistribution]) -> Number:
     same code with unit scales, adding each CDF in atom order. A box whose
     atoms carry total mass below 1 works too: the sum is then the integral
     of the max over the product of those measures, which the SPMI sweeps use.
+
+    With ``costs`` (one per box), box j's atoms enter the sweep as
+    (v - c_j)+: the costs join D, and the clip is max(v*D - c_j*D, 0) on
+    ints. The atoms a box clips to 0 lead its CDF, so they are added in atom
+    order first, as if merged into one zero atom; above 0, v -> v - c_j is
+    injective, so no other atoms meet.
     """
     if not dists:
         raise EmptySupport("need at least one distribution")
+    if costs is not None and len(costs) != len(dists):
+        raise InvalidParameters(f"{len(costs)} costs for {len(dists)} distributions")
     exact = dists[0].mode == "exact"
     if exact:
-        unit = lcm(*(v.denominator for d in dists for v, _ in d.atoms))
+        unit = lcm(
+            *(v.denominator for d in dists for v, _ in d.atoms),
+            *(c.denominator for c in costs or ()),
+        )
         box_units = [lcm(*(p.denominator for _, p in d.atoms)) for d in dists]
         merged = [
             (v.numerator * (unit // v.denominator), j, p.numerator * (q // p.denominator))
@@ -429,6 +454,11 @@ def expected_max_of_dists(dists: Sequence[DiscreteDistribution]) -> Number:
         ]
     else:
         merged = [(v, j, p) for j, d in enumerate(dists) for v, p in d.atoms]
+    if costs is not None:
+        if exact:
+            costs = [c.numerator * (unit // c.denominator) for c in costs]
+        clipped = 0 if exact else 0.0
+        merged = [(v - costs[j] if v > costs[j] else clipped, j, w) for v, j, w in merged]
     merged.sort(key=itemgetter(0))
     cdf = [0] * len(dists)
     total = 0
@@ -452,20 +482,12 @@ def expected_of_max(instance: Instance, transform=IDENTITY) -> Number:
     ``transform`` is "identity" (f_i(x) = x) or "shifted_positive"
     (f_i(x) = (x - c_i)+ with c_i the singleton cost of alternative i).
     """
+    dists = [alt.dist for alt in instance.alternatives]
     if transform == IDENTITY:
-        return expected_max_of_dists([alt.dist for alt in instance.alternatives])
+        return expected_max_of_dists(dists)
     if transform == SHIFTED_POSITIVE:
-        return expected_max_of_dists(surplus_dists(instance))
+        return expected_max_of_dists(dists, instance.singleton_costs())
     raise InvalidParameters(f"unknown transform: {transform!r}")
-
-
-def surplus_dists(instance: Instance) -> list[DiscreteDistribution]:
-    """Per-alternative distributions of (X_i - c_i)+."""
-    z = instance.zero()
-    return [
-        alt.dist.transform(lambda v, c=c: max(v - c, z))
-        for alt, c in zip(instance.alternatives, instance.singleton_costs())
-    ]
 
 
 # --- JSON instance schema -------------------------------------------------

@@ -22,7 +22,6 @@ from .core import (
     Number,
     expected_max_of_dists,
     expected_of_max,
-    surplus_dists,
     to_json,
 )
 from .pandora import _policy_sweep, pnoi_optimal, policy_to_rows
@@ -152,7 +151,7 @@ def prophet_threshold(dists: Sequence[DiscreteDistribution]) -> Number:
 
 def build_spmi(instance: Instance) -> Spmi:
     """SPMI with the prophet threshold over the net values (X_i - c_i)+."""
-    return Spmi(prophet_threshold(surplus_dists(instance)))
+    return Spmi(expected_of_max(instance, "shifted_positive") / 2)
 
 
 def _eligible_nets(instance: Instance, threshold: Number) -> list[list[tuple]]:

@@ -270,7 +270,8 @@ def _policy_sweep(
             return _CLOSED - index
         if kind == INSPECT:
             if index not in unopened:
-                raise PolicyIncomplete(f"inspect on opened box {index}")
+                what = "opened" if index in range(n) else "unknown"
+                raise PolicyIncomplete(f"inspect on {what} box {index}")
             return index
         raise PolicyIncomplete(f"unknown action kind {kind!r}")
 

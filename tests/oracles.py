@@ -8,6 +8,8 @@ with the kernel it checks; ``descending_cap_simulation`` takes its caps from
 ``pandora.instance_caps``, whose residuals are checked on their own;
 ``cdf_product_expected_max`` is the expected-max formula with each CDF
 rescanned per support value, the form the merged sweep replaced;
+``surplus_dists`` builds the (X_i - c_i)+ distributions that the sweep now
+clips on its own;
 ``survival_worst_case_spmi`` and ``fixed_order_spmi`` are the per-value
 survival rescan and the fixed-order sum that ``delegation.evaluate_spmi``
 replaced with sweeps through ``expected_max_of_dists``; ``agent_best_response``
@@ -80,6 +82,20 @@ def cdf_product_expected_max(dists):
         total += t * (f_t - f_prev)
         f_prev = f_t
     return total
+
+
+def surplus_dists(instance: Instance):
+    """Per-alternative distributions of (X_i - c_i)+, each built by ``transform``.
+
+    The form ``expected_of_max(instance, "shifted_positive")`` replaced by
+    clipping inside the merged sweep: here every box's clipped atoms are
+    re-sorted and merged into a distribution of their own first.
+    """
+    z = instance.zero()
+    return [
+        alt.dist.transform(lambda v, c=c: max(v - c, z))
+        for alt, c in zip(instance.alternatives, instance.singleton_costs())
+    ]
 
 
 def dict_merged_atoms(pairs):
@@ -356,7 +372,8 @@ def walk_table_policy(policy: PnoiPolicy, realization):
         if kind != INSPECT:
             raise PolicyIncomplete(f"unknown action kind {kind!r}")
         if index not in unopened:
-            raise PolicyIncomplete(f"inspect on opened box {index}")
+            what = "opened" if index in inspected else "unknown"
+            raise PolicyIncomplete(f"inspect on {what} box {index}")
         inspected.add(index)
         unopened = unopened - {index}
         if best is None or realization[index] > best:

@@ -1,4 +1,5 @@
 import pickle
+import random
 from itertools import combinations, permutations
 from fractions import Fraction as F
 
@@ -20,11 +21,21 @@ from delegatebox import (
     instance_to_json,
     make_distribution,
 )
-from delegatebox.core import as_number, expected_max_of_dists, format_number, surplus_dists
+from delegatebox.core import (
+    DiscreteDistribution,
+    as_number,
+    expected_max_of_dists,
+    format_number,
+)
 from delegatebox.instances import random_corpus
 from delegatebox.pandora import capped_value_distribution, instance_caps
 
-from oracles import brute_expected_of_max, cdf_product_expected_max, dict_merged_atoms
+from oracles import (
+    brute_expected_of_max,
+    cdf_product_expected_max,
+    dict_merged_atoms,
+    surplus_dists,
+)
 
 
 def box(pairs, cost=0):
@@ -68,6 +79,35 @@ def test_expected_value_examples():
     assert make_distribution([(0, "0.25"), (2, "0.75")]).mean() == F(3, 2)
 
 
+def assert_mean_is_the_atom_order_sum(dist):
+    want = 0
+    for v, p in dist.atoms:
+        want += v * p
+    assert_same_number(dist.mean(), want)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_mean_is_the_atom_order_sum_on_corpus(seed):
+    for inst in random_corpus(seed, 40, max_n=5):
+        for alt in inst.alternatives:
+            assert_mean_is_the_atom_order_sum(alt.dist)
+            assert_mean_is_the_atom_order_sum(alt.dist.to_float())
+
+
+def test_mean_is_the_atom_order_sum_on_non_dyadic_boxes():
+    rng = random.Random(5)
+    dists = []
+    for n in range(1, 13):
+        values = [F(rng.randint(0, 40), rng.choice((1, 3, 5, 7, 15))) for _ in range(n)]
+        dists.append(make_distribution([(v, F(1, n)) for v in values]))
+        weights = [rng.randint(1, 9) for _ in range(n)]
+        dists.append(make_distribution([(v, F(w, sum(weights))) for v, w in zip(values, weights)]))
+    dists.append(make_distribution([(F(1, 3), F(1, 3)), (F(2, 5), F(2, 5)), (F(7, 5), F(4, 15))]))
+    for dist in dists:
+        assert_mean_is_the_atom_order_sum(dist)
+        assert_mean_is_the_atom_order_sum(dist.to_float())
+
+
 def test_expected_of_max_single_alternative_is_mean():
     inst = Instance((box([(0, "0.25"), (2, "0.75")]),))
     assert expected_of_max(inst) == F(3, 2)
@@ -93,6 +133,8 @@ def test_expected_of_max_shifted_positive_on_three_box_gap():
     assert expected_of_max(inst, "shifted_positive") == F(3, 2)
     with pytest.raises(InvalidParameters):
         expected_of_max(inst, "squared")
+    with pytest.raises(InvalidParameters):
+        expected_max_of_dists([alt.dist for alt in alts], [F(1)] * 2)
 
 
 def test_expected_of_max_matches_brute_force_with_costs():
@@ -158,6 +200,20 @@ def assert_same_number(got, want):
     assert got == want and repr(got) == repr(want)
 
 
+def assert_clipped_sweep_matches_oracles(inst):
+    """The sweep's own clip against the transformed distributions it replaced."""
+    costs = inst.singleton_costs()
+    z = inst.zero()
+    clipped = surplus_dists(inst)
+    assert [d.atoms for d in clipped] == [
+        dict_merged_atoms((max(v - c, z), p) for v, p in alt.dist.atoms)
+        for alt, c in zip(inst.alternatives, costs)
+    ]
+    got = expected_of_max(inst, "shifted_positive")
+    assert_same_number(got, cdf_product_expected_max(clipped))
+    return got
+
+
 def transformed_dists(inst):
     """Identity, (x - c)+ and capped distributions of one instance."""
     capped = [
@@ -174,6 +230,7 @@ def test_merged_sweep_matches_cdf_oracle_on_corpus(seed, mode):
         inst = inst if mode == "exact" else inst.to_float()
         for dists in transformed_dists(inst):
             assert_same_number(expected_max_of_dists(dists), cdf_product_expected_max(dists))
+        assert_clipped_sweep_matches_oracles(inst)
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -188,18 +245,20 @@ def test_merged_sweep_matches_cdf_oracle_on_400_boxes(mode):
     inst = Instance(tuple(alts))
     for dists in transformed_dists(inst):
         assert_same_number(expected_max_of_dists(dists), cdf_product_expected_max(dists))
+    assert_clipped_sweep_matches_oracles(inst)
 
 
 def test_clipping_three_atoms_to_zero_adds_them_in_input_order():
-    # (0.1 + 0.2) + 0.3 and 0.1 + (0.2 + 0.3) differ in the last bit.
+    # (0.1 + 0.2) + 0.3 and 0.1 + (0.2 + 0.3) differ in the last bit, and
+    # against a sure 0.1 so do the expected maxima.
     pairs = [(0.1, 0.1), (0.2, 0.2), (0.3, 0.3), (1.0, 0.4)]
     alt = Alternative(make_distribution(pairs, "float"), 0.5)
-    other = Alternative(make_distribution([(0.25, 1 / 3), (0.75, 2 / 3)], "float"), 0.0)
+    other = Alternative(make_distribution([(0.1, 1)], "float"), 0.0)
     inst = Instance((alt, other))
-    clipped = surplus_dists(inst)
-    assert clipped[0].atoms == dict_merged_atoms((max(v - 0.5, 0.0), p) for v, p in pairs)
-    assert clipped[0].atoms[0] == (0.0, (0.1 + 0.2) + 0.3)
-    assert_same_number(expected_max_of_dists(clipped), cdf_product_expected_max(clipped))
+    assert surplus_dists(inst)[0].atoms[0] == (0.0, (0.1 + 0.2) + 0.3)
+    regrouped = DiscreteDistribution(((0.0, 0.1 + (0.2 + 0.3)), (0.5, 0.4)))
+    got = assert_clipped_sweep_matches_oracles(inst)
+    assert got != expected_max_of_dists([regrouped, other.dist])
 
 
 @given(small_instances(), st.sampled_from(["exact", "float"]))
@@ -208,7 +267,10 @@ def test_merged_sweep_matches_both_oracles(inst, mode):
     inst = inst if mode == "exact" else inst.to_float()
     costs = inst.singleton_costs()
     z = inst.zero()
-    for fn in (lambda i, v: v, lambda i, v: max(v - costs[i], z)):
+    for fn, transform in (
+        (lambda i, v: v, "identity"),
+        (lambda i, v: max(v - costs[i], z), "shifted_positive"),
+    ):
         pairs = [
             [(fn(i, v), p) for v, p in alt.dist.atoms]
             for i, alt in enumerate(inst.alternatives)
@@ -218,7 +280,8 @@ def test_merged_sweep_matches_both_oracles(inst, mode):
             for i, alt in enumerate(inst.alternatives)
         ]
         assert [d.atoms for d in dists] == [dict_merged_atoms(row) for row in pairs]
-        got = expected_max_of_dists(dists)
+        got = expected_of_max(inst, transform)
+        assert_same_number(got, expected_max_of_dists(dists))
         assert_same_number(got, cdf_product_expected_max(dists))
         brute = brute_expected_of_max(inst, fn)
         if mode == "exact":

@@ -249,6 +249,7 @@ def test_evaluate_policy_raises_the_errors_of_walk_table_policy():
         {(full, None): (INSPECT, 0), **after_opening_0((INSPECT, 0))},
         {(full, None): (INSPECT, 0), **after_opening_0((SELECT_CLOSED, 0))},
         {(full, None): (SELECT_CLOSED, 2)},
+        {(full, None): (INSPECT, 5)},
         {(full, None): ("peek", 0)},
         {(full, None): (INSPECT, 0)},
     ]
@@ -262,3 +263,5 @@ def test_evaluate_policy_raises_the_errors_of_walk_table_policy():
         assert str(swept.value) == str(direct.value)
         messages.add(str(direct.value))
     assert "select_closed on unknown box 2" in messages
+    assert "inspect on unknown box 5" in messages
+    assert "inspect on opened box 0" in messages
