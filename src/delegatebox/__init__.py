@@ -57,6 +57,6 @@ from .delegation import (
     uninspected_selection_mass,
 )
 from .bounds import AuditReport, audit, upper_bound_costless, upper_bound_costly
-from .instances import GeneratorSpec, gen, inspection_only_best
+from .instances import gen, inspection_only_best
 
 __version__ = "0.1.0"

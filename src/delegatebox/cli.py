@@ -63,10 +63,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--v")
         p.add_argument("--c")
         p.add_argument("--eps")
-        p.add_argument("--support-size", type=int, default=3)
-        p.add_argument("--value-max", type=int, default=8)
-        p.add_argument("--cost-max", type=int, default=2)
-        p.add_argument("--cdel-max", type=int, default=0)
+        p.add_argument("--support-size", type=int)
+        p.add_argument("--value-max", type=int)
+        p.add_argument("--cost-max", type=int)
+        p.add_argument("--cdel-max", type=int)
         mode = p.add_mutually_exclusive_group()
         mode.add_argument("--exact", action="store_true")
         mode.add_argument("--float", dest="float_mode", action="store_true")
@@ -127,36 +127,20 @@ def _resolve_seed(args) -> Optional[int]:
         raise InvalidParameters(f"DELEGATEBOX_SEED must be an integer, not {env!r}") from None
 
 
-def _generator_spec(args) -> instances.GeneratorSpec:
-    family = args.family
-    params: dict = {}
+def _generate(args) -> tuple[Instance, Optional[delegation.SignalingMechanism], dict]:
+    """Build --family, each parameter from its flag or else the registry default.
 
-    def n_or(default: int) -> int:
-        return default if args.n is None else args.n
-
-    if family == "identical_binary":
-        params = {"n": n_or(6), "p": args.p or "1/6", "v": args.v or 1, "c": args.c or "1/3"}
-    elif family == "tightness":
-        params = {"eps": args.eps or "1/100"}
-    elif family == "inapprox_first_best":
-        params = {"n": n_or(10)}
-    elif family == "info_value":
-        params = {"n": n_or(5), "eps": args.eps or "1/100"}
-    elif family == "spmi_fail":
-        params = {"n": n_or(2)}
-    elif family == "random":
-        seed = _resolve_seed(args)
-        if seed is None:
-            raise InvalidParameters("random family needs --seed")
-        params = {
-            "seed": seed,
-            "n": n_or(3),
-            "support_size": args.support_size,
-            "value_max": args.value_max,
-            "cost_max": args.cost_max,
-            "cdel_max": args.cdel_max,
-        }
-    return instances.GeneratorSpec(family, params)
+    Returns the instance, its mechanism (if the family has one) and the
+    ``generator`` record of the output.
+    """
+    defaults = instances.FAMILIES[args.family][1]
+    params = {}
+    for name, default in defaults.items():
+        flag = _resolve_seed(args) if name == "seed" else getattr(args, name)
+        params[name] = default if flag is None else flag
+    instance, mechanism = instances.gen(args.family, params)
+    meta = {"family": args.family, "params": {k: str(v) for k, v in params.items()}}
+    return instance, mechanism, meta
 
 
 def _load_instance(args) -> tuple[Instance, Optional[dict]]:
@@ -170,11 +154,8 @@ def _load_instance(args) -> tuple[Instance, Optional[dict]]:
             raise InvalidParameters(f"instance file is not UTF-8: {exc}") from None
         return instance_from_json(text, mode), None
     if args.family:
-        spec = _generator_spec(args)
-        generated = instances.gen(spec)
-        inst = generated.instance if mode == "exact" else generated.instance.to_float()
-        meta = {"family": spec.family, "params": {k: str(v) for k, v in spec.params.items()}}
-        return inst, meta
+        inst, _, meta = _generate(args)
+        return (inst if mode == "exact" else inst.to_float()), meta
     raise InvalidParameters("need --instance PATH or --family NAME")
 
 
@@ -253,16 +234,15 @@ def _cmd_repro(args) -> int:
 def _cmd_gen(args) -> int:
     if not args.family:
         raise InvalidParameters("gen needs --family")
-    spec = _generator_spec(args)
-    generated = instances.gen(spec)
+    inst, mechanism, meta = _generate(args)
     obj = {
         "schema": repro.SUITE_VERSION,
-        "generator": {"family": spec.family, "params": {k: str(v) for k, v in spec.params.items()}},
-        "instance": instance_to_obj(generated.instance),
-        "instance_digest": instance_digest(generated.instance),
+        "generator": meta,
+        "instance": instance_to_obj(inst),
+        "instance_digest": instance_digest(inst),
     }
-    if generated.mechanism is not None:
-        obj["mechanism"] = delegation.mechanism_to_obj(generated.mechanism)
+    if mechanism is not None:
+        obj["mechanism"] = delegation.mechanism_to_obj(mechanism)
     text = json.dumps(obj, sort_keys=True, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")

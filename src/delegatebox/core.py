@@ -529,8 +529,8 @@ def instance_to_obj(instance: Instance) -> dict:
     )
 
 
-def instance_to_json(instance: Instance, indent: Optional[int] = None) -> str:
-    return json.dumps(instance_to_obj(instance), sort_keys=True, indent=indent)
+def instance_to_json(instance: Instance) -> str:
+    return json.dumps(instance_to_obj(instance), sort_keys=True)
 
 
 def instance_from_obj(obj: dict, mode: Mode = "exact") -> Instance:

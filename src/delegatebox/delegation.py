@@ -13,6 +13,7 @@ from math import prod
 from typing import Optional, Sequence, Union
 
 from .core import (
+    FLOAT_TOL,
     DiscreteDistribution,
     Instance,
     InvalidParameters,
@@ -155,8 +156,12 @@ def build_spmi(instance: Instance) -> Spmi:
 
 
 def _eligible_nets(instance: Instance, threshold: Number) -> list[list[tuple]]:
-    # Per box, the (net value x - c, probability) atoms whose net clears the threshold.
+    # Per box, the (net value x - c, probability) atoms whose net clears the
+    # threshold; in float mode within FLOAT_TOL, so that a net tied with the
+    # threshold in exact arithmetic does not round out of the eligible set.
     costs = instance.singleton_costs()
+    if instance.mode == "float":
+        threshold = threshold - FLOAT_TOL
     return [
         [(v - c, p) for v, p in alt.dist.atoms if v - c >= threshold]
         for alt, c in zip(instance.alternatives, costs)

@@ -7,7 +7,6 @@ cheap across thousands of generated instances.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -23,38 +22,12 @@ from .core import (
 from .delegation import SignalingMechanism
 from .pandora import INSPECT, PnoiPolicy, SELECT_CLOSED, SELECT_OPENED_BEST, STOP
 
-FAMILIES = (
-    "identical_binary",
-    "tightness",
-    "inapprox_first_best",
-    "info_value",
-    "spmi_fail",
-    "random",
-)
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    family: str
-    params: dict
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise InvalidParameters(f"unknown family: {self.family!r}")
-
-
-@dataclass(frozen=True)
-class Generated:
-    instance: Instance
-    spec: GeneratorSpec
-    mechanism: Optional[SignalingMechanism] = None
-
 
 def _frac(x) -> Fraction:
     return as_number(x, "exact")
 
 
-def identical_binary(n: int, p, v=1, c=0, delegation_cost=0) -> Instance:
+def identical_binary(n: int, p, v=1, c=0) -> Instance:
     """n copies of {v w.p. p, 0 otherwise}, each costing c to inspect."""
     n = int(n)
     p, v, c = _frac(p), _frac(v), _frac(c)
@@ -65,7 +38,7 @@ def identical_binary(n: int, p, v=1, c=0, delegation_cost=0) -> Instance:
     else:
         dist = make_distribution([(0, 1 - p), (v, p)])
     alts = tuple(Alternative(dist, c) for _ in range(n))
-    return Instance(alts, delegation_cost=_frac(delegation_cost))
+    return Instance(alts)
 
 
 def tightness(eps) -> Instance:
@@ -283,26 +256,39 @@ def _identical_binary_shape(instance: Instance):
     return p, v, first.inspect_cost, instance.n
 
 
-def gen(spec: GeneratorSpec) -> Generated:
-    """Materialize a generator spec; info_value also returns its mechanism."""
-    params = dict(spec.params)
-    family = spec.family
+def _seeded_random(seed, n, support_size, value_max, cost_max, cdel_max) -> Instance:
+    return random_instance(random.Random(seed), n, support_size, value_max, cost_max, cdel_max)
+
+
+# Family name -> (builder, {parameter: default}); a default of None marks a
+# required parameter. The CLI reads each parameter from the flag of that name.
+FAMILIES = {
+    "identical_binary": (identical_binary, {"n": 6, "p": "1/6", "v": 1, "c": "1/3"}),
+    "tightness": (tightness, {"eps": "1/100"}),
+    "inapprox_first_best": (inapprox_first_best, {"n": 10}),
+    "info_value": (info_value, {"n": 5, "eps": "1/100"}),
+    "spmi_fail": (spmi_fail, {"n": 2}),
+    "random": (
+        _seeded_random,
+        {"seed": None, "n": 3, "support_size": 3, "value_max": 8, "cost_max": 2, "cdel_max": 0},
+    ),
+}
+
+
+def gen(family: str, params: dict) -> tuple[Instance, Optional[SignalingMechanism]]:
+    """Build a named family from ``params`` over its registry defaults.
+
+    Returns the instance and, for info_value, its steering mechanism.
+    """
+    if family not in FAMILIES:
+        raise InvalidParameters(f"unknown family: {family!r}")
+    builder, defaults = FAMILIES[family]
+    params = {**defaults, **params}
+    missing = [name for name, value in params.items() if value is None]
+    if missing:
+        raise InvalidParameters(f"{family} family needs {', '.join(missing)}")
     try:
-        if family == "identical_binary":
-            return Generated(identical_binary(**params), spec)
-        if family == "tightness":
-            return Generated(tightness(**params), spec)
-        if family == "inapprox_first_best":
-            return Generated(inapprox_first_best(**params), spec)
-        if family == "info_value":
-            instance, mech = info_value(**params)
-            return Generated(instance, spec, mech)
-        if family == "spmi_fail":
-            return Generated(spmi_fail(**params), spec)
-        if family == "random":
-            seed = params.pop("seed")
-            rng = random.Random(seed)
-            return Generated(random_instance(rng, **params), spec)
+        built = builder(**params)
     except TypeError as exc:
         raise InvalidParameters(f"bad parameters for {family}: {exc}") from exc
-    raise InvalidParameters(f"unknown family: {family!r}")
+    return built if isinstance(built, tuple) else (built, None)

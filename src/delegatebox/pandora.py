@@ -50,7 +50,6 @@ class Cap:
     """
 
     sigma: Number
-    alternative_index: int = 0
     never_worthwhile: bool = False
 
 
@@ -59,15 +58,15 @@ def expected_shortfall(dist: DiscreteDistribution, threshold: Number) -> Number:
     return sum((v - threshold) * p for v, p in dist.atoms if v > threshold)
 
 
-def reservation_cap(alt: Alternative, index: int = 0) -> Cap:
+def reservation_cap(alt: Alternative) -> Cap:
     """Solve E[(X - cap)+] = c exactly by piecewise-linear inversion."""
     dist, cost = alt.dist, alt.inspect_cost
     mode_zero = Fraction(0) if dist.mode == "exact" else 0.0
     if cost == 0:
-        return Cap(dist.max_value(), index)
+        return Cap(dist.max_value())
     mean = dist.mean()
     if cost > mean:
-        return Cap(mode_zero, index, never_worthwhile=True)
+        return Cap(mode_zero, never_worthwhile=True)
     # Walk segments from the top of the support down; on the segment below
     # value v_k the shortfall is tail_sum - tail_prob * s.
     atoms = dist.atoms
@@ -80,8 +79,8 @@ def reservation_cap(alt: Alternative, index: int = 0) -> Cap:
         lower = atoms[k - 1][0] if k > 0 else mode_zero
         candidate = (tail_sum - cost) / tail_prob
         if candidate >= lower:
-            return Cap(candidate, index)
-    return Cap(mode_zero, index)  # cost == mean lands here in float mode
+            return Cap(candidate)
+    return Cap(mode_zero)  # cost == mean lands here in float mode
 
 
 def _cap_residual(alt: Alternative, cap: Cap) -> Number:
@@ -113,9 +112,7 @@ def capped_value_distribution(alt: Alternative, cap: Cap) -> DiscreteDistributio
 
 
 def instance_caps(instance: Instance) -> list[Cap]:
-    return [
-        reservation_cap(alt, i) for i, alt in enumerate(instance.alternatives)
-    ]
+    return [reservation_cap(alt) for alt in instance.alternatives]
 
 
 def _require_additive(instance: Instance, what: str) -> None:

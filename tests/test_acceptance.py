@@ -10,6 +10,8 @@ import random
 import time
 from fractions import Fraction as F
 
+import pytest
+
 from delegatebox import Instance, expected_of_max
 from delegatebox.bounds import upper_bound_costless, upper_bound_costly
 from delegatebox.cli import main as cli_main
@@ -255,3 +257,20 @@ def test_cli_encoded_bytes_are_pinned(capsys):
         assert cli_main(argv) == 0, argv
         out.append(capsys.readouterr().out)
     assert hashlib.sha256("".join(out).encode()).hexdigest() == ENCODED_CALLS_SHA256
+
+
+# sha256 of `gen --family F` stdout at the registry defaults, one per family
+# that ENCODED_CALLS does not already pin at its defaults.
+GEN_DEFAULTS_SHA256 = {
+    "identical_binary": "efb52e8fff79bae4660582a1d3baaa33abab6eed9aab48342d5a23d159535e15",
+    "tightness": "14bc5a8de4fed0c1fb9fe6d294a294b51127734800e800dbc955a5c9658cda94",
+    "inapprox_first_best": "61fbfde542b7ef56c031b9612ca79a8f7e6710f7c989a5c4d400da42926a37a4",
+    "spmi_fail": "6766f8bd46d1fbbfe828ee0db438c2c5a39dd0e2087530747676892a59f3e80b",
+}
+
+
+@pytest.mark.parametrize("family", GEN_DEFAULTS_SHA256)
+def test_gen_default_bytes_are_pinned(capsys, family):
+    assert cli_main(["gen", "--family", family]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GEN_DEFAULTS_SHA256[family]

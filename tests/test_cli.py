@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 import os
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from delegatebox import Alternative, Instance, instance_to_json, make_distribution
 from delegatebox import instances
-from delegatebox.cli import FORMATS, MECHANISMS, REGIMES, main
+from delegatebox.cli import FORMATS, MECHANISMS, REGIMES, _build_parser, main
 from delegatebox.repro import run_repro
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -240,6 +241,9 @@ BAD_INPUTS = {
         None,
         {},
     ),
+    "empty_eps": (["eval", "--family", "tightness", "--eps", "", "--mechanism", "maximal"], None, {}),
+    "empty_p": (["gen", "--family", "identical_binary", "--p", ""], None, {}),
+    "random_without_seed": (["gen", "--family", "random", "--n", "3"], None, {"SEED": ""}),
     "float_overflow_value": (
         ["eval", "--family", "tightness", "--eps", "1e-400", "--mechanism", "maximal", "--float"],
         None,
@@ -285,14 +289,24 @@ def test_env_format_override(tmp_path, capsys, monkeypatch):
     json.loads(stdout)  # valid JSON because the env var selected it
 
 
-NUMBER_STRINGS = ("0", "1", "2", "1/3", "0.5", "-1", "abc", "1/0", "1e400", "1e-400")
+@pytest.mark.parametrize("family", instances.FAMILIES)
+def test_family_registry_binds_to_builders_and_flags(family):
+    builder, defaults = instances.FAMILIES[family]
+    inspect.signature(builder).bind(**defaults)
+    for argv in (["gen"], ["eval", "--mechanism", "pnoi"], ["audit", "--regime", "costless"]):
+        args = vars(_build_parser().parse_args([*argv, "--family", family]))
+        # every parameter has a flag, and an absent flag leaves the registry default
+        assert {name: args.get(name, "no flag") for name in defaults} == dict.fromkeys(defaults)
+
+
+NUMBER_STRINGS = ("", "0", "1", "2", "1/3", "0.5", "-1", "abc", "1/0", "1e400", "1e-400")
 
 
 @st.composite
 def cli_argv(draw):
     """An argv that argparse accepts for eval, audit or gen on a generated family."""
     command = draw(st.sampled_from(["eval", "audit", "gen"]))
-    argv = [command, "--family", draw(st.sampled_from(instances.FAMILIES))]
+    argv = [command, "--family", draw(st.sampled_from(tuple(instances.FAMILIES)))]
     argv += ["--seed", str(draw(st.integers(0, 5)))]
     if draw(st.booleans()):
         argv += ["--n", str(draw(st.integers(-1, 6)))]

@@ -16,8 +16,10 @@ from delegatebox import (
     PolicyIncomplete,
     expected_of_max,
     make_distribution,
+    upper_bound_costless,
+    upper_bound_costly,
 )
-from delegatebox.core import DEFAULT_ENUMERATION_LIMIT
+from delegatebox.core import DEFAULT_ENUMERATION_LIMIT, instance_from_obj
 from delegatebox.delegation import (
     WORST_CASE,
     Spmi,
@@ -51,6 +53,7 @@ from delegatebox.pandora import (
     STOP,
     evaluate_policy,
     pnoi_optimal,
+    weitzman_value,
 )
 from delegatebox import SignalingMechanism
 
@@ -158,6 +161,17 @@ class TestEvaluateSpmi:
         agent = distributional_agent(y_dists)
         value = evaluate_spmi(inst, Spmi(F(1)), agent)
         assert value == brute_evaluate_spmi(inst, F(1), y_dists)
+
+    def test_float_keeps_a_net_tied_with_the_threshold(self):
+        # Box 0's net 1.4 - 4/3 equals the threshold 1/15 exactly; in floats
+        # it lands just below it and must still be eligible.
+        obj = {"alternatives": [
+            {"cost": "4/3", "support": [["1.4", "1"]]},
+            {"cost": "2/3", "support": [["0.8", "1"]]},
+        ]}
+        inst, fl = instance_from_obj(obj), instance_from_obj(obj, "float")
+        assert evaluate_spmi(inst, build_spmi(inst)) == F(1, 15)
+        assert abs(evaluate_spmi(fl, build_spmi(fl)) - 1 / 15) <= 1e-9
 
     def test_agent_ties_resolved_for_the_principal(self):
         inst = Instance((box([(2, 1)]), box([(1, 1)])))
@@ -579,3 +593,72 @@ def test_float_mode_tracks_exact_mode():
         approx = evaluate_spmi(fl, spmi_fl)
         assert abs(float(exact) - approx) <= 1e-9
         assert abs(float(pnoi_optimal(inst)[0]) - pnoi_optimal(fl)[0]) <= 1e-9
+
+
+NON_DYADIC_PROBS = (3, 5, 6, 7, 9, 10, 15)  # denominators
+NON_DYADIC_VALUES = (3, 5, 7)  # denominators of values and costs
+
+
+def non_dyadic_instance(rng) -> Instance:
+    """n <= 4 boxes of support <= 3 on a grid that floats cannot hold exactly."""
+    alternatives = []
+    for _ in range(rng.randint(1, 4)):
+        q = rng.choice(NON_DYADIC_PROBS)
+        size = rng.randint(1, 3)
+        cuts = sorted(rng.sample(range(1, q), size - 1))
+        weights = [b - a for a, b in zip([0, *cuts], [*cuts, q])]
+        values = set()
+        while len(values) < size:
+            d = rng.choice(NON_DYADIC_VALUES)
+            values.add(F(rng.randint(0, 4 * d), d))
+        atoms = [(v, F(w, q)) for v, w in zip(sorted(values), weights)]
+        d = rng.choice(NON_DYADIC_VALUES)
+        alternatives.append(Alternative(make_distribution(atoms), F(rng.randint(0, 2 * d), d)))
+    d = rng.choice(NON_DYADIC_VALUES)
+    return Instance(tuple(alternatives), delegation_cost=F(rng.randint(0, d), d))
+
+
+# Per composed mechanism: the component its SPMI branch is chosen on, and the
+# component holding the value of its other branch.
+BRANCH_COMPONENTS = {
+    maximal_mechanism_costless: ("half_max_surplus", "best_closed_value"),
+    costly_mechanism: ("v2", "v1"),
+    identical_cost_mechanism: ("half_shifted_max", "best_closed_value"),
+}
+
+
+def assert_float_branch_agrees(mechanism, inst):
+    exact, approx = mechanism(inst), mechanism(inst.to_float())
+    if approx.branch == exact.branch:
+        assert abs(approx.value - exact.value) <= 1e-9
+        return
+    # Rounding may flip the branch only on a tie, and then float's value must
+    # be the exact value of the branch it took.
+    spmi_key, other_key = BRANCH_COMPONENTS[mechanism]
+    assert abs(exact.components[spmi_key] - exact.components[other_key]) <= 1e-9
+    if approx.branch == "SPMI":
+        took = evaluate_spmi(inst, build_spmi(inst))
+    else:
+        took = exact.components[other_key]
+    assert abs(approx.value - took) <= 1e-9
+
+
+def test_float_agrees_with_exact_on_non_dyadic_instances():
+    rng = random.Random(47)
+    for _ in range(300):
+        inst = non_dyadic_instance(rng)
+        fl = inst.to_float()
+        for evaluate in (
+            lambda i: pnoi_optimal(i)[0],
+            weitzman_value,
+            lambda i: evaluate_spmi(i, build_spmi(i)),
+            upper_bound_costless,
+            upper_bound_costly,
+        ):
+            assert abs(evaluate(fl) - evaluate(inst)) <= 1e-9
+        costless = Instance(inst.alternatives)
+        common = Instance(tuple(Alternative(a.dist, inst.alternatives[0].inspect_cost)
+                                for a in inst.alternatives))
+        assert_float_branch_agrees(maximal_mechanism_costless, costless)
+        assert_float_branch_agrees(costly_mechanism, inst)
+        assert_float_branch_agrees(identical_cost_mechanism, common)

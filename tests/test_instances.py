@@ -5,7 +5,6 @@ import pytest
 
 from delegatebox import InvalidParameters, ShapeMismatch, instance_to_json
 from delegatebox.instances import (
-    GeneratorSpec,
     gen,
     identical_binary,
     inapprox_first_best,
@@ -71,7 +70,7 @@ def test_parameter_validation():
     with pytest.raises(InvalidParameters):
         info_value(1, F(1, 10))
     with pytest.raises(InvalidParameters):
-        GeneratorSpec("nonsense", {})
+        gen("nonsense", {})
 
 
 def test_random_instance_is_seed_deterministic():
@@ -123,22 +122,23 @@ def test_first_best_gap_all_mechanisms_stall():
 
 
 def test_generator_dispatch():
-    spec = GeneratorSpec("tightness", {"eps": "1/4"})
-    generated = gen(spec)
-    assert generated.instance == tightness(F(1, 4))
-    assert generated.mechanism is None
+    instance, mechanism = gen("tightness", {"eps": "1/4"})
+    assert instance == tightness(F(1, 4))
+    assert mechanism is None
 
-    spec = GeneratorSpec("info_value", {"n": 3, "eps": "1/10"})
-    generated = gen(spec)
-    assert generated.mechanism is not None
+    _, mechanism = gen("info_value", {"n": 3, "eps": "1/10"})
+    assert mechanism is not None
 
-    spec = GeneratorSpec("random", {"seed": 11, "n": 3})
-    a = gen(spec).instance
-    b = gen(spec).instance
-    assert a == b
+    a, _ = gen("random", {"seed": 11, "n": 3})
+    b, _ = gen("random", {"seed": 11, "n": 3})
+    assert a == b == random_instance(random.Random(11), 3)
+
+    assert gen("spmi_fail", {}) == (spmi_fail(2), None)  # registry defaults fill the rest
 
     with pytest.raises(InvalidParameters):
-        gen(GeneratorSpec("tightness", {"bogus": 1}))
+        gen("tightness", {"bogus": 1})
+    with pytest.raises(InvalidParameters, match="random family needs seed"):
+        gen("random", {"n": 3})
 
 
 def test_info_value_steering_mass_formula():

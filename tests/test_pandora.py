@@ -107,7 +107,7 @@ class TestCappedValue:
     def test_foreign_cap_rejected(self):
         alt = box(half_coin, "0.25")
         with pytest.raises(CapMismatch):
-            capped_value_distribution(alt, Cap(F(1, 4), 0))
+            capped_value_distribution(alt, Cap(F(1, 4)))
 
 
 class TestWeitzman:
