@@ -16,7 +16,6 @@ from .core import (
     PolicyIncomplete,
     ProbabilitySumMismatch,
     RegimeMismatch,
-    ShapeMismatch,
     StateLimitExceeded,
     as_number,
     expected_of_max,
@@ -53,10 +52,9 @@ from .delegation import (
     identical_cost_mechanism,
     maximal_mechanism_costless,
     overinspection_utility,
-    prophet_threshold,
     uninspected_selection_mass,
 )
 from .bounds import AuditReport, audit, upper_bound_costless, upper_bound_costly
-from .instances import gen, inspection_only_best
+from .instances import gen
 
 __version__ = "0.1.0"

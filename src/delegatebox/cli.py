@@ -40,6 +40,7 @@ REGIME_MECHANISM = {
     bounds.IDENTICAL: "identical",
 }
 REGIMES = tuple(REGIME_MECHANISM)
+FAMILY_FLAGS = sorted({name for _, defaults in instances.FAMILIES.values() for name in defaults})
 FORMATS = ("table", "json")
 MODES = ("exact", "float")
 
@@ -127,13 +128,22 @@ def _resolve_seed(args) -> Optional[int]:
         raise InvalidParameters(f"DELEGATEBOX_SEED must be an integer, not {env!r}") from None
 
 
+def _reject_flags(args, taken, source: str) -> None:
+    """Raise on a family flag given to a source that does not take it."""
+    for name in FAMILY_FLAGS:
+        if name not in taken and getattr(args, name) is not None:
+            flag = "--" + name.replace("_", "-")
+            raise InvalidParameters(f"{flag} does not apply to {source}")
+
+
 def _generate(args) -> tuple[Instance, Optional[delegation.SignalingMechanism], dict]:
     """Build --family, each parameter from its flag or else the registry default.
 
     Returns the instance, its mechanism (if the family has one) and the
-    ``generator`` record of the output.
+    ``generator`` record of the output. Other families' flags are errors.
     """
     defaults = instances.FAMILIES[args.family][1]
+    _reject_flags(args, defaults, f"the {args.family} family")
     params = {}
     for name, default in defaults.items():
         flag = _resolve_seed(args) if name == "seed" else getattr(args, name)
@@ -148,6 +158,7 @@ def _load_instance(args) -> tuple[Instance, Optional[dict]]:
     if args.instance and args.family:
         raise InvalidParameters("give either --instance or --family, not both")
     if args.instance:
+        _reject_flags(args, (), "--instance")
         try:
             text = Path(args.instance).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:

@@ -74,10 +74,6 @@ class RegimeMismatch(DelegateboxError):
     pass
 
 
-class ShapeMismatch(DelegateboxError):
-    pass
-
-
 class InvalidParameters(DelegateboxError):
     pass
 
@@ -120,10 +116,6 @@ def _exact_number(value) -> Fraction:
             raise InvalidParameters(f"non-finite value: {value!r}")
         return Fraction(Decimal(repr(value)))
     raise InvalidParameters(f"unsupported number type: {type(value).__name__}")
-
-
-def zero(mode: Mode) -> Number:
-    return Fraction(0) if mode == "exact" else 0.0
 
 
 def format_number(x: Number) -> str:
@@ -368,7 +360,7 @@ class Instance:
         return self.alternatives[0].dist.mode
 
     def zero(self) -> Number:
-        return zero(self.mode)
+        return Fraction(0) if self.mode == "exact" else 0.0
 
     def singleton_cost(self, i: int) -> Number:
         """Cost of inspecting alternative i on its own."""

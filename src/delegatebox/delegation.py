@@ -135,8 +135,8 @@ class MechanismReport:
         )
 
 
-def prophet_threshold(dists: Sequence[DiscreteDistribution]) -> Number:
-    """Single acceptance threshold guaranteeing half the expected maximum.
+def build_spmi(instance: Instance) -> Spmi:
+    """SPMI with the prophet threshold over the net values Z_i = (X_i - c_i)+.
 
     Uses the mean split, threshold = E[max_i Z_i] / 2: with q the probability
     that nothing clears it, any eligible proposal is worth at least the
@@ -145,13 +145,6 @@ def prophet_threshold(dists: Sequence[DiscreteDistribution]) -> Number:
     A median split can miss this bound on atom-heavy supports when a certain
     middling box masks a rare large one.
     """
-    if not dists:
-        raise InvalidParameters("need at least one distribution")
-    return expected_max_of_dists(dists) / 2
-
-
-def build_spmi(instance: Instance) -> Spmi:
-    """SPMI with the prophet threshold over the net values (X_i - c_i)+."""
     return Spmi(expected_of_max(instance, "shifted_positive") / 2)
 
 
@@ -257,6 +250,13 @@ def best_closed_selection(instance: Instance) -> tuple[int, Number]:
     return index, best
 
 
+def _spmi_report(instance: Instance, threshold: Number, components: dict) -> MechanismReport:
+    """The SPMI branch of a composed mechanism, against the worst-case proposer."""
+    components["threshold"] = threshold
+    value = evaluate_spmi(instance, Spmi(threshold), WORST_CASE)
+    return MechanismReport("SPMI", value, components, True, instance.mode, "worst_case")
+
+
 def maximal_mechanism_costless(instance: Instance) -> MechanismReport:
     """Run the better of closed selection and the SPMI when delegation is free.
 
@@ -274,12 +274,7 @@ def maximal_mechanism_costless(instance: Instance) -> MechanismReport:
     }
     # On ties the non-delegation branch wins.
     if half_surplus > v_closed:
-        spmi = Spmi(half_surplus)
-        value = evaluate_spmi(instance, spmi, WORST_CASE)
-        components["threshold"] = spmi.threshold
-        return MechanismReport(
-            "SPMI", value, components, True, instance.mode, "worst_case"
-        )
+        return _spmi_report(instance, half_surplus, components)
     return MechanismReport(
         "SelectBestClosed", v_closed, components, False, instance.mode, "none"
     )
@@ -301,10 +296,7 @@ def costly_mechanism(instance: Instance, pnoi_oracle=None) -> MechanismReport:
         return MechanismReport(
             "PnoiDirect", v1, components, False, instance.mode, "none"
         )
-    spmi = Spmi(half_surplus)
-    components["threshold"] = spmi.threshold
-    value = evaluate_spmi(instance, spmi, WORST_CASE)
-    return MechanismReport("SPMI", value, components, True, instance.mode, "worst_case")
+    return _spmi_report(instance, half_surplus, components)
 
 
 def identical_cost_mechanism(instance: Instance) -> MechanismReport:
@@ -329,12 +321,7 @@ def identical_cost_mechanism(instance: Instance) -> MechanismReport:
         "common_cost": common,
     }
     if half_shifted_max > v_closed:
-        spmi = build_spmi(instance)
-        components["threshold"] = spmi.threshold
-        value = evaluate_spmi(instance, spmi, WORST_CASE)
-        return MechanismReport(
-            "SPMI", value, components, True, instance.mode, "worst_case"
-        )
+        return _spmi_report(instance, build_spmi(instance).threshold, components)
     return MechanismReport(
         "SelectBestClosed", v_closed, components, False, instance.mode, "none"
     )

@@ -14,8 +14,6 @@ from .core import (
     Alternative,
     Instance,
     InvalidParameters,
-    Number,
-    ShapeMismatch,
     as_number,
     make_distribution,
 )
@@ -214,46 +212,6 @@ def random_signaling_mechanism(
     signals = tuple(range(count))
     policies = {sig: _reachable_policy(supports, rule) for sig in signals}
     return SignalingMechanism(signals, policies)
-
-
-def inspection_only_best(instance: Instance) -> Number:
-    """Best direct policy on an identical-binary instance, by sweeping k.
-
-    Symmetry collapses every adaptive direct policy to: open up to k boxes,
-    take the first hit, and settle for a closed box (worth p*v) if k < n hits
-    nothing. Returns the best value over k in 0..n.
-    """
-    p, v, c, n = _identical_binary_shape(instance)
-    best = p * v  # k = 0: select a closed box outright
-    miss = 1 - p
-    for k in range(1, n + 1):
-        val = instance.zero()
-        for i in range(1, k + 1):
-            val = val + p * miss ** (i - 1) * (v - i * c)
-        tail = p * v if k < n else instance.zero()
-        val = val + miss**k * (tail - k * c)
-        if val > best:
-            best = val
-    return best
-
-
-def _identical_binary_shape(instance: Instance):
-    if instance.cost_model.kind != "additive":
-        raise ShapeMismatch("identical-binary instances use additive costs")
-    first = instance.alternatives[0]
-    for alt in instance.alternatives:
-        if alt.dist != first.dist or alt.inspect_cost != first.inspect_cost:
-            raise ShapeMismatch("alternatives are not identical")
-    atoms = first.dist.atoms
-    if len(atoms) == 1:
-        v, p = atoms[0][0], atoms[0][1]
-        if v <= 0:
-            raise ShapeMismatch("need one positive value")
-    elif len(atoms) == 2 and atoms[0][0] == 0:
-        v, p = atoms[1]
-    else:
-        raise ShapeMismatch("support must be {0, v} or {v}")
-    return p, v, first.inspect_cost, instance.n
 
 
 def _seeded_random(seed, n, support_size, value_max, cost_max, cdel_max) -> Instance:

@@ -7,6 +7,7 @@ inspection is optional (select-a-closed-box allowed).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -341,6 +342,15 @@ def pnoi_optimal(
     through these two, which the test suite checks against a full-history
     oracle.
 
+    Twins, boxes with the same distribution and cost, can swap without
+    changing any value, so the kernel opens or selects a box only once its
+    lower-indexed twins are opened. Each type's unopened boxes are then its
+    highest-indexed ones, and ``state_limit`` counts prod over types of
+    (count + 1), times V + 1 for V distinct values: 2^n (V + 1) without twins.
+    A skipped action ties with a twin scanned before it, so the table is the
+    full program's, restricted to the unopened sets where no box has an
+    opened higher-indexed twin: all the states the policy can reach.
+
     The kernel keys a state by (bitmask of unopened boxes, index into the
     sorted distinct values, 0 for nothing opened) and recurses top down, so
     it visits only reachable states. In exact mode it runs on Python ints:
@@ -356,35 +366,48 @@ def pnoi_optimal(
     n = instance.n
     costs = [alt.inspect_cost for alt in instance.alternatives]
     values, unit, box_units, scaled_values, atoms = _scaled_boxes(instance, costs)
-    states = (2**n) * (len(values) + 1)
+    scaled_costs = [_integral(c * unit) for c in costs]
+    kinds = [(tuple(box), q, c) for box, q, c in zip(atoms, box_units, scaled_costs)]
+    states = prod(count + 1 for count in Counter(kinds).values()) * (len(values) + 1)
     if states > state_limit:
         raise StateLimitExceeded(f"{states} states exceed the limit {state_limit}")
 
     exact = instance.mode == "exact"
-    scaled_costs = [_integral(c * unit) for c in costs]
     # q_j * D * E[X_j] for box j.
     means = [sum(w * scaled_values[k] for k, w in box) for box in atoms]
-    # scale[mask] = prod of q_j over the boxes in mask.
-    scale = [1] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        scale[mask] = scale[mask ^ low] * box_units[low.bit_length() - 1]
+    # reach[mask] = (prod of q_j over mask, the boxes of mask that may be
+    # opened, the best select-closed candidate as (scaled value, action)) for
+    # the masks the DP can reach, built from the highest box down. Box j joins
+    # only with its next higher twin `up`, which it then shadows; as the
+    # lowest box of mask | bit it wins select ties.
+    reach = {0: (1, 0, 0, None)}
+    twin_above: dict = {}
+    for j in range(n - 1, -1, -1):
+        bit, q, select = 1 << j, box_units[j], (SELECT_CLOSED, j)
+        up = twin_above.get(kinds[j], 0)
+        twin_above[kinds[j]] = bit
+        for mask, (s, free, picked, action) in list(reach.items()):
+            if not up or mask & up:
+                if means[j] * s >= picked * q:
+                    picked, action = means[j] * s, select
+                else:
+                    picked = picked * q
+                reach[mask | bit] = (s * q, free & ~up | bit, picked, action)
 
     width = len(values) + 1
-    boxes = [(j, 1 << j, (SELECT_CLOSED, j), (INSPECT, j)) for j in range(n)]
+    boxes = [(j, 1 << j, (INSPECT, j)) for j in range(n)]
     memo: dict = {}
     chosen: dict = {}
 
     def solve(mask: int, best: int):
-        s = scale[mask]
+        s, free, picked, select = reach[mask]
         top, action = 0, (STOP, None)
         if best and scaled_values[best] * s > top:
             top, action = scaled_values[best] * s, (SELECT_OPENED_BEST, None)
-        for j, bit, select, _ in boxes:
-            if mask & bit and means[j] * scale[mask ^ bit] > top:
-                top, action = means[j] * scale[mask ^ bit], select
-        for j, bit, _, inspect in boxes:
-            if mask & bit:
+        if picked > top:
+            top, action = picked, select
+        for j, bit, inspect in boxes:
+            if free & bit:
                 rest = mask ^ bit
                 base = rest * width
                 cont = -scaled_costs[j] * s
@@ -403,7 +426,7 @@ def pnoi_optimal(
 
     full = (1 << n) - 1
     root = solve(full, 0)
-    root = Fraction(root, unit * scale[full]) if exact else float(root)
+    root = Fraction(root, unit * reach[full][0]) if exact else float(root)
 
     unopened_sets: dict = {}
     bests = [None, *values]

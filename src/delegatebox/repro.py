@@ -61,7 +61,7 @@ def identical_binary_rows() -> list[dict]:
     rows = []
     for n in IDENTICAL_NS:
         inst = instances.identical_binary(n, p=Fraction(1, n), v=1, c=Fraction(2, n))
-        direct = instances.inspection_only_best(inst)
+        direct, _ = pandora.pnoi_optimal(inst)
         spmi = delegation.build_spmi(inst)
         spmi_value = delegation.evaluate_spmi(inst, spmi)
         floor = 1 - (1 - Fraction(1, n)) ** n - Fraction(2, n)

@@ -15,6 +15,11 @@ survival rescan and the fixed-order sum that ``delegation.evaluate_spmi``
 replaced with sweeps through ``expected_max_of_dists``; ``agent_best_response``
 is the per-realization best response that the signaling sweep replaced.
 
+``inspection_only_best`` is the closed form for identical-binary instances
+that ``repro`` used before the search DP folded twin boxes into one state
+per count; it sweeps the number of boxes opened and shares nothing with the
+DP.
+
 ``walk_table_policy`` is the reference executor of ``PnoiPolicy`` decision
 tables, one realization at a time; the library runs tables only through the
 compiled sweep behind ``evaluate_policy`` and ``evaluate_signaling``.
@@ -295,6 +300,45 @@ def pnoi_reference(
 
     root = value(frozenset(range(n)), None)
     return root, PnoiPolicy(dict(chosen))
+
+
+def inspection_only_best(instance: Instance) -> Number:
+    """Best direct policy on an identical-binary instance, by sweeping k.
+
+    Symmetry collapses every adaptive direct policy to: open up to k boxes,
+    take the first hit, and settle for a closed box (worth p*v) if k < n hits
+    nothing. Returns the best value over k in 0..n.
+    """
+    p, v, c, n = _identical_binary_shape(instance)
+    best = p * v  # k = 0: select a closed box outright
+    miss = 1 - p
+    for k in range(1, n + 1):
+        val = instance.zero()
+        for i in range(1, k + 1):
+            val = val + p * miss ** (i - 1) * (v - i * c)
+        tail = p * v if k < n else instance.zero()
+        val = val + miss**k * (tail - k * c)
+        if val > best:
+            best = val
+    return best
+
+
+def _identical_binary_shape(instance: Instance):
+    _require_additive(instance, "inspection_only_best")
+    first = instance.alternatives[0]
+    for alt in instance.alternatives:
+        if alt.dist != first.dist or alt.inspect_cost != first.inspect_cost:
+            raise InvalidParameters("alternatives are not identical")
+    atoms = first.dist.atoms
+    if len(atoms) == 1:
+        v, p = atoms[0][0], atoms[0][1]
+        if v <= 0:
+            raise InvalidParameters("need one positive value")
+    elif len(atoms) == 2 and atoms[0][0] == 0:
+        v, p = atoms[1]
+    else:
+        raise InvalidParameters("support must be {0, v} or {v}")
+    return p, v, first.inspect_cost, instance.n
 
 
 def all_policy_trees(instance: Instance):

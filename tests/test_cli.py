@@ -244,6 +244,16 @@ BAD_INPUTS = {
     "empty_eps": (["eval", "--family", "tightness", "--eps", "", "--mechanism", "maximal"], None, {}),
     "empty_p": (["gen", "--family", "identical_binary", "--p", ""], None, {}),
     "random_without_seed": (["gen", "--family", "random", "--n", "3"], None, {"SEED": ""}),
+    "foreign_family_flags": (
+        ["eval", "--family", "tightness", "--n", "5", "--p", "1/2", "--seed", "3",
+         "--mechanism", "pnoi"],
+        None,
+        {},
+    ),
+    "family_flags_with_instance": (
+        ["eval", "--n", "5", "--eps", "1/2", "--mechanism", "pnoi"], instance_bytes(ONE_BOX), {}
+    ),
+    "foreign_eps_gen": (["gen", "--family", "spmi_fail", "--eps", "1/2"], None, {}),
     "float_overflow_value": (
         ["eval", "--family", "tightness", "--eps", "1e-400", "--mechanism", "maximal", "--float"],
         None,
@@ -289,6 +299,23 @@ def test_env_format_override(tmp_path, capsys, monkeypatch):
     json.loads(stdout)  # valid JSON because the env var selected it
 
 
+def test_twin_boxes_fold_into_type_states(capsys):
+    # 2^20 * 3 bitmask states, but 21 * 3 type states.
+    code, stdout, _ = run_cli(
+        capsys, "eval", "--family", "identical_binary", "--n", "20", "--p", "1/20",
+        "--c", "1/10", "--mechanism", "pnoi", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(stdout)["value"] == "0.05"
+    code, stdout, _ = run_cli(
+        capsys, "eval", "--family", "inapprox_first_best", "--n", "20",
+        "--mechanism", "costly", "--format", "json",
+    )
+    assert code == 0
+    report = json.loads(stdout)
+    assert (report["branch"], report["value"]) == ("PnoiDirect", "1")
+
+
 @pytest.mark.parametrize("family", instances.FAMILIES)
 def test_family_registry_binds_to_builders_and_flags(family):
     builder, defaults = instances.FAMILIES[family]
@@ -300,23 +327,39 @@ def test_family_registry_binds_to_builders_and_flags(family):
 
 
 NUMBER_STRINGS = ("", "0", "1", "2", "1/3", "0.5", "-1", "abc", "1/0", "1e400", "1e-400")
+# A value strategy for every family flag.
+FLAG_VALUES = {
+    "seed": st.integers(0, 5).map(str),
+    "n": st.integers(-1, 6).map(str),
+    **{name: st.sampled_from(NUMBER_STRINGS) for name in ("p", "v", "c", "eps")},
+    "support_size": st.integers(0, 20).map(str),
+    "value_max": st.integers(-1, 4).map(str),
+    "cost_max": st.integers(-1, 2).map(str),
+    "cdel_max": st.integers(-1, 2).map(str),
+}
+
+
+def flag(name):
+    return "--" + name.replace("_", "-")
 
 
 @st.composite
 def cli_argv(draw):
-    """An argv that argparse accepts for eval, audit or gen on a generated family."""
+    """An argv that argparse accepts for eval, audit or gen on a generated family.
+
+    It gives the family's own flags (always the seed, the rest on a drawn
+    boolean) and, on another drawn boolean, one flag the family does not take.
+    """
     command = draw(st.sampled_from(["eval", "audit", "gen"]))
-    argv = [command, "--family", draw(st.sampled_from(tuple(instances.FAMILIES)))]
-    argv += ["--seed", str(draw(st.integers(0, 5)))]
+    family = draw(st.sampled_from(tuple(instances.FAMILIES)))
+    argv = [command, "--family", family]
+    own = instances.FAMILIES[family][1]
+    for name in own:
+        if name == "seed" or draw(st.booleans()):
+            argv += [flag(name), draw(FLAG_VALUES[name])]
     if draw(st.booleans()):
-        argv += ["--n", str(draw(st.integers(-1, 6)))]
-    for flag in ("--p", "--v", "--c", "--eps"):
-        if draw(st.booleans()):
-            argv += [flag, draw(st.sampled_from(NUMBER_STRINGS))]
-    argv += ["--support-size", str(draw(st.integers(0, 20)))]
-    argv += ["--value-max", str(draw(st.integers(-1, 4)))]
-    argv += ["--cost-max", str(draw(st.integers(-1, 2)))]
-    argv += ["--cdel-max", str(draw(st.integers(-1, 2)))]
+        name = draw(st.sampled_from(sorted(set(FLAG_VALUES) - set(own))))
+        argv += [flag(name), draw(FLAG_VALUES[name])]
     if draw(st.booleans()):
         argv.append("--float")
     if command == "eval":

@@ -1,7 +1,10 @@
+import ast
 import pickle
 import random
+import sys
 from itertools import combinations, permutations
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -369,3 +372,20 @@ def test_number_formatting_round_trips():
 def test_float_decimal_reading():
     assert as_number(0.1) == F(1, 10)
     assert as_number("1/3") == F(1, 3)
+
+
+def test_library_imports_only_the_standard_library():
+    src = Path(__file__).resolve().parent.parent / "src" / "delegatebox"
+    modules = sorted(src.glob("*.py"))
+    assert modules
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top == "delegatebox" or top in sys.stdlib_module_names, (path.name, name)

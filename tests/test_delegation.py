@@ -34,7 +34,6 @@ from delegatebox.delegation import (
     identical_cost_mechanism,
     maximal_mechanism_costless,
     overinspection_utility,
-    prophet_threshold,
     uninspected_selection_mass,
 )
 from delegatebox.instances import (
@@ -79,17 +78,18 @@ def dist(pairs):
 
 
 class TestProphetThreshold:
-    # Mean-split rule: threshold = E[max]/2, paying at least half the
-    # expected max against any eligible proposer.
+    # Mean-split rule: threshold = E[max]/2 over the net values, paying at
+    # least half the expected max against any eligible proposer. Free boxes
+    # make the net values the box values.
 
     def test_two_iid_coins(self):
-        assert prophet_threshold([dist(half_coin)] * 2) == F(3, 8)
+        assert build_spmi(Instance((box(half_coin),) * 2)).threshold == F(3, 8)
 
     def test_point_mass(self):
-        assert prophet_threshold([dist([(5, 1)])]) == F(5, 2)
+        assert build_spmi(Instance((box([(5, 1)]),))).threshold == F(5, 2)
 
     def test_all_zero(self):
-        assert prophet_threshold([dist([(0, 1)])] * 3) == 0
+        assert build_spmi(Instance((box([(0, 1)]),) * 3)).threshold == 0
 
     def test_guarantee_survives_a_masking_atom(self):
         # A sure middling box plus a rare large one: a median-based split

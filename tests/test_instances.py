@@ -3,13 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from delegatebox import InvalidParameters, ShapeMismatch, instance_to_json
+from delegatebox import InvalidParameters, instance_to_json
 from delegatebox.instances import (
     gen,
     identical_binary,
     inapprox_first_best,
     info_value,
-    inspection_only_best,
     random_corpus,
     random_instance,
     spmi_fail,
@@ -18,7 +17,7 @@ from delegatebox.instances import (
 from delegatebox.delegation import build_spmi, deterministic_agent, evaluate_spmi
 from delegatebox.pandora import pnoi_optimal
 
-from oracles import walk_table_policy
+from oracles import inspection_only_best, walk_table_policy
 
 
 def test_tightness_structure():
@@ -91,9 +90,11 @@ def test_random_corpus_shapes():
 
 class TestInspectionOnlyBest:
     def test_matches_the_adaptive_optimum_on_identical_binaries(self):
-        for n in (2, 4, 6, 10):
-            inst = identical_binary(n, F(1, n), 1, F(2, n))
-            assert inspection_only_best(inst) == pnoi_optimal(inst)[0]
+        # n >= 20 needs the DP's one state per count of unopened twins.
+        for n in (2, 4, 6, 10, 20, 40):
+            for p, c in ((F(1, n), F(2, n)), (F(1, 4), F(1, 50)), (F(1, 2), F(1, 10))):
+                inst = identical_binary(n, p, 1, c)
+                assert pnoi_optimal(inst)[0] == inspection_only_best(inst)
 
     def test_costly_inspection_caps_at_the_blind_pick(self):
         inst = identical_binary(6, F(1, 6), 1, F(1, 3))
@@ -110,7 +111,7 @@ class TestInspectionOnlyBest:
 
     def test_non_identical_shape_rejected(self):
         inst = tightness(F(1, 2))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InvalidParameters, match="not identical"):
             inspection_only_best(inst)
 
 

@@ -13,7 +13,14 @@ from delegatebox import (
     make_distribution,
 )
 from delegatebox.core import DEFAULT_ENUMERATION_LIMIT, expected_max_of_dists
-from delegatebox.instances import identical_binary, random_corpus, tightness
+from delegatebox.instances import (
+    identical_binary,
+    inapprox_first_best,
+    info_value,
+    random_corpus,
+    spmi_fail,
+    tightness,
+)
 from delegatebox.pandora import (
     INSPECT,
     SELECT_CLOSED,
@@ -43,6 +50,20 @@ from oracles import (
 
 def box(pairs, cost=0):
     return Alternative(make_distribution(pairs), cost)
+
+
+def twin_canonical(instance, table):
+    """The entries of a full decision table whose unopened set leaves no box
+    with an opened higher-indexed twin (same distribution, same cost)."""
+    kinds = [(alt.dist, alt.inspect_cost) for alt in instance.alternatives]
+
+    def canonical(unopened):
+        return all(
+            i in unopened for j in unopened for i in range(j + 1, instance.n)
+            if kinds[i] == kinds[j]
+        )
+
+    return {state: action for state, action in table.items() if canonical(state[0])}
 
 
 half_coin = [(0, "0.5"), (1, "0.5")]
@@ -171,17 +192,21 @@ class TestOptimalSearch:
     def test_kernel_matches_reference_value_and_table(self):
         exact = [inst for seed in range(5) for inst in random_corpus(seed, 40, max_n=5)]
         exact += [identical_binary(n, F(1, n), 1, F(2, n)) for n in range(1, 7)]
-        exact.append(tightness(F(1, 100)))
+        exact += [tightness(F(1, 100)), inapprox_first_best(6), spmi_fail(3)]
+        exact.append(info_value(5, F(1, 10))[0])
         for inst in exact:
             for case in (inst, inst.to_float()):
                 value, policy = pnoi_optimal(case)
                 ref_value, ref_policy = pnoi_reference(case)
                 assert type(value) is type(ref_value)
                 assert value == ref_value
-                assert policy.table == ref_policy.table
+                # Without twins the restriction keeps the whole table.
+                assert policy.table == twin_canonical(case, ref_policy.table)
 
     def test_policy_replay_reproduces_the_value(self):
-        for inst in random_corpus(seed=42, count=25, max_n=3):
+        cases = list(random_corpus(seed=42, count=25, max_n=3))
+        cases += [identical_binary(20, F(1, 20), 1, F(1, 10)), inapprox_first_best(10)]
+        for inst in cases:
             value, policy = pnoi_optimal(inst)
             assert evaluate_policy(inst, policy) == value
 
@@ -195,6 +220,13 @@ class TestOptimalSearch:
         inst = Instance(tuple(box(half_coin, "0.25") for _ in range(3)))
         with pytest.raises(StateLimitExceeded):
             pnoi_optimal(inst, state_limit=10)
+
+    def test_state_limit_counts_twin_states(self):
+        # 21 counts of unopened twins times 3 best values (none, 0, 1).
+        inst = identical_binary(20, F(1, 20), 1, F(1, 10))
+        with pytest.raises(StateLimitExceeded, match="63 states exceed the limit 62"):
+            pnoi_optimal(inst, state_limit=62)
+        assert pnoi_optimal(inst, state_limit=63)[0] == F(1, 20)
 
 
 class TestUpperBound:
