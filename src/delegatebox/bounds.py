@@ -93,8 +93,10 @@ def audit(
     Regimes: "costless" (factor 3), "costly" with the delegation cost pinned
     to alpha * E[max (X_i - c_i)+] for alpha < 1/2 (factor (3-4a)/(1-2a)),
     and "identical" equal-cost costless instances (factor 2, audited against
-    max(max_i E[X_i], E[max_i X_i] - c)).
+    max(max_i E[X_i], E[max_i X_i] - c)). Only the costly regime takes alpha.
     """
+    if alpha is not None and regime != COSTLY:
+        raise InvalidParameters(f"alpha does not apply to the {regime} regime")
     one = Fraction(1) if instance.mode == "exact" else 1.0
     tolerance = 0 * one if instance.mode == "exact" else FLOAT_TOL
     ub_free = upper_bound_costless(instance)

@@ -22,7 +22,7 @@ from .core import (
     as_number,
     instance_digest,
     instance_from_json,
-    instance_to_obj,
+    instance_to_json,
     to_json,
 )
 
@@ -249,7 +249,7 @@ def _cmd_gen(args) -> int:
     obj = {
         "schema": repro.SUITE_VERSION,
         "generator": meta,
-        "instance": instance_to_obj(inst),
+        "instance": json.loads(instance_to_json(inst)),
         "instance_digest": instance_digest(inst),
     }
     if mechanism is not None:

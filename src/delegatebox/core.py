@@ -484,12 +484,14 @@ def expected_of_max(instance: Instance, transform=IDENTITY) -> Number:
 
 # --- JSON instance schema -------------------------------------------------
 #
-# {"alternatives": [{"support": [[v, p], ...], "cost": c}, ...],
-#  "cost_model": {"type": "additive"} | {"type": "monotone", "table": {...}},
+# {"alternatives": [{"cost": c, "support": [[v, p], ...]}, ...],
+#  "cost_model": {"type": "additive"} | {"table": {...}, "type": "monotone"},
 #  "delegation_cost": c}
 #
 # Exact mode renders every number as a string ("0.25" or "1/3") so nothing is
-# lost to binary floats; float mode uses plain JSON numbers.
+# lost to binary floats; float mode uses plain JSON numbers. instance_to_json
+# is the one writer: it emits these keys sorted, with the ", " and ": "
+# separators, which are the bytes of json.dumps(..., sort_keys=True).
 
 
 def _subset_key(subset: frozenset) -> str:
@@ -502,27 +504,30 @@ def _subset_from_key(key: str) -> frozenset:
     return frozenset(int(part) for part in key.split(","))
 
 
-def instance_to_obj(instance: Instance) -> dict:
-    alts = [
-        {"support": alt.dist.atoms, "cost": alt.inspect_cost}
-        for alt in instance.alternatives
-    ]
-    if instance.cost_model.kind == "monotone":
-        table = {_subset_key(s): c for s, c in instance.cost_model.table.items()}
-        cm = {"type": "monotone", "table": dict(sorted(table.items()))}
-    else:
-        cm = {"type": "additive"}
-    return to_json(
-        {
-            "alternatives": alts,
-            "cost_model": cm,
-            "delegation_cost": instance.delegation_cost,
-        }
-    )
+def _json_number(x: Number) -> str:
+    # An exact type test, as in _to_json; a float is written as json.dumps
+    # writes it, through float.__repr__.
+    return f'"{format_number(x)}"' if type(x) is Fraction else repr(x)
 
 
 def instance_to_json(instance: Instance) -> str:
-    return json.dumps(instance_to_obj(instance), sort_keys=True)
+    """The canonical JSON of an instance, written directly as one string."""
+    num = _json_number
+    alts = ", ".join(
+        '{"cost": %s, "support": [%s]}'
+        % (num(alt.inspect_cost), ", ".join(f"[{num(v)}, {num(p)}]" for v, p in alt.dist.atoms))
+        for alt in instance.alternatives
+    )
+    if instance.cost_model.kind == "monotone":
+        table = sorted((_subset_key(s), num(c)) for s, c in instance.cost_model.table.items())
+        rows = ", ".join(f'"{k}": {c}' for k, c in table)
+        cm = f'{{"table": {{{rows}}}, "type": "monotone"}}'
+    else:
+        cm = '{"type": "additive"}'
+    return (
+        f'{{"alternatives": [{alts}], "cost_model": {cm}, '
+        f'"delegation_cost": {num(instance.delegation_cost)}}}'
+    )
 
 
 def instance_from_obj(obj: dict, mode: Mode = "exact") -> Instance:
@@ -563,6 +568,6 @@ def instance_from_json(text: str, mode: Mode = "exact") -> Instance:
 
 
 def instance_digest(instance: Instance) -> str:
-    """Short stable identifier for an instance (hash of its canonical JSON)."""
-    canonical = instance_to_json(instance)
-    return hashlib.sha256(canonical.encode()).hexdigest()[:12]
+    """Short stable identifier: the first 12 hex digits of the sha256 of
+    ``instance_to_json(instance)``."""
+    return hashlib.sha256(instance_to_json(instance).encode()).hexdigest()[:12]

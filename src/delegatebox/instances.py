@@ -18,7 +18,7 @@ from .core import (
     make_distribution,
 )
 from .delegation import SignalingMechanism
-from .pandora import INSPECT, PnoiPolicy, SELECT_CLOSED, SELECT_OPENED_BEST, STOP
+from .pandora import INSPECT, PnoiPolicy, SELECT_CLOSED, STOP
 
 
 def _frac(x) -> Fraction:
@@ -192,26 +192,6 @@ def random_corpus(
         yield random_instance(
             rng, rng.randint(1, max_n), support_size, value_max, cost_max, cdel_max
         )
-
-
-def random_signaling_mechanism(
-    rng: random.Random, instance: Instance, max_signals: int = 3
-) -> SignalingMechanism:
-    """Random terminating decision tables over 1..max_signals signals."""
-    supports = [alt.dist.values for alt in instance.alternatives]
-
-    def rule(unopened: frozenset, best):
-        actions = [(STOP, None)]
-        if best is not None:
-            actions.append((SELECT_OPENED_BEST, None))
-        actions.extend((SELECT_CLOSED, j) for j in sorted(unopened))
-        actions.extend((INSPECT, j) for j in sorted(unopened))
-        return rng.choice(actions)
-
-    count = rng.randint(1, max_signals)
-    signals = tuple(range(count))
-    policies = {sig: _reachable_policy(supports, rule) for sig in signals}
-    return SignalingMechanism(signals, policies)
 
 
 def _seeded_random(seed, n, support_size, value_max, cost_max, cdel_max) -> Instance:

@@ -23,10 +23,19 @@ DP.
 ``walk_table_policy`` is the reference executor of ``PnoiPolicy`` decision
 tables, one realization at a time; the library runs tables only through the
 compiled sweep behind ``evaluate_policy`` and ``evaluate_signaling``.
+
+``instance_json_reference`` is the canonical instance JSON built the way
+``core.instance_to_json`` built it before it wrote the string directly: a
+dict tree through ``to_json``, encoded by ``json.dumps(sort_keys=True)``.
+
+``random_signaling_mechanism`` draws random decision tables for the
+signaling property tests; the library has no use for it.
 """
 
 from __future__ import annotations
 
+import json
+import random
 from functools import lru_cache
 from itertools import product
 from math import prod
@@ -38,7 +47,10 @@ from delegatebox.core import (
     Number,
     PolicyIncomplete,
     StateLimitExceeded,
+    to_json,
 )
+from delegatebox.delegation import SignalingMechanism
+from delegatebox.instances import _reachable_policy
 from delegatebox.pandora import (
     INSPECT,
     SELECT_CLOSED,
@@ -467,3 +479,38 @@ def brute_evaluate_signaling(instance: Instance, mech, utilities):
             if not any(costs[j] >= costs[sel] for j in inspected):
                 clean = clean + p * values[sel]
     return total, uninspected, clean
+
+
+def instance_json_reference(instance: Instance) -> str:
+    """The canonical instance JSON through a dict tree and ``json.dumps``."""
+    alts = [
+        {"support": alt.dist.atoms, "cost": alt.inspect_cost}
+        for alt in instance.alternatives
+    ]
+    if instance.cost_model.kind == "monotone":
+        table = {",".join(map(str, sorted(s))): c for s, c in instance.cost_model.table.items()}
+        cm = {"type": "monotone", "table": table}
+    else:
+        cm = {"type": "additive"}
+    obj = {"alternatives": alts, "cost_model": cm, "delegation_cost": instance.delegation_cost}
+    return json.dumps(to_json(obj), sort_keys=True)
+
+
+def random_signaling_mechanism(
+    rng: random.Random, instance: Instance, max_signals: int = 3
+) -> SignalingMechanism:
+    """Random terminating decision tables over 1..max_signals signals."""
+    supports = [alt.dist.values for alt in instance.alternatives]
+
+    def rule(unopened: frozenset, best):
+        actions = [(STOP, None)]
+        if best is not None:
+            actions.append((SELECT_OPENED_BEST, None))
+        actions.extend((SELECT_CLOSED, j) for j in sorted(unopened))
+        actions.extend((INSPECT, j) for j in sorted(unopened))
+        return rng.choice(actions)
+
+    count = rng.randint(1, max_signals)
+    signals = tuple(range(count))
+    policies = {sig: _reachable_policy(supports, rule) for sig in signals}
+    return SignalingMechanism(signals, policies)

@@ -32,7 +32,6 @@ from delegatebox.instances import (
     info_value,
     random_corpus,
     random_instance,
-    random_signaling_mechanism,
     tightness,
 )
 from delegatebox.core import Alternative
@@ -44,7 +43,12 @@ from delegatebox.pandora import (
 )
 
 from conftest import record_criterion
-from oracles import descending_cap_simulation, full_history_optimal, inspection_only_best
+from oracles import (
+    descending_cap_simulation,
+    full_history_optimal,
+    inspection_only_best,
+    random_signaling_mechanism,
+)
 
 
 def check(name, passed):

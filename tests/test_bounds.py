@@ -5,6 +5,7 @@ import pytest
 from delegatebox import (
     Alternative,
     Instance,
+    InvalidParameters,
     RegimeMismatch,
     expected_of_max,
     make_distribution,
@@ -112,6 +113,14 @@ class TestAudit:
             audit(free, costly_mechanism(free), COSTLY, alpha=F(1, 4))
         with pytest.raises(RegimeMismatch):
             audit(free, costly_mechanism(free), COSTLY)
+
+    def test_alpha_outside_the_costly_regime_is_rejected(self):
+        free = tightness(F(1, 10))
+        equal = Instance((box([(1, 1)], 1), box([(2, 1)], 1)))
+        with pytest.raises(InvalidParameters, match="costless regime"):
+            audit(free, maximal_mechanism_costless(free), COSTLESS, alpha=F(1, 4))
+        with pytest.raises(InvalidParameters, match="identical regime"):
+            audit(equal, identical_cost_mechanism(equal), IDENTICAL, alpha=F(0))
 
     def test_ratio_sweep_rises_toward_three(self):
         ratios = []

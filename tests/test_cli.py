@@ -199,6 +199,9 @@ BAD_INPUTS = {
     "bad_alpha_float": (
         ["audit", *RANDOM, "--regime", "costless", "--float", "--alpha", "abc"], None, {}
     ),
+    "alpha_outside_costly": (
+        ["audit", "--family", "spmi_fail", "--regime", "costless", "--alpha", "1/4"], None, {}
+    ),
     "bad_env_seed_repro": (["repro"], None, {"SEED": "x"}),
     "bad_env_seed_family": (
         ["eval", "--family", "random", "--mechanism", "pnoi"], None, {"SEED": "x"}

@@ -30,13 +30,15 @@ from delegatebox.core import (
     expected_max_of_dists,
     format_number,
 )
-from delegatebox.instances import random_corpus
+from delegatebox import instances
+from delegatebox.instances import identical_binary, random_corpus
 from delegatebox.pandora import capped_value_distribution, instance_caps
 
 from oracles import (
     brute_expected_of_max,
     cdf_product_expected_max,
     dict_merged_atoms,
+    instance_json_reference,
     surplus_dists,
 )
 
@@ -318,6 +320,59 @@ def test_monotone_cost_model_round_trip_and_lookup():
     assert inst.inspection_cost({0, 1}) == F(3, 2)
     back = instance_from_json(instance_to_json(inst))
     assert back.inspection_cost({0, 1}) == F(3, 2)
+
+
+def _json_writer_cases():
+    """Instances whose canonical JSON the direct writer must get byte for byte."""
+    for seed in range(5):
+        for inst in random_corpus(seed, 40, cdel_max=1):
+            yield inst
+            yield inst.to_float()
+    for family in instances.FAMILIES:
+        yield instances.gen(family, {"seed": 0} if family == "random" else {})[0]
+    for n in range(3, 35):
+        # p = 1/n: float probabilities with non-dyadic reprs.
+        yield identical_binary(n, F(1, n), 1, F(2, n)).to_float()
+    # Eleven boxes, so the table keys sort as strings ("0,1,10" < "0,1,2").
+    n = 11
+    table = {
+        frozenset(s): F(len(s) ** 2, 3) + (F(1, 7) if 10 in s else 0)
+        for k in range(n + 1)
+        for s in combinations(range(n), k)
+    }
+    monotone = Instance(
+        tuple(box([(k, F(1, 3)), (k + 1, F(2, 3))]) for k in range(n)),
+        CostModel.monotone(table),
+        delegation_cost=F(1, 3),
+    )
+    yield monotone
+    yield monotone.to_float()
+    extremes = Instance(
+        (
+            Alternative(make_distribution([(5e-324, 0.5), (1e16, 0.5)], "float"), 1e-05),
+            Alternative(make_distribution([(0.1, 1.0)], "float"), 0.1),
+        ),
+        delegation_cost=1e-05,
+    )
+    yield extremes
+    yield Instance(
+        tuple(
+            Alternative(make_distribution(alt.dist.atoms), alt.inspect_cost)
+            for alt in extremes.alternatives
+        ),
+        delegation_cost=1e-05,
+    )
+
+
+def test_instance_json_writer_matches_the_dict_tree_reference():
+    count = 0
+    for inst in _json_writer_cases():
+        text = instance_to_json(inst)
+        assert text == instance_json_reference(inst)
+        back = instance_from_json(text, inst.mode)
+        assert instance_digest(back) == instance_digest(inst)
+        count += 1
+    assert count == 2 * 5 * 40 + len(instances.FAMILIES) + 32 + 2 + 2
 
 
 def test_float_inspection_cost_does_not_depend_on_set_order():

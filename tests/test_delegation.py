@@ -40,7 +40,6 @@ from delegatebox.instances import (
     identical_binary,
     info_value,
     random_corpus,
-    random_signaling_mechanism,
     spmi_fail,
     tightness,
 )
@@ -62,6 +61,7 @@ from oracles import (
     brute_evaluate_spmi,
     enumerate_realizations,
     fixed_order_spmi,
+    random_signaling_mechanism,
     survival_worst_case_spmi,
     walk_table_policy,
 )
