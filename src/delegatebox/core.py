@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import groupby
-from math import isfinite, lcm, prod
+from math import isfinite, lcm, log10, prod
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Literal, Mapping, Optional, Sequence, Union
@@ -26,6 +26,9 @@ FLOAT_TOL = 1e-9
 FLOAT_PROB_TOL = 1e-12
 DEFAULT_ENUMERATION_LIMIT = 10**7
 DEFAULT_STATE_LIMIT = 10**6
+# Fraction("1eK") builds 10**K before anything can reject it, so decimal
+# exponents are bounded first, at Python's default cap on int-string digits.
+MAX_EXPONENT = 4300
 
 SCHEMA_VERSION = "delegatebox/1"
 
@@ -107,7 +110,12 @@ def _exact_number(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        _, e, exponent = value.lower().partition("e")
         try:
+            if e and abs(int(exponent)) > MAX_EXPONENT:
+                raise InvalidParameters(
+                    f"exponent beyond +-{MAX_EXPONENT} in number: {value!r}"
+                )
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidParameters(f"cannot parse number: {value!r}") from exc
@@ -122,30 +130,39 @@ def format_number(x: Number) -> str:
     """Render a number as a string that round-trips exactly.
 
     Exact values print as decimal strings when the denominator allows it
-    ("0.75") and as "p/q" otherwise; floats print via repr.
+    ("0.75") and as "p/q" otherwise; floats print via repr. An exact value
+    with more digits than Python converts (4300 by default) raises
+    InvalidParameters.
     """
-    if isinstance(x, int) and not isinstance(x, bool):
-        return str(x)
-    if isinstance(x, Fraction):
-        num, den = x.numerator, x.denominator
-        if den == 1:
-            return str(num)
-        twos = fives = 0
-        d = den
-        while d % 2 == 0:
-            d //= 2
-            twos += 1
-        while d % 5 == 0:
-            d //= 5
-            fives += 1
-        if d == 1:
-            k = max(twos, fives)
-            scaled = num * 10**k // den
-            sign = "-" if scaled < 0 else ""
-            digits = str(abs(scaled)).rjust(k + 1, "0")
-            return f"{sign}{digits[:-k]}.{digits[-k:]}"
-        return f"{num}/{den}"
-    return repr(float(x))
+    try:
+        if isinstance(x, int) and not isinstance(x, bool):
+            return str(x)
+        if isinstance(x, Fraction):
+            num, den = x.numerator, x.denominator
+            if den == 1:
+                return str(num)
+            twos = fives = 0
+            d = den
+            while d % 2 == 0:
+                d //= 2
+                twos += 1
+            while d % 5 == 0:
+                d //= 5
+                fives += 1
+            if d == 1:
+                k = max(twos, fives)
+                scaled = num * 10**k // den
+                sign = "-" if scaled < 0 else ""
+                digits = str(abs(scaled)).rjust(k + 1, "0")
+                return f"{sign}{digits[:-k]}.{digits[-k:]}"
+            return f"{num}/{den}"
+        return repr(float(x))
+    except ValueError:  # str() of an int past the interpreter's digit limit
+        bits = max(abs(x.numerator).bit_length(), x.denominator.bit_length())
+        raise InvalidParameters(
+            f"exact number has about {int(bits * log10(2)) + 1} digits, too many "
+            "to print; use float mode (--float)"
+        ) from None
 
 
 def to_json(x):
@@ -562,7 +579,9 @@ def instance_from_obj(obj: dict, mode: Mode = "exact") -> Instance:
 def instance_from_json(text: str, mode: Mode = "exact") -> Instance:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad syntax (JSONDecodeError) or an int literal beyond
+        # the digit limit; RecursionError: nesting deeper than the stack.
         raise InvalidParameters(f"instance is not valid JSON: {exc}") from exc
     return instance_from_obj(obj, mode)
 

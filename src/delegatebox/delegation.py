@@ -337,9 +337,7 @@ def _signaling_sweep(
         raise InvalidParameters("best response needs deterministic agent utilities")
     _check_agent_size(instance, agent)
     policies = [mech.policies[sig] for sig in mech.signals]
-    return _policy_sweep(
-        instance, policies, agent.utilities, instance.delegation_cost, limit
-    )
+    return _policy_sweep(instance, policies, agent.utilities, limit)
 
 
 def evaluate_signaling(

@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import lcm, prod
 from typing import Optional, Sequence
@@ -157,19 +158,36 @@ class PnoiPolicy:
             ) from None
 
 
-def evaluate_policy(
-    instance: Instance, policy: PnoiPolicy, limit: Optional[int] = None
-) -> Number:
+def evaluate_policy(instance: Instance, policy: PnoiPolicy) -> Number:
     """Exact expected payoff of running a policy directly (no delegation).
 
-    The one-policy case of the sweep behind ``delegation.evaluate_signaling``:
-    every point of the product support is enumerated on scaled integers and
-    the policy runs through a decision table compiled per call. Raises
-    EnumerationLimitExceeded before any policy runs if the product support is
-    larger than ``limit`` (default 10^7).
+    Backward induction, memoized and depth first with atoms in value order,
+    over the states (unopened mask, best value index) that the table reaches
+    from the root; nothing enumerates the product support. A run ending with
+    opened set O pays ``instance.inspection_cost(O)``, so monotone cost
+    tables work. Returns a Fraction in exact mode and a float in float mode.
+    PolicyIncomplete is raised at the first reached state that the table
+    leaves undefined or breaks.
     """
-    no_agent = (0,) * instance.n
-    return _policy_sweep(instance, (policy,), no_agent, instance.zero(), limit)[0]
+    n, full = instance.n, (1 << instance.n) - 1
+    bests = [None, *sorted({v for alt in instance.alternatives for v in alt.dist.values})]
+    index = {v: k for k, v in enumerate(bests)}
+    atoms = [[(index[v], p) for v, p in alt.dist.atoms] for alt in instance.alternatives]
+    means = instance.expected_values()
+
+    @cache
+    def value(mask: int, best: int) -> Number:
+        step = _step(policy, n, bests, mask, best)
+        if step >= 0:
+            rest = mask ^ (1 << step)
+            return sum(p * value(rest, max(best, k)) for k, p in atoms[step])
+        if step == _STOP:
+            gain = instance.zero()
+        else:
+            gain = bests[best] if step == _TAKE_BEST else means[_CLOSED - step]
+        return gain - instance.inspection_cost(_box_set(full ^ mask))
+
+    return value(full, 0)
 
 
 def _integral(x):
@@ -215,22 +233,44 @@ _TAKE_BEST = -2
 _CLOSED = -3
 
 
+def _step(policy: PnoiPolicy, n: int, bests: Sequence, mask: int, best: int) -> int:
+    """The step code of ``policy`` at a state, or the table's PolicyIncomplete."""
+    unopened = _box_set(mask)
+    kind, index = policy.action(unopened, bests[best])
+    if kind == STOP:
+        return _STOP
+    if kind == SELECT_OPENED_BEST:
+        if not best:
+            raise PolicyIncomplete("select_opened_best before any inspection")
+        return _TAKE_BEST
+    if kind == SELECT_CLOSED:
+        if index not in unopened:
+            what = "opened" if index in range(n) else "unknown"
+            raise PolicyIncomplete(f"select_closed on {what} box {index}")
+        return _CLOSED - index
+    if kind == INSPECT:
+        if index not in unopened:
+            what = "opened" if index in range(n) else "unknown"
+            raise PolicyIncomplete(f"inspect on {what} box {index}")
+        return index
+    raise PolicyIncomplete(f"unknown action kind {kind!r}")
+
+
 def _policy_sweep(
     instance: Instance,
     policies: Sequence[PnoiPolicy],
     utilities: Sequence,
-    delegation_cost: Number,
     limit: Optional[int],
 ) -> tuple[Number, Number, Number]:
     """(principal utility, uninspected mass, clean mass) of best responses.
 
-    One pass over the product support: at each point every policy runs, and
-    the outcome maximizing (utilities[selected], principal utility,
-    -position) counts. Exact mode runs on the ints of ``_scaled_boxes``; D > 0
-    keeps the order of principal utilities. Each policy is compiled lazily
-    into a dict keyed mask * width + best index, filled through
-    ``policy.action`` on a miss, so PolicyIncomplete is raised at the first
-    state a run reaches that the table leaves undefined or breaks.
+    The signaling sweep: at each point of the product support every signal's
+    policy runs, and the outcome maximizing (utilities[selected], principal
+    utility net of the delegation cost, -position) counts. Exact mode runs on
+    the ints of ``_scaled_boxes``; D > 0 keeps the order of utilities. Each
+    policy is compiled lazily into a dict keyed mask * width + best index,
+    filled through ``_step`` on a miss, so PolicyIncomplete is raised at the
+    first state a run reaches that the table leaves undefined or breaks.
     """
     cap = DEFAULT_ENUMERATION_LIMIT if limit is None else limit
     size = instance.support_product_size()
@@ -244,34 +284,13 @@ def _policy_sweep(
     else:
         charges = [alt.inspect_cost for alt in instance.alternatives]
     values, unit, box_units, scaled_values, atoms = _scaled_boxes(
-        instance, (*charges, delegation_cost)
+        instance, (*charges, instance.delegation_cost)
     )
-    cdel = _integral(delegation_cost * unit)
+    cdel = _integral(instance.delegation_cost * unit)
     singleton = instance.singleton_costs()
     width = len(values) + 1
     full = (1 << n) - 1
     bests = [None, *values]
-
-    def compile_step(policy, mask: int, best: int) -> int:
-        unopened = _box_set(mask)
-        kind, index = policy.action(unopened, bests[best])
-        if kind == STOP:
-            return _STOP
-        if kind == SELECT_OPENED_BEST:
-            if not best:
-                raise PolicyIncomplete("select_opened_best before any inspection")
-            return _TAKE_BEST
-        if kind == SELECT_CLOSED:
-            if index not in unopened:
-                what = "opened" if index in range(n) else "unknown"
-                raise PolicyIncomplete(f"select_closed on {what} box {index}")
-            return _CLOSED - index
-        if kind == INSPECT:
-            if index not in unopened:
-                what = "opened" if index in range(n) else "unknown"
-                raise PolicyIncomplete(f"inspect on {what} box {index}")
-            return index
-        raise PolicyIncomplete(f"unknown action kind {kind!r}")
 
     tables = [(policy, {}) for policy in policies]
     costs: dict = {}  # opened mask -> D * inspection cost
@@ -286,7 +305,7 @@ def _policy_sweep(
                 key = mask * width + best
                 step = table.get(key)
                 if step is None:
-                    step = table[key] = compile_step(policy, mask, best)
+                    step = table[key] = _step(policy, n, bests, mask, best)
                 if step < 0:
                     break
                 mask ^= 1 << step

@@ -21,27 +21,32 @@ per count; it sweeps the number of boxes opened and shares nothing with the
 DP.
 
 ``walk_table_policy`` is the reference executor of ``PnoiPolicy`` decision
-tables, one realization at a time; the library runs tables only through the
-compiled sweep behind ``evaluate_policy`` and ``evaluate_signaling``.
+tables, one realization at a time. The library runs tables through the
+compiled signaling sweep behind ``evaluate_signaling`` and through the
+backward induction over reachable states of ``evaluate_policy``;
+``brute_policy_value`` sums the reference runs over the product support.
 
 ``instance_json_reference`` is the canonical instance JSON built the way
 ``core.instance_to_json`` built it before it wrote the string directly: a
 dict tree through ``to_json``, encoded by ``json.dumps(sort_keys=True)``.
 
 ``random_signaling_mechanism`` draws random decision tables for the
-signaling property tests; the library has no use for it.
+signaling property tests, and ``with_monotone_costs`` puts an instance under
+a random monotone cost table; the library has no use for either.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import prod
 
 from delegatebox.core import (
     DEFAULT_STATE_LIMIT,
+    CostModel,
     Instance,
     InvalidParameters,
     Number,
@@ -437,6 +442,16 @@ def walk_table_policy(policy: PnoiPolicy, realization):
             best_index = index
 
 
+def brute_policy_value(instance: Instance, policy: PnoiPolicy) -> Number:
+    """Expected payoff of running ``policy`` directly, by enumeration."""
+    total = instance.zero()
+    for values, p in enumerate_realizations(instance):
+        sel, inspected = walk_table_policy(policy, values)
+        gain = values[sel] if sel is not None else instance.zero()
+        total = total + p * (gain - instance.inspection_cost(inspected))
+    return total
+
+
 def _best_signal(instance: Instance, mech, values, utilities):
     """(signal, selected, inspected, principal utility) of the agent's best response."""
     zero = instance.zero()
@@ -514,3 +529,15 @@ def random_signaling_mechanism(
     signals = tuple(range(count))
     policies = {sig: _reachable_policy(supports, rule) for sig in signals}
     return SignalingMechanism(signals, policies)
+
+
+def with_monotone_costs(rng: random.Random, inst: Instance) -> Instance:
+    """``inst`` under a monotone table: box j costs k/4 alone, and each box
+    beyond the first adds its own cost plus 1/7."""
+    own = [Fraction(rng.randint(0, 8), 4) for _ in range(inst.n)]
+    table = {}
+    for mask in range(1 << inst.n):
+        subset = frozenset(j for j in range(inst.n) if mask >> j & 1)
+        extra = Fraction(max(len(subset) - 1, 0), 7)
+        table[subset] = sum((own[j] for j in subset), start=extra)
+    return Instance(inst.alternatives, CostModel.monotone(table), inst.delegation_cost)

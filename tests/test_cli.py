@@ -262,6 +262,25 @@ BAD_INPUTS = {
         None,
         {},
     ),
+    "deeply_nested_instance": (
+        ["eval", "--mechanism", "pnoi"], b"[" * 100000 + b"]" * 100000, {}
+    ),
+    "int_literal_beyond_digit_limit": (
+        ["eval", "--mechanism", "pnoi"],
+        b'{"alternatives": [{"support": [[1, 1]], "cost": ' + b"1" * 5000 + b"}]}",
+        {},
+    ),
+    "huge_exponent_cost_exact": (
+        ["eval", "--mechanism", "pnoi"],
+        instance_bytes({"alternatives": [{"support": [[1, 1]], "cost": "1e5000000"}]}),
+        {},
+    ),
+    "exact_answer_beyond_digit_limit": (
+        ["eval", "--family", "identical_binary", "--n", "6000", "--p", "1/7", "--c", "0",
+         "--mechanism", "spmi", "--format", "json"],
+        None,
+        {},
+    ),
 }
 
 

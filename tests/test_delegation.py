@@ -13,7 +13,6 @@ from delegatebox import (
     Instance,
     InvalidParameters,
     NotCostless,
-    PolicyIncomplete,
     expected_of_max,
     make_distribution,
     upper_bound_costless,
@@ -64,6 +63,7 @@ from oracles import (
     random_signaling_mechanism,
     survival_worst_case_spmi,
     walk_table_policy,
+    with_monotone_costs,
 )
 
 half_coin = [(0, "0.5"), (1, "0.5")]
@@ -458,30 +458,13 @@ class TestEvaluateSignaling:
         with pytest.raises(EnumerationLimitExceeded):
             mech = SignalingMechanism((0,), {0: empty})
             evaluate_signaling(inst, mech, agent, limit=15)
-        with pytest.raises(EnumerationLimitExceeded):
-            evaluate_policy(inst, empty, limit=15)
-        with pytest.raises(PolicyIncomplete):
-            evaluate_policy(inst, empty, limit=16)
         take_0 = PnoiPolicy({(frozenset(range(4)), None): (SELECT_CLOSED, 0)})
         mech = SignalingMechanism((0,), {0: take_0})
         assert evaluate_signaling(inst, mech, agent, limit=16) == F(1, 2)
-        assert evaluate_policy(inst, take_0, limit=16) == F(1, 2)
 
     def test_empty_signal_set_is_rejected(self):
         with pytest.raises(InvalidParameters):
             SignalingMechanism((), {})
-
-
-def with_monotone_costs(rng, inst):
-    """``inst`` under a monotone table: box j costs k/4 alone, and each box
-    beyond the first adds its own cost plus 1/7."""
-    own = [F(rng.randint(0, 8), 4) for _ in range(inst.n)]
-    table = {}
-    for mask in range(1 << inst.n):
-        subset = frozenset(j for j in range(inst.n) if mask >> j & 1)
-        extra = F(max(len(subset) - 1, 0), 7)
-        table[subset] = sum((own[j] for j in subset), start=extra)
-    return Instance(inst.alternatives, CostModel.monotone(table), inst.delegation_cost)
 
 
 class TestAgentSize:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -12,7 +13,7 @@ from delegatebox import (
     StateLimitExceeded,
     make_distribution,
 )
-from delegatebox.core import DEFAULT_ENUMERATION_LIMIT, expected_max_of_dists
+from delegatebox.core import DEFAULT_ENUMERATION_LIMIT, FLOAT_TOL, expected_max_of_dists
 from delegatebox.instances import (
     identical_binary,
     inapprox_first_best,
@@ -40,11 +41,14 @@ from delegatebox.pandora import (
 )
 
 from oracles import (
+    brute_policy_value,
     descending_cap_simulation,
     exhaustive_policy_optimum,
     full_history_optimal,
     pnoi_reference,
+    random_signaling_mechanism,
     walk_table_policy,
+    with_monotone_costs,
 )
 
 
@@ -206,9 +210,32 @@ class TestOptimalSearch:
     def test_policy_replay_reproduces_the_value(self):
         cases = list(random_corpus(seed=42, count=25, max_n=3))
         cases += [identical_binary(20, F(1, 20), 1, F(1, 10)), inapprox_first_best(10)]
+        cases.append(identical_binary(24, F(1, 24), 1, F(1, 12)))  # 2^24 points
         for inst in cases:
             value, policy = pnoi_optimal(inst)
             assert evaluate_policy(inst, policy) == value
+
+    def test_policy_replay_matches_the_reference_runs(self):
+        # Random tables and DP tables, under additive and monotone costs,
+        # against walk_table_policy summed over every point of the support.
+        rng = random.Random(12)
+        corpus = [inst for seed in range(5) for inst in random_corpus(seed, 20, max_n=5)]
+        for k, inst in enumerate(corpus):
+            if k % 2:
+                inst = with_monotone_costs(rng, inst)
+            mech_seed = rng.random()
+            for case in (inst, inst.to_float()):
+                mech = random_signaling_mechanism(random.Random(mech_seed), case)
+                policies = list(mech.policies.values())
+                if case.cost_model.kind == "additive":
+                    policies.append(pnoi_optimal(case)[1])
+                for policy in policies:
+                    got, want = evaluate_policy(case, policy), brute_policy_value(case, policy)
+                    assert type(got) is type(want)
+                    if case.mode == "exact":
+                        assert got == want
+                    else:
+                        assert abs(got - want) <= FLOAT_TOL
 
     def test_stop_preferred_on_worthless_ties(self):
         inst = Instance((box([(0, 1)]),))
