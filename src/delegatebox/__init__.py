@@ -2,7 +2,6 @@
 
 from .core import (
     Alternative,
-    CapMismatch,
     CostModel,
     CostsNotIdentical,
     DelegateboxError,
@@ -26,9 +25,7 @@ from .core import (
     make_distribution,
 )
 from .pandora import (
-    Cap,
     PnoiPolicy,
-    capped_value_distribution,
     evaluate_policy,
     pnoi_optimal,
     pnoi_value_upper_bound,

@@ -57,10 +57,6 @@ class StateLimitExceeded(DelegateboxError):
     pass
 
 
-class CapMismatch(DelegateboxError):
-    pass
-
-
 class PolicyIncomplete(DelegateboxError):
     pass
 
@@ -422,6 +418,31 @@ class Instance:
         return Instance(alts, cm, cdel)
 
 
+def _scaled_atoms(dists: Sequence[DiscreteDistribution], charges: Sequence[Number] = ()) -> tuple:
+    """The integer form of independent boxes that the sweeps over them run on.
+
+    Returns (D, box_units, atoms, scaled_charges): D, a common denominator of
+    every value and of ``charges``; q_j, the lcm of box j's probability
+    denominators; every atom as the triple (D * v, j, q_j * p), box by box
+    in atom order; and D times each charge. Float mode uses unit scales: the
+    triples are (v, j, p) and the charges pass through.
+    """
+    if type(dists[0].atoms[0][0]) is not Fraction:
+        atoms = [(v, j, p) for j, d in enumerate(dists) for v, p in d.atoms]
+        return 1, [1] * len(dists), atoms, list(charges)
+    unit = lcm(
+        *(v.denominator for d in dists for v, _ in d.atoms),
+        *(c.denominator for c in charges),
+    )
+    box_units = [lcm(*(p.denominator for _, p in d.atoms)) for d in dists]
+    atoms = [
+        (v.numerator * (unit // v.denominator), j, p.numerator * (q // p.denominator))
+        for j, (d, q) in enumerate(zip(dists, box_units))
+        for v, p in d.atoms
+    ]
+    return unit, box_units, atoms, [c.numerator * (unit // c.denominator) for c in charges]
+
+
 def expected_max_of_dists(
     dists: Sequence[DiscreteDistribution], costs: Optional[Sequence[Number]] = None
 ) -> Number:
@@ -432,9 +453,10 @@ def expected_max_of_dists(
     is taken once per distinct value t, so E[max] = sum_t t * (F(t) - F(t-)).
     For A atoms in all, U distinct values and n boxes that costs
     O(A log A + U n), never the product space. In exact mode the sweep runs
-    on Python ints: values go over one common denominator D, box j's
-    probabilities become integer weights over its denominator q_j, and one
-    Fraction(total, D * prod q_j) is built at the end. Float mode runs the
+    on the Python ints of ``_scaled_atoms``: values go over one common
+    denominator D, box j's probabilities become integer weights over its
+    denominator q_j, and one Fraction(total, D * prod q_j) is built at the
+    end. Float mode runs the
     same code with unit scales, adding each CDF in atom order. A box whose
     atoms carry total mass below 1 works too: the sum is then the integral
     of the max over the product of those measures, which the SPMI sweeps use.
@@ -449,25 +471,12 @@ def expected_max_of_dists(
         raise EmptySupport("need at least one distribution")
     if costs is not None and len(costs) != len(dists):
         raise InvalidParameters(f"{len(costs)} costs for {len(dists)} distributions")
-    exact = dists[0].mode == "exact"
-    if exact:
-        unit = lcm(
-            *(v.denominator for d in dists for v, _ in d.atoms),
-            *(c.denominator for c in costs or ()),
-        )
-        box_units = [lcm(*(p.denominator for _, p in d.atoms)) for d in dists]
-        merged = [
-            (v.numerator * (unit // v.denominator), j, p.numerator * (q // p.denominator))
-            for j, (d, q) in enumerate(zip(dists, box_units))
-            for v, p in d.atoms
-        ]
-    else:
-        merged = [(v, j, p) for j, d in enumerate(dists) for v, p in d.atoms]
+    # An exact type test, as in DiscreteDistribution.mean.
+    exact = type(dists[0].atoms[0][0]) is Fraction
+    unit, box_units, merged, charges = _scaled_atoms(dists, costs or ())
     if costs is not None:
-        if exact:
-            costs = [c.numerator * (unit // c.denominator) for c in costs]
         clipped = 0 if exact else 0.0
-        merged = [(v - costs[j] if v > costs[j] else clipped, j, w) for v, j, w in merged]
+        merged = [(v - charges[j] if v > charges[j] else clipped, j, w) for v, j, w in merged]
     merged.sort(key=itemgetter(0))
     cdf = [0] * len(dists)
     total = 0

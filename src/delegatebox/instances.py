@@ -18,7 +18,7 @@ from .core import (
     make_distribution,
 )
 from .delegation import SignalingMechanism
-from .pandora import INSPECT, PnoiPolicy, SELECT_CLOSED, STOP
+from .pandora import INSPECT, PnoiPolicy, SELECT_CLOSED, STOP, _too_deep
 
 
 def _frac(x) -> Fraction:
@@ -82,7 +82,8 @@ def _reachable_policy(supports, rule) -> PnoiPolicy:
 
     ``rule(unopened, best)`` gives each new state its action; the states an
     inspection of box j leads to are then filled depth first, in the order
-    of ``supports[j]``.
+    of ``supports[j]``, one frame per opened box: a table deeper than the
+    interpreter's recursion limit raises StateLimitExceeded.
     """
     table: dict = {}
 
@@ -95,7 +96,10 @@ def _reachable_policy(supports, rule) -> PnoiPolicy:
             for v in supports[j]:
                 fill(rest, v if best is None or v > best else best)
 
-    fill(frozenset(range(len(supports))), None)
+    try:
+        fill(frozenset(range(len(supports))), None)
+    except RecursionError:
+        raise _too_deep(len(supports)) from None
     return PnoiPolicy(table)
 
 

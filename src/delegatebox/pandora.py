@@ -7,29 +7,27 @@ inspection is optional (select-a-closed-box allowed).
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import lcm, prod
+from math import prod
 from typing import Optional, Sequence
 
 from .core import (
     DEFAULT_ENUMERATION_LIMIT,
     DEFAULT_STATE_LIMIT,
-    FLOAT_TOL,
     Alternative,
-    CapMismatch,
-    DiscreteDistribution,
     EnumerationLimitExceeded,
     Instance,
     InvalidParameters,
     Number,
     PolicyIncomplete,
     StateLimitExceeded,
+    _scaled_atoms,
     expected_max_of_dists,
-    format_number,
     to_json,
 )
 
@@ -42,38 +40,24 @@ STOP = "stop"
 Action = tuple  # (kind, index or None)
 
 
-@dataclass(frozen=True)
-class Cap:
-    """Reservation value: the cap solving E[(X - cap)+] = inspection cost.
+def reservation_cap(alt: Alternative) -> Number:
+    """The cap solving E[(X - cap)+] = c exactly, by piecewise-linear inversion.
 
-    When the cost exceeds E[X] no nonnegative cap exists; the cap is clamped
-    to 0 and flagged, since such a box is never worth opening but may still be
-    selected closed. A zero cost saturates the cap at the top of the support.
+    A Fraction in exact mode and a float in float mode. A zero cost saturates
+    the cap at the top of the support. When the cost exceeds E[X] no
+    nonnegative cap exists and the cap is clamped to 0: such a box is never
+    worth opening, but may still be selected closed.
     """
-
-    sigma: Number
-    never_worthwhile: bool = False
-
-
-def expected_shortfall(dist: DiscreteDistribution, threshold: Number) -> Number:
-    """E[(X - t)+], the decreasing piecewise-linear function inverted by caps."""
-    return sum((v - threshold) * p for v, p in dist.atoms if v > threshold)
-
-
-def reservation_cap(alt: Alternative) -> Cap:
-    """Solve E[(X - cap)+] = c exactly by piecewise-linear inversion."""
     dist, cost = alt.dist, alt.inspect_cost
     mode_zero = Fraction(0) if dist.mode == "exact" else 0.0
     if cost == 0:
-        return Cap(dist.max_value())
-    mean = dist.mean()
-    if cost > mean:
-        return Cap(mode_zero, never_worthwhile=True)
+        return dist.max_value()
+    if cost > dist.mean():
+        return mode_zero
     # Walk segments from the top of the support down; on the segment below
     # value v_k the shortfall is tail_sum - tail_prob * s.
     atoms = dist.atoms
-    tail_prob = mode_zero
-    tail_sum = mode_zero
+    tail_prob = tail_sum = mode_zero
     for k in range(len(atoms) - 1, -1, -1):
         v_k, p_k = atoms[k]
         tail_prob = tail_prob + p_k
@@ -81,40 +65,16 @@ def reservation_cap(alt: Alternative) -> Cap:
         lower = atoms[k - 1][0] if k > 0 else mode_zero
         candidate = (tail_sum - cost) / tail_prob
         if candidate >= lower:
-            return Cap(candidate)
-    return Cap(mode_zero)  # cost == mean lands here in float mode
+            return candidate
+    return mode_zero  # cost == mean lands here in float mode
 
 
-def _cap_residual(alt: Alternative, cap: Cap) -> Number:
-    return expected_shortfall(alt.dist, cap.sigma) - alt.inspect_cost
-
-
-def _check_cap(alt: Alternative, cap: Cap) -> None:
-    if cap.never_worthwhile:
-        if alt.inspect_cost <= alt.dist.mean():
-            raise CapMismatch("cap flagged never-worthwhile but cost <= E[X]")
-        return
-    residual = _cap_residual(alt, cap)
-    tol = 0 if alt.dist.mode == "exact" else FLOAT_TOL
-    # A zero-cost cap sits anywhere at or above the top of the support.
-    if alt.inspect_cost == 0 and cap.sigma >= alt.dist.max_value():
-        return
-    if abs(residual) > tol:
-        raise CapMismatch(
-            f"cap {format_number(cap.sigma)} does not solve the cap equation "
-            f"(residual {residual})"
-        )
-
-
-def capped_value_distribution(alt: Alternative, cap: Cap) -> DiscreteDistribution:
-    """Distribution of min(X, cap) for a cap belonging to this alternative."""
-    _check_cap(alt, cap)
-    sigma = cap.sigma
-    return alt.dist.transform(lambda v: min(v, sigma))
-
-
-def instance_caps(instance: Instance) -> list[Cap]:
-    return [reservation_cap(alt) for alt in instance.alternatives]
+def _too_deep(n: int) -> StateLimitExceeded:
+    """The error of a walk that recurses once per box and outgrows the stack."""
+    return StateLimitExceeded(
+        f"{n} boxes need a recursion deeper than the interpreter's limit "
+        f"{sys.getrecursionlimit()}"
+    )
 
 
 def _require_additive(instance: Instance, what: str) -> None:
@@ -128,16 +88,16 @@ def weitzman_value(instance: Instance) -> Number:
     The policy opens boxes in decreasing cap order until the best value in
     hand reaches the next cap. Its value equals E[max_i min(X_i, cap_i)]
     (Kleinberg, Waggoner & Weyl, "Descending price optimally coordinates
-    search", EC 2016), computed here from the capped-value distributions in
-    time linear in the total support size; nothing is enumerated.
+    search", EC 2016): each box's distribution is capped at its
+    ``reservation_cap`` and ``expected_max_of_dists`` sweeps them, in time
+    linear in the total support size; nothing is enumerated.
     """
     _require_additive(instance, "weitzman_value")
-    return expected_max_of_dists(
-        [
-            capped_value_distribution(alt, cap)
-            for alt, cap in zip(instance.alternatives, instance_caps(instance))
-        ]
-    )
+    capped = []
+    for alt in instance.alternatives:
+        cap = reservation_cap(alt)
+        capped.append(alt.dist.transform(lambda v: min(v, cap)))
+    return expected_max_of_dists(capped)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,7 +127,9 @@ def evaluate_policy(instance: Instance, policy: PnoiPolicy) -> Number:
     opened set O pays ``instance.inspection_cost(O)``, so monotone cost
     tables work. Returns a Fraction in exact mode and a float in float mode.
     PolicyIncomplete is raised at the first reached state that the table
-    leaves undefined or breaks.
+    leaves undefined or breaks; the walk recurses once per opened box, and
+    a run too deep for the interpreter's recursion limit raises
+    StateLimitExceeded.
     """
     n, full = instance.n, (1 << instance.n) - 1
     bests = [None, *sorted({v for alt in instance.alternatives for v in alt.dist.values})]
@@ -187,38 +149,34 @@ def evaluate_policy(instance: Instance, policy: PnoiPolicy) -> Number:
             gain = bests[best] if step == _TAKE_BEST else means[_CLOSED - step]
         return gain - instance.inspection_cost(_box_set(full ^ mask))
 
-    return value(full, 0)
-
-
-def _integral(x):
-    """A scaled exact number as an int; floats pass through unchanged."""
-    return x.numerator if isinstance(x, Fraction) else x
+    try:
+        return value(full, 0)
+    except RecursionError:
+        raise _too_deep(n) from None
 
 
 def _scaled_boxes(instance: Instance, charges) -> tuple:
-    """Values, costs and probabilities as ints, for the DP and the policy sweep.
+    """The ints of ``core._scaled_atoms``, grouped per box for the DP and the sweep.
 
-    Returns (values, D, box_units, scaled_values, atoms): the sorted distinct
-    values; a common denominator D of the values and of ``charges``, which
-    must hold every cost the caller scales (``_integral`` truncates any other
-    fraction); each box's probability denominator q_j; 0 and then D times
-    each value; and box j's atoms as (index into scaled_values, q_j * p).
-    Float mode uses unit scales.
+    Returns (bests, D, box_units, scaled_values, atoms, scaled_charges):
+    scaled_values is 0 and then the distinct scaled values s = D * v in
+    increasing order; bests is None and then the same values as numbers,
+    Fraction(s, D) in exact mode; box j's atoms are (index into
+    scaled_values, q_j * p) in atom order; D, each box's probability
+    denominator q_j and D times each of ``charges`` are those of
+    ``_scaled_atoms``. Float mode uses unit scales.
     """
-    dists = [alt.dist for alt in instance.alternatives]
-    values = sorted({v for d in dists for v in d.values})
-    if instance.mode == "exact":
-        unit = lcm(*(x.denominator for x in (*values, *charges)))
-        box_units = [lcm(*(p.denominator for p in d.probs)) for d in dists]
-    else:
-        unit, box_units = 1, [1] * len(dists)
-    index = {v: k + 1 for k, v in enumerate(values)}
-    scaled_values = [0] + [_integral(v * unit) for v in values]
-    atoms = [
-        [(index[v], _integral(p * q)) for v, p in d.atoms]
-        for d, q in zip(dists, box_units)
-    ]
-    return values, unit, box_units, scaled_values, atoms
+    unit, box_units, triples, scaled_charges = _scaled_atoms(
+        [alt.dist for alt in instance.alternatives], charges
+    )
+    distinct = sorted({s for s, _, _ in triples})
+    index = {s: k for k, s in enumerate(distinct, 1)}
+    atoms: list = [[] for _ in box_units]
+    for s, j, w in triples:
+        atoms[j].append((index[s], w))
+    exact = instance.mode == "exact"
+    bests = [None, *(Fraction(s, unit) if exact else s for s in distinct)]
+    return bests, unit, box_units, [0, *distinct], atoms, scaled_charges
 
 
 def _box_set(mask: int) -> frozenset:
@@ -280,20 +238,23 @@ def _policy_sweep(
         )
     n = instance.n
     if instance.cost_model.kind == "monotone":
-        charges = instance.cost_model.table.values()
+        masks, charges = zip(
+            *((sum(1 << j for j in s), c) for s, c in instance.cost_model.table.items())
+        )
     else:
-        charges = [alt.inspect_cost for alt in instance.alternatives]
-    values, unit, box_units, scaled_values, atoms = _scaled_boxes(
+        masks, charges = (), [alt.inspect_cost for alt in instance.alternatives]
+    bests, unit, box_units, scaled_values, atoms, scaled = _scaled_boxes(
         instance, (*charges, instance.delegation_cost)
     )
-    cdel = _integral(instance.delegation_cost * unit)
+    cdel = scaled.pop()
     singleton = instance.singleton_costs()
-    width = len(values) + 1
+    width = len(bests)
     full = (1 << n) - 1
-    bests = [None, *values]
 
     tables = [(policy, {}) for policy in policies]
-    costs: dict = {}  # opened mask -> D * inspection cost
+    # opened mask -> D * inspection cost: the whole table under a monotone
+    # cost model; additive costs are summed in index order on a miss.
+    costs = dict(zip(masks, scaled))
     clean: dict = {}  # (selected, opened mask) -> no opened box costs as much
     total = uninspected = clean_mass = 0
     for combo in product(*atoms):
@@ -318,9 +279,7 @@ def _policy_sweep(
             opened = full ^ mask
             cost = costs.get(opened)
             if cost is None:
-                cost = costs[opened] = _integral(
-                    instance.inspection_cost(_box_set(opened)) * unit
-                )
+                cost = costs[opened] = sum(scaled[j] for j in range(n) if opened >> j & 1)
             gain = 0 if sel is None else scaled_values[point[sel]]
             utility = gain - cost - cdel
             rank = (0 if sel is None else utilities[sel], utility, -pos)
@@ -371,23 +330,22 @@ def pnoi_optimal(
     opened higher-indexed twin: all the states the policy can reach.
 
     The kernel keys a state by (bitmask of unopened boxes, index into the
-    sorted distinct values, 0 for nothing opened) and recurses top down, so
-    it visits only reachable states. In exact mode it runs on Python ints:
-    values and costs are put over one common denominator D, each box's
-    probabilities become integer weights over that box's denominator q_j, and
-    the value of a state with unopened set S is carried scaled by
-    D * prod_{j in S} q_j. Every candidate action at a state has that same
-    scale, so comparisons stay exact, and only the root is turned back into
-    a Fraction. Float mode runs the same code with unit scales. The returned
+    sorted distinct values, 0 for nothing opened) and recurses top down, one
+    frame per opened box, so it visits only reachable states; a search
+    deeper than the interpreter's recursion limit raises StateLimitExceeded.
+    It runs on the ints of ``_scaled_boxes``, and the value of a state with
+    unopened set S is carried scaled by D * prod_{j in S} q_j. Every
+    candidate action at a state has that same scale, so comparisons stay
+    exact, and only the root is turned back into a Fraction. The returned
     table keeps the public (frozenset, value or None) state keys.
     """
     _require_additive(instance, "pnoi_optimal")
     n = instance.n
-    costs = [alt.inspect_cost for alt in instance.alternatives]
-    values, unit, box_units, scaled_values, atoms = _scaled_boxes(instance, costs)
-    scaled_costs = [_integral(c * unit) for c in costs]
+    bests, unit, box_units, scaled_values, atoms, scaled_costs = _scaled_boxes(
+        instance, [alt.inspect_cost for alt in instance.alternatives]
+    )
     kinds = [(tuple(box), q, c) for box, q, c in zip(atoms, box_units, scaled_costs)]
-    states = prod(count + 1 for count in Counter(kinds).values()) * (len(values) + 1)
+    states = prod(count + 1 for count in Counter(kinds).values()) * len(bests)
     if states > state_limit:
         raise StateLimitExceeded(f"{states} states exceed the limit {state_limit}")
 
@@ -413,7 +371,7 @@ def pnoi_optimal(
                     picked = picked * q
                 reach[mask | bit] = (s * q, free & ~up | bit, picked, action)
 
-    width = len(values) + 1
+    width = len(bests)
     boxes = [(j, 1 << j, (INSPECT, j)) for j in range(n)]
     memo: dict = {}
     chosen: dict = {}
@@ -444,11 +402,13 @@ def pnoi_optimal(
         return top
 
     full = (1 << n) - 1
-    root = solve(full, 0)
+    try:
+        root = solve(full, 0)
+    except RecursionError:
+        raise _too_deep(n) from None
     root = Fraction(root, unit * reach[full][0]) if exact else float(root)
 
     unopened_sets: dict = {}
-    bests = [None, *values]
     table = {}
     for key, action in chosen.items():
         mask, best = divmod(key, width)

@@ -4,8 +4,9 @@ Everything here recomputes quantities by direct enumeration of the product
 space (or of whole policy trees), sharing no code path with the library
 implementations it checks. Exceptions: ``pnoi_reference``, the search DP
 in plain recursive form, shares only the policy container and action names
-with the kernel it checks; ``descending_cap_simulation`` takes its caps from
-``pandora.instance_caps``, whose residuals are checked on their own;
+with the kernel it checks; ``descending_cap_simulation`` and ``capped_dist``
+take their caps from ``pandora.reservation_cap``, whose residuals
+``expected_shortfall`` checks on their own;
 ``cdf_product_expected_max`` is the expected-max formula with each CDF
 rescanned per support value, the form the merged sweep replaced;
 ``surplus_dists`` builds the (X_i - c_i)+ distributions that the sweep now
@@ -64,7 +65,7 @@ from delegatebox.pandora import (
     Action,
     PnoiPolicy,
     _require_additive,
-    instance_caps,
+    reservation_cap,
 )
 
 
@@ -208,6 +209,19 @@ def fixed_order_spmi(instance: Instance, threshold, order):
     return total
 
 
+def expected_shortfall(dist, threshold: Number) -> Number:
+    """E[(X - t)+], the decreasing piecewise-linear function that a
+    reservation cap inverts: the residual oracle of ``reservation_cap``."""
+    return sum((v - threshold) * p for v, p in dist.atoms if v > threshold)
+
+
+def capped_dist(alt):
+    """The distribution of min(X, cap) for the box's own reservation cap,
+    one of the distributions that ``weitzman_value`` sweeps."""
+    cap = reservation_cap(alt)
+    return alt.dist.transform(lambda v: min(v, cap))
+
+
 def descending_cap_simulation(instance: Instance):
     """Value of the descending-cap policy, run on every product-support point.
 
@@ -215,8 +229,8 @@ def descending_cap_simulation(instance: Instance):
     value in hand reaches the next cap; stopping with nothing is worth 0.
     ``pandora.weitzman_value`` computes the same number in closed form.
     """
-    caps = instance_caps(instance)
-    order = sorted(range(instance.n), key=lambda i: (-caps[i].sigma, i))
+    caps = [reservation_cap(alt) for alt in instance.alternatives]
+    order = sorted(range(instance.n), key=lambda i: (-caps[i], i))
     costs = [alt.inspect_cost for alt in instance.alternatives]
     z = instance.zero()
     total = z
@@ -224,7 +238,7 @@ def descending_cap_simulation(instance: Instance):
         best = z
         paid = z
         for i in order:
-            if best >= caps[i].sigma:
+            if best >= caps[i]:
                 break
             paid = paid + costs[i]
             if values[i] > best:

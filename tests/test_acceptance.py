@@ -35,16 +35,12 @@ from delegatebox.instances import (
     tightness,
 )
 from delegatebox.core import Alternative
-from delegatebox.pandora import (
-    expected_shortfall,
-    instance_caps,
-    pnoi_optimal,
-    weitzman_value,
-)
+from delegatebox.pandora import pnoi_optimal, reservation_cap, weitzman_value
 
 from conftest import record_criterion
 from oracles import (
     descending_cap_simulation,
+    expected_shortfall,
     full_history_optimal,
     inspection_only_best,
     random_signaling_mechanism,
@@ -111,9 +107,9 @@ def test_criterion_5_descending_cap_consistency():
     ok = True
     for inst in random_corpus(seed=505, count=200, max_n=4, support_size=3):
         ok &= weitzman_value(inst) == descending_cap_simulation(inst)
-        for alt, cap in zip(inst.alternatives, instance_caps(inst)):
-            if not cap.never_worthwhile:
-                ok &= expected_shortfall(alt.dist, cap.sigma) == alt.inspect_cost
+        for alt in inst.alternatives:
+            if alt.inspect_cost <= alt.dist.mean():
+                ok &= expected_shortfall(alt.dist, reservation_cap(alt)) == alt.inspect_cost
     check("5. descending-cap value equals capped-max exactly; cap residuals are zero", ok)
 
 

@@ -281,11 +281,21 @@ BAD_INPUTS = {
         None,
         {},
     ),
+    "search_deeper_than_the_stack": (
+        ["eval", "--family", "identical_binary", "--n", "1000", "--mechanism", "pnoi"], None, {}
+    ),
+    "policy_deeper_than_the_stack": (["gen", "--family", "info_value", "--n", "1200"], None, {}),
+}
+# Entries whose record carries another error type than InvalidParameters.
+BAD_INPUT_TYPES = {
+    "search_deeper_than_the_stack": "StateLimitExceeded",
+    "policy_deeper_than_the_stack": "StateLimitExceeded",
 }
 
 
-@pytest.mark.parametrize("argv, instance, env", BAD_INPUTS.values(), ids=BAD_INPUTS)
-def test_bad_input_yields_one_error_record(tmp_path, capsys, monkeypatch, argv, instance, env):
+@pytest.mark.parametrize("name", BAD_INPUTS)
+def test_bad_input_yields_one_error_record(tmp_path, capsys, monkeypatch, name):
+    argv, instance, env = BAD_INPUTS[name]
     if instance is not None:
         path = tmp_path / "instance.json"
         path.write_bytes(instance)
@@ -296,7 +306,7 @@ def test_bad_input_yields_one_error_record(tmp_path, capsys, monkeypatch, argv, 
     assert code == 2
     assert stdout == ""
     assert stderr.endswith("\n") and stderr.count("\n") == 1
-    assert json.loads(stderr)["error"]["type"] == "InvalidParameters"
+    assert json.loads(stderr)["error"]["type"] == BAD_INPUT_TYPES.get(name, "InvalidParameters")
 
 
 def test_float_mode_flag(tmp_path, capsys):

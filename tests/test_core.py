@@ -32,10 +32,10 @@ from delegatebox.core import (
 )
 from delegatebox import instances
 from delegatebox.instances import identical_binary, random_corpus
-from delegatebox.pandora import capped_value_distribution, instance_caps
 
 from oracles import (
     brute_expected_of_max,
+    capped_dist,
     cdf_product_expected_max,
     dict_merged_atoms,
     instance_json_reference,
@@ -221,10 +221,7 @@ def assert_clipped_sweep_matches_oracles(inst):
 
 def transformed_dists(inst):
     """Identity, (x - c)+ and capped distributions of one instance."""
-    capped = [
-        capped_value_distribution(alt, cap)
-        for alt, cap in zip(inst.alternatives, instance_caps(inst))
-    ]
+    capped = [capped_dist(alt) for alt in inst.alternatives]
     return [alt.dist for alt in inst.alternatives], surplus_dists(inst), capped
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from delegatebox import (
     Alternative,
-    CapMismatch,
     Instance,
     PolicyIncomplete,
     StateLimitExceeded,
@@ -27,12 +26,8 @@ from delegatebox.pandora import (
     SELECT_CLOSED,
     SELECT_OPENED_BEST,
     STOP,
-    Cap,
     PnoiPolicy,
-    capped_value_distribution,
     evaluate_policy,
-    expected_shortfall,
-    instance_caps,
     pnoi_optimal,
     pnoi_value_upper_bound,
     policy_to_rows,
@@ -42,8 +37,10 @@ from delegatebox.pandora import (
 
 from oracles import (
     brute_policy_value,
+    capped_dist,
     descending_cap_simulation,
     exhaustive_policy_optimum,
+    expected_shortfall,
     full_history_optimal,
     pnoi_reference,
     random_signaling_mechanism,
@@ -76,22 +73,27 @@ half_coin = [(0, "0.5"), (1, "0.5")]
 class TestReservationCap:
     def test_half_coin_quarter_cost(self):
         cap = reservation_cap(box(half_coin, "0.25"))
-        assert cap.sigma == F(1, 2)
-        assert not cap.never_worthwhile
+        assert type(cap) is F and cap == F(1, 2)
 
     def test_zero_cost_saturates_at_top_of_support(self):
-        cap = reservation_cap(box([(0, "0.25"), (2, "0.5"), (5, "0.25")]))
-        assert cap.sigma == 5
+        assert reservation_cap(box([(0, "0.25"), (2, "0.5"), (5, "0.25")])) == 5
 
     def test_cost_equal_to_mean_collapses_to_zero(self):
         cap = reservation_cap(box(half_coin, "0.5"))
-        assert cap.sigma == 0
-        assert not cap.never_worthwhile
+        assert type(cap) is F and cap == 0
 
     def test_cost_above_mean_is_flagged_not_an_error(self):
-        cap = reservation_cap(box(half_coin, 2))
-        assert cap.sigma == 0
-        assert cap.never_worthwhile
+        # Never worth opening: the cost exceeds E[X], and the cap is clamped.
+        alt = box(half_coin, 2)
+        assert alt.inspect_cost > alt.dist.mean()
+        cap = reservation_cap(alt)
+        assert type(cap) is F and cap == 0
+
+    def test_float_caps_are_floats(self):
+        for cost, want in ((0.25, 0.5), (0, 1.0), (0.5, 0.0), (2, 0.0)):
+            alt = Alternative(make_distribution(half_coin, "float"), cost)
+            cap = reservation_cap(alt)
+            assert type(cap) is float and cap == want
 
     @given(st.integers(0, 16), st.integers(1, 16))
     @settings(max_examples=80, deadline=None)
@@ -102,37 +104,26 @@ class TestReservationCap:
         if cost > mean:
             return
         cap = reservation_cap(Alternative(alt.dist, cost))
-        assert expected_shortfall(alt.dist, cap.sigma) == cost or cost == 0
+        assert expected_shortfall(alt.dist, cap) == cost or cost == 0
 
     @given(st.integers(0, 28), st.integers(0, 28))
     @settings(max_examples=80, deadline=None)
     def test_caps_are_antitone_in_cost(self, a, b):
         dist = make_distribution([(0, "0.25"), (2, "0.25"), (4, "0.5")])
         lo, hi = sorted((F(a, 8), F(b, 8)))
-        cap_lo = reservation_cap(Alternative(dist, lo))
-        cap_hi = reservation_cap(Alternative(dist, hi))
-        assert cap_lo.sigma >= cap_hi.sigma
+        assert reservation_cap(Alternative(dist, lo)) >= reservation_cap(Alternative(dist, hi))
 
 
 class TestCappedValue:
     def test_half_coin_capped_at_half(self):
-        alt = box(half_coin, "0.25")
-        d = capped_value_distribution(alt, reservation_cap(alt))
-        assert d.atoms == ((F(0), F(1, 2)), (F(1, 2), F(1, 2)))
+        assert capped_dist(box(half_coin, "0.25")).atoms == ((F(0), F(1, 2)), (F(1, 2), F(1, 2)))
 
     def test_saturated_cap_leaves_distribution_alone(self):
         alt = box(half_coin, 0)
-        assert capped_value_distribution(alt, reservation_cap(alt)) == alt.dist
+        assert capped_dist(alt) == alt.dist
 
     def test_zero_cap_is_a_point_mass_at_zero(self):
-        alt = box(half_coin, "0.5")
-        d = capped_value_distribution(alt, reservation_cap(alt))
-        assert d.atoms == ((F(0), F(1)),)
-
-    def test_foreign_cap_rejected(self):
-        alt = box(half_coin, "0.25")
-        with pytest.raises(CapMismatch):
-            capped_value_distribution(alt, Cap(F(1, 4)))
+        assert capped_dist(box(half_coin, "0.5")).atoms == ((F(0), F(1)),)
 
 
 class TestWeitzman:
@@ -157,11 +148,9 @@ class TestWeitzman:
         coin = [(0, "0.5"), (2, "0.5")]
         inst = Instance(tuple(box(coin, F(k, 24)) for k in range(24)))
         assert inst.support_product_size() > DEFAULT_ENUMERATION_LIMIT
-        capped = [
-            capped_value_distribution(alt, cap)
-            for alt, cap in zip(inst.alternatives, instance_caps(inst))
-        ]
-        assert weitzman_value(inst) == expected_max_of_dists(capped)
+        assert weitzman_value(inst) == expected_max_of_dists(
+            [capped_dist(alt) for alt in inst.alternatives]
+        )
 
 
 class TestOptimalSearch:
@@ -254,6 +243,26 @@ class TestOptimalSearch:
         with pytest.raises(StateLimitExceeded, match="63 states exceed the limit 62"):
             pnoi_optimal(inst, state_limit=62)
         assert pnoi_optimal(inst, state_limit=63)[0] == F(1, 20)
+
+    def test_deep_search_ends_in_the_state_limit_error(self):
+        # 6,003 type states, but the kernel recurses once per opened box.
+        inst = identical_binary(2000, F(1, 2000), 1, F(1, 1000))
+        with pytest.raises(StateLimitExceeded, match="2000 boxes need a recursion"):
+            pnoi_optimal(inst)
+
+    def test_deep_replay_ends_in_the_state_limit_error(self):
+        def chain(n):
+            # Open n boxes worth 1 for sure in index order, then take the best.
+            inst = Instance(tuple(box([(1, 1)]) for _ in range(n)))
+            table = {(frozenset(range(n)), None): (INSPECT, 0)}
+            for j in range(1, n):
+                table[(frozenset(range(j, n)), F(1))] = (INSPECT, j)
+            table[(frozenset(), F(1))] = (SELECT_OPENED_BEST, None)
+            return inst, PnoiPolicy(table)
+
+        assert evaluate_policy(*chain(50)) == 1
+        with pytest.raises(StateLimitExceeded, match="1000 boxes need a recursion"):
+            evaluate_policy(*chain(1000))
 
 
 class TestUpperBound:
