@@ -11,14 +11,16 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .core import (
+    DEFAULT_STATE_LIMIT,
     Alternative,
     Instance,
     InvalidParameters,
+    StateLimitExceeded,
     as_number,
     make_distribution,
 )
 from .delegation import SignalingMechanism
-from .pandora import INSPECT, PnoiPolicy, SELECT_CLOSED, STOP, _too_deep
+from .pandora import INSPECT, PnoiPolicy, SELECT_CLOSED, STOP
 
 
 def _frac(x) -> Fraction:
@@ -82,8 +84,7 @@ def _reachable_policy(supports, rule) -> PnoiPolicy:
 
     ``rule(unopened, best)`` gives each new state its action; the states an
     inspection of box j leads to are then filled depth first, in the order
-    of ``supports[j]``, one frame per opened box: a table deeper than the
-    interpreter's recursion limit raises StateLimitExceeded.
+    of ``supports[j]``, one frame per opened box.
     """
     table: dict = {}
 
@@ -96,10 +97,7 @@ def _reachable_policy(supports, rule) -> PnoiPolicy:
             for v in supports[j]:
                 fill(rest, v if best is None or v > best else best)
 
-    try:
-        fill(frozenset(range(len(supports))), None)
-    except RecursionError:
-        raise _too_deep(len(supports)) from None
+    fill(frozenset(range(len(supports))), None)
     return PnoiPolicy(table)
 
 
@@ -120,12 +118,19 @@ def info_value(n: int, eps) -> tuple[Instance, SignalingMechanism]:
 
     Signal i opens every box but i and selects i closed iff the others all
     came up 0, so a best-responding agent routes the principal to the unique
-    nonzero box without it ever being opened.
+    nonzero box without it ever being opened. Each signal's table has
+    2n - 1 states whose unopened sets hold n^2 boxes in all, so the n tables
+    hold n^3 set members; past ``DEFAULT_STATE_LIMIT`` of them (n > 100)
+    StateLimitExceeded is raised before any table is built.
     """
     n = int(n)
     eps = _frac(eps)
     if n < 2 or not 0 < eps < 1:
         raise InvalidParameters("need n >= 2 and 0 < eps < 1")
+    if n**3 > DEFAULT_STATE_LIMIT:
+        raise StateLimitExceeded(
+            f"info_value tables hold {n**3} set members, over the limit {DEFAULT_STATE_LIMIT}"
+        )
     dist = make_distribution([(0, 1 - eps), (1, eps)])
     alts = tuple(Alternative(dist, 0) for _ in range(n))
     instance = Instance(alts)

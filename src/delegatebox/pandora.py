@@ -329,15 +329,16 @@ def pnoi_optimal(
     full program's, restricted to the unopened sets where no box has an
     opened higher-indexed twin: all the states the policy can reach.
 
-    The kernel keys a state by (bitmask of unopened boxes, index into the
-    sorted distinct values, 0 for nothing opened) and recurses top down, one
-    frame per opened box, so it visits only reachable states; a search
-    deeper than the interpreter's recursion limit raises StateLimitExceeded.
-    It runs on the ints of ``_scaled_boxes``, and the value of a state with
-    unopened set S is carried scaled by D * prod_{j in S} q_j. Every
-    candidate action at a state has that same scale, so comparisons stay
-    exact, and only the root is turned back into a Fraction. The returned
-    table keeps the public (frozenset, value or None) state keys.
+    The kernel runs bottom up on the ints of ``_scaled_boxes``, with no
+    recursion. A state is (bitmask of unopened boxes, index into the sorted
+    distinct values, 0 for nothing opened). Each reachable mask, taken after
+    its submasks, gets one row of values by best index, filled at the
+    indices a run can hold: 0 at the full mask, else the atoms of the opened
+    boxes at or above the largest lowest atom among them. A state with
+    unopened set S is scaled by D * prod_{j in S} q_j; every candidate at a
+    state has that scale, so comparisons stay exact, and only the root is
+    turned back into a Fraction. The returned table keeps the public
+    (frozenset, value or None) state keys.
     """
     _require_additive(instance, "pnoi_optimal")
     n = instance.n
@@ -372,50 +373,51 @@ def pnoi_optimal(
                 reach[mask | bit] = (s * q, free & ~up | bit, picked, action)
 
     width = len(bests)
-    boxes = [(j, 1 << j, (INSPECT, j)) for j in range(n)]
-    memo: dict = {}
-    chosen: dict = {}
-
-    def solve(mask: int, best: int):
-        s, free, picked, select = reach[mask]
-        top, action = 0, (STOP, None)
-        if best and scaled_values[best] * s > top:
-            top, action = scaled_values[best] * s, (SELECT_OPENED_BEST, None)
-        if picked > top:
-            top, action = picked, select
-        for j, bit, inspect in boxes:
-            if free & bit:
-                rest = mask ^ bit
-                base = rest * width
-                cont = -scaled_costs[j] * s
-                for k, w in atoms[j]:
-                    nxt = k if k > best else best
-                    sub = memo.get(base + nxt)
-                    if sub is None:
-                        sub = solve(rest, nxt)
-                    cont = cont + w * sub
-                if cont > top:
-                    top, action = cont, inspect
-        key = mask * width + best
-        memo[key] = top
-        chosen[key] = action
-        return top
-
     full = (1 << n) - 1
-    try:
-        root = solve(full, 0)
-    except RecursionError:
-        raise _too_deep(n) from None
-    root = Fraction(root, unit * reach[full][0]) if exact else float(root)
+    # (unopened boxes, bitset of best indices to fill) per mask. Reversed,
+    # reach runs down from the full mask, and holds mask | 1 << j for the
+    # highest opened box j; in order, it puts every mask after its submasks.
+    spans = [sum(1 << k for k, _ in box) for box in atoms]
+    states_at = {full: (frozenset(range(n)), 1)}
+    for mask in reversed(reach):
+        if mask != full:
+            j = (full ^ mask).bit_length() - 1
+            unopened, up = states_at[mask | 1 << j]
+            floor = max(up & -up, spans[j] & -spans[j])
+            states_at[mask] = unopened - {j}, (up | spans[j]) & -floor
 
-    unopened_sets: dict = {}
+    inspect = [(INSPECT, j) for j in range(n)]
+    stop, take = (STOP, None), (SELECT_OPENED_BEST, None)
+    rows: dict = {}
     table = {}
-    for key, action in chosen.items():
-        mask, best = divmod(key, width)
-        unopened = unopened_sets.get(mask)
-        if unopened is None:
-            unopened = unopened_sets[mask] = _box_set(mask)
-        table[(unopened, bests[best])] = action
+    for mask, (s, free, picked, select) in reach.items():
+        unopened, held = states_at[mask]
+        fill = [k for k in range(width) if held >> k & 1]
+        row = [0] * width
+        keys = [(unopened, bests[best]) for best in fill]
+        for best, key in zip(fill, keys):
+            top, action = 0, stop
+            if scaled_values[best] * s > top:
+                top, action = scaled_values[best] * s, take
+            if picked > top:
+                top, action = picked, select
+            row[best], table[key] = top, action
+        while free:
+            bit = free & -free
+            free ^= bit
+            j = bit.bit_length() - 1
+            sub = rows[mask ^ bit]
+            box, base = atoms[j], -scaled_costs[j] * s
+            for best, key in zip(fill, keys):
+                cont = base
+                for k, w in box:
+                    cont = cont + w * sub[k if k > best else best]
+                if cont > row[best]:
+                    row[best], table[key] = cont, inspect[j]
+        rows[mask] = row
+
+    root = rows[full][0]
+    root = Fraction(root, unit * reach[full][0]) if exact else float(root)
     return root, PnoiPolicy(table)
 
 

@@ -338,17 +338,17 @@ def inspection_only_best(instance: Instance) -> Number:
 
     Symmetry collapses every adaptive direct policy to: open up to k boxes,
     take the first hit, and settle for a closed box (worth p*v) if k < n hits
-    nothing. Returns the best value over k in 0..n.
+    nothing. Returns the best value over k in 0..n, each from a running sum
+    of the first-hit terms.
     """
     p, v, c, n = _identical_binary_shape(instance)
     best = p * v  # k = 0: select a closed box outright
     miss = 1 - p
+    hits = instance.zero()  # the runs whose first hit is one of boxes 1..k
     for k in range(1, n + 1):
-        val = instance.zero()
-        for i in range(1, k + 1):
-            val = val + p * miss ** (i - 1) * (v - i * c)
+        hits = hits + p * miss ** (k - 1) * (v - k * c)
         tail = p * v if k < n else instance.zero()
-        val = val + miss**k * (tail - k * c)
+        val = hits + miss**k * (tail - k * c)
         if val > best:
             best = val
     return best

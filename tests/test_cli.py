@@ -281,15 +281,15 @@ BAD_INPUTS = {
         None,
         {},
     ),
-    "search_deeper_than_the_stack": (
-        ["eval", "--family", "identical_binary", "--n", "1000", "--mechanism", "pnoi"], None, {}
-    ),
+    # info_value's steering tables hold n^3 set members; the size is checked
+    # before any table is built (1,728,000,000 and 729,000,000 here).
     "policy_deeper_than_the_stack": (["gen", "--family", "info_value", "--n", "1200"], None, {}),
+    "info_value_tables_too_large": (["gen", "--family", "info_value", "--n", "900"], None, {}),
 }
 # Entries whose record carries another error type than InvalidParameters.
 BAD_INPUT_TYPES = {
-    "search_deeper_than_the_stack": "StateLimitExceeded",
     "policy_deeper_than_the_stack": "StateLimitExceeded",
+    "info_value_tables_too_large": "StateLimitExceeded",
 }
 
 
@@ -300,8 +300,8 @@ def test_bad_input_yields_one_error_record(tmp_path, capsys, monkeypatch, name):
         path = tmp_path / "instance.json"
         path.write_bytes(instance)
         argv = [*argv, "--instance", str(path)]
-    for name, value in env.items():
-        monkeypatch.setenv(f"DELEGATEBOX_{name}", value)
+    for var, value in env.items():
+        monkeypatch.setenv(f"DELEGATEBOX_{var}", value)
     code, stdout, stderr = run_cli(capsys, *argv)
     assert code == 2
     assert stdout == ""
@@ -346,6 +346,17 @@ def test_twin_boxes_fold_into_type_states(capsys):
     assert code == 0
     report = json.loads(stdout)
     assert (report["branch"], report["value"]) == ("PnoiDirect", "1")
+
+
+def test_search_deeper_than_the_recursion_limit(capsys):
+    # 1,000 boxes, deeper than the interpreter's recursion limit. Opening
+    # costs 1/3 against a mean of 1/6, so a closed box is selected.
+    code, stdout, _ = run_cli(
+        capsys, "eval", "--family", "identical_binary", "--n", "1000", "--mechanism", "pnoi",
+        "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(stdout)["value"] == "1/6"
 
 
 @pytest.mark.parametrize("family", instances.FAMILIES)

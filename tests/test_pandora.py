@@ -42,6 +42,7 @@ from oracles import (
     exhaustive_policy_optimum,
     expected_shortfall,
     full_history_optimal,
+    inspection_only_best,
     pnoi_reference,
     random_signaling_mechanism,
     walk_table_policy,
@@ -68,6 +69,19 @@ def twin_canonical(instance, table):
 
 
 half_coin = [(0, "0.5"), (1, "0.5")]
+
+
+def three_point_boxes(rng, n):
+    """n boxes on {0, a, b}, no value shared across boxes (values k/4, costs
+    k/4, probabilities k/15, which floats round)."""
+    values = [F(k, 4) for k in rng.sample(range(1, 33), 2 * n)]
+    alts = []
+    for i in range(n):
+        cuts = sorted(rng.sample(range(1, 15), 2))
+        weights = [F(w, 15) for w in (cuts[0], cuts[1] - cuts[0], 15 - cuts[1])]
+        atoms = zip([F(0), *values[2 * i: 2 * i + 2]], weights)
+        alts.append(box(list(atoms), F(rng.randint(0, 8), 4)))
+    return alts
 
 
 class TestReservationCap:
@@ -187,6 +201,14 @@ class TestOptimalSearch:
         exact += [identical_binary(n, F(1, n), 1, F(2, n)) for n in range(1, 7)]
         exact += [tightness(F(1, 100)), inapprox_first_best(6), spmi_fail(3)]
         exact.append(info_value(5, F(1, 10))[0])
+        rng = random.Random(5)
+        exact += [Instance(tuple(three_point_boxes(rng, n))) for n in (7, 8)]
+        for _ in range(4):
+            # Two twin groups among distinct boxes, in shuffled positions.
+            a, b, *rest = three_point_boxes(rng, 4)
+            alts = [a] * rng.randint(2, 3) + [b] * rng.randint(2, 3) + rest
+            rng.shuffle(alts)
+            exact.append(Instance(tuple(alts)))
         for inst in exact:
             for case in (inst, inst.to_float()):
                 value, policy = pnoi_optimal(case)
@@ -244,11 +266,23 @@ class TestOptimalSearch:
             pnoi_optimal(inst, state_limit=62)
         assert pnoi_optimal(inst, state_limit=63)[0] == F(1, 20)
 
-    def test_deep_search_ends_in_the_state_limit_error(self):
-        # 6,003 type states, but the kernel recurses once per opened box.
+    def test_deep_search_needs_no_recursion(self):
+        # 6,003 type states, 2,000 boxes deep. Opening a box costs more than
+        # its mean, so the root selects a closed box.
         inst = identical_binary(2000, F(1, 2000), 1, F(1, 1000))
-        with pytest.raises(StateLimitExceeded, match="2000 boxes need a recursion"):
-            pnoi_optimal(inst)
+        value, policy = pnoi_optimal(inst)
+        assert value == F(1, 2000)
+        assert policy.action(frozenset(range(2000)), None) == (SELECT_CLOSED, 0)
+
+    def test_deep_search_where_inspection_pays(self):
+        # Opening pays: a run that sees only zeros opens 1,199 boxes and
+        # selects the last one closed.
+        inst = identical_binary(1200, F(1, 1200), 1, F(1, 120000)).to_float()
+        value, policy = pnoi_optimal(inst)
+        assert policy.action(frozenset(range(1200)), None) == (INSPECT, 0)
+        assert policy.action(frozenset({1198, 1199}), 0.0) == (INSPECT, 1198)
+        assert policy.action(frozenset({1199}), 0.0) == (SELECT_CLOSED, 1199)
+        assert abs(value - inspection_only_best(inst)) <= FLOAT_TOL
 
     def test_deep_replay_ends_in_the_state_limit_error(self):
         def chain(n):
