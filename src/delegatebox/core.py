@@ -193,10 +193,6 @@ class DiscreteDistribution:
         return tuple(v for v, _ in self.atoms)
 
     @property
-    def probs(self) -> tuple[Number, ...]:
-        return tuple(p for _, p in self.atoms)
-
-    @property
     def mode(self) -> Mode:
         return "exact" if isinstance(self.atoms[0][0], Fraction) else "float"
 

@@ -79,38 +79,25 @@ def inapprox_first_best(n: int) -> Instance:
     return Instance(alts)
 
 
-def _reachable_policy(supports, rule) -> PnoiPolicy:
-    """Decision table over the states reachable from (every box unopened, None).
-
-    ``rule(unopened, best)`` gives each new state its action; the states an
-    inspection of box j leads to are then filled depth first, in the order
-    of ``supports[j]``, one frame per opened box.
-    """
-    table: dict = {}
-
-    def fill(unopened: frozenset, best) -> None:
-        if (unopened, best) in table:
-            return
-        kind, j = table[(unopened, best)] = rule(unopened, best)
-        if kind == INSPECT:
-            rest = unopened - {j}
-            for v in supports[j]:
-                fill(rest, v if best is None or v > best else best)
-
-    fill(frozenset(range(len(supports))), None)
-    return PnoiPolicy(table)
-
-
 def _info_policy(n: int, keep: int, support) -> PnoiPolicy:
-    # Opens every box except `keep` in ascending order; selects `keep` closed
-    # iff everything observed was 0, otherwise walks away.
-    def rule(unopened: frozenset, best):
-        others = sorted(unopened - {keep})
-        if others:
-            return (INSPECT, others[0])
-        return (SELECT_CLOSED, keep) if best == 0 else (STOP, None)
+    """Signal ``keep``'s table: open every other box in ascending order, then
+    select ``keep`` closed iff everything observed was 0, otherwise stop.
 
-    return _reachable_policy([support] * n, rule)
+    The root inspects the first box other than ``keep``; after each opening,
+    every value of ``support`` as best in hand maps to the next inspection
+    or, once all the others are open, to the final choice.
+    """
+    others = [j for j in range(n) if j != keep]
+    unopened = frozenset(range(n))
+    table = {(unopened, None): (INSPECT, others[0])}
+    for j, after in zip(others, [*others[1:], None]):
+        unopened = unopened - {j}
+        for best in support:
+            if after is not None:
+                table[unopened, best] = (INSPECT, after)
+            else:
+                table[unopened, best] = (SELECT_CLOSED, keep) if best == 0 else (STOP, None)
+    return PnoiPolicy(table)
 
 
 def info_value(n: int, eps) -> tuple[Instance, SignalingMechanism]:
@@ -118,10 +105,11 @@ def info_value(n: int, eps) -> tuple[Instance, SignalingMechanism]:
 
     Signal i opens every box but i and selects i closed iff the others all
     came up 0, so a best-responding agent routes the principal to the unique
-    nonzero box without it ever being opened. Each signal's table has
-    2n - 1 states whose unopened sets hold n^2 boxes in all, so the n tables
-    hold n^3 set members; past ``DEFAULT_STATE_LIMIT`` of them (n > 100)
-    StateLimitExceeded is raised before any table is built.
+    nonzero box without it ever being opened. Each signal's table, written
+    by ``_info_policy`` in one loop, has 2n - 1 states whose unopened sets
+    hold n^2 boxes in all, so the n tables hold n^3 set members; past
+    ``DEFAULT_STATE_LIMIT`` of them (n > 100) StateLimitExceeded is raised
+    before any table is built.
     """
     n = int(n)
     eps = _frac(eps)
@@ -169,8 +157,7 @@ def random_instance(
     alternatives = []
     for _ in range(n):
         size = rng.randint(1, support_size)
-        grid = [Fraction(k, 2) for k in range(2 * value_max + 1)]
-        values = rng.sample(grid, size)
+        values = [Fraction(k, 2) for k in rng.sample(range(2 * value_max + 1), size)]
         weights = _random_composition(rng, size, 16)
         atoms = [(v, Fraction(w, 16)) for v, w in zip(values, weights)]
         cost = Fraction(rng.randint(0, 4 * cost_max), 4)

@@ -7,12 +7,10 @@ inspection is optional (select-a-closed-box allowed).
 
 from __future__ import annotations
 
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from itertools import product
+from itertools import islice, product
 from math import prod
 from typing import Optional, Sequence
 
@@ -69,14 +67,6 @@ def reservation_cap(alt: Alternative) -> Number:
     return mode_zero  # cost == mean lands here in float mode
 
 
-def _too_deep(n: int) -> StateLimitExceeded:
-    """The error of a walk that recurses once per box and outgrows the stack."""
-    return StateLimitExceeded(
-        f"{n} boxes need a recursion deeper than the interpreter's limit "
-        f"{sys.getrecursionlimit()}"
-    )
-
-
 def _require_additive(instance: Instance, what: str) -> None:
     if instance.cost_model.kind != "additive":
         raise InvalidParameters(f"{what} requires an additive cost model")
@@ -121,15 +111,15 @@ class PnoiPolicy:
 def evaluate_policy(instance: Instance, policy: PnoiPolicy) -> Number:
     """Exact expected payoff of running a policy directly (no delegation).
 
-    Backward induction, memoized and depth first with atoms in value order,
-    over the states (unopened mask, best value index) that the table reaches
-    from the root; nothing enumerates the product support. A run ending with
-    opened set O pays ``instance.inspection_cost(O)``, so monotone cost
-    tables work. Returns a Fraction in exact mode and a float in float mode.
-    PolicyIncomplete is raised at the first reached state that the table
-    leaves undefined or breaks; the walk recurses once per opened box, and
-    a run too deep for the interpreter's recursion limit raises
-    StateLimitExceeded.
+    One forward pass over the states (unopened mask, best value index) that
+    the table reaches from the root, one layer per number of opened boxes,
+    so nothing recurses or enumerates the product support. Each reached
+    state is stepped once and passes its probability mass on to the states
+    its inspection leads to; a run ending with opened set O adds mass *
+    (gain - ``instance.inspection_cost(O)``), so monotone cost tables work.
+    Returns a Fraction in exact mode and a float in float mode.
+    PolicyIncomplete is raised, layer by layer, at the first reached state
+    that the table leaves undefined or breaks.
     """
     n, full = instance.n, (1 << instance.n) - 1
     bests = [None, *sorted({v for alt in instance.alternatives for v in alt.dist.values})]
@@ -137,22 +127,25 @@ def evaluate_policy(instance: Instance, policy: PnoiPolicy) -> Number:
     atoms = [[(index[v], p) for v, p in alt.dist.atoms] for alt in instance.alternatives]
     means = instance.expected_values()
 
-    @cache
-    def value(mask: int, best: int) -> Number:
-        step = _step(policy, n, bests, mask, best)
-        if step >= 0:
-            rest = mask ^ (1 << step)
-            return sum(p * value(rest, max(best, k)) for k, p in atoms[step])
-        if step == _STOP:
-            gain = instance.zero()
-        else:
-            gain = bests[best] if step == _TAKE_BEST else means[_CLOSED - step]
-        return gain - instance.inspection_cost(_box_set(full ^ mask))
-
-    try:
-        return value(full, 0)
-    except RecursionError:
-        raise _too_deep(n) from None
+    total = instance.zero()
+    layer = {(full, 0): 1}
+    while layer:
+        reached: dict = {}
+        for (mask, best), mass in layer.items():
+            step = _step(policy, n, bests, mask, best)
+            if step >= 0:
+                rest = mask ^ (1 << step)
+                for k, p in atoms[step]:
+                    key = rest, max(best, k)
+                    reached[key] = reached.get(key, 0) + mass * p
+                continue
+            if step == _STOP:
+                gain = instance.zero()
+            else:
+                gain = bests[best] if step == _TAKE_BEST else means[_CLOSED - step]
+            total = total + mass * (gain - instance.inspection_cost(_box_set(full ^ mask)))
+        layer = reached
+    return total
 
 
 def _scaled_boxes(instance: Instance, charges) -> tuple:
@@ -359,12 +352,14 @@ def pnoi_optimal(
     # only with its next higher twin `up`, which it then shadows; as the
     # lowest box of mask | bit it wins select ties.
     reach = {0: (1, 0, 0, None)}
+    # kind -> (bit of its lowest box so far, position in reach where the
+    # masks holding that box begin); no earlier mask can hold it.
     twin_above: dict = {}
     for j in range(n - 1, -1, -1):
         bit, q, select = 1 << j, box_units[j], (SELECT_CLOSED, j)
-        up = twin_above.get(kinds[j], 0)
-        twin_above[kinds[j]] = bit
-        for mask, (s, free, picked, action) in list(reach.items()):
+        up, first = twin_above.get(kinds[j], (0, 0))
+        twin_above[kinds[j]] = bit, len(reach)
+        for mask, (s, free, picked, action) in list(islice(reach.items(), first, None)):
             if not up or mask & up:
                 if means[j] * s >= picked * q:
                     picked, action = means[j] * s, select

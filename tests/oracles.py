@@ -24,16 +24,22 @@ DP.
 ``walk_table_policy`` is the reference executor of ``PnoiPolicy`` decision
 tables, one realization at a time. The library runs tables through the
 compiled signaling sweep behind ``evaluate_signaling`` and through the
-backward induction over reachable states of ``evaluate_policy``;
+forward pass over reachable states of ``evaluate_policy``;
 ``brute_policy_value`` sums the reference runs over the product support.
+``_reachable_policy`` builds a table from a rule by walking the states it
+reaches depth first; ``instances._info_policy`` writes its tables in one
+loop instead, and must give the same table as this walk under its rule.
 
 ``instance_json_reference`` is the canonical instance JSON built the way
 ``core.instance_to_json`` built it before it wrote the string directly: a
 dict tree through ``to_json``, encoded by ``json.dumps(sort_keys=True)``.
 
-``random_signaling_mechanism`` draws random decision tables for the
-signaling property tests, and ``with_monotone_costs`` puts an instance under
-a random monotone cost table; the library has no use for either.
+``random_signaling_mechanism`` draws random decision tables through
+``_reachable_policy`` for the signaling property tests, and
+``with_monotone_costs`` puts an instance under a random monotone cost table;
+the library has no use for either. ``random_corpus_reference`` is
+``instances.random_corpus`` as it drew values before it sampled grid
+indices: it builds every grid Fraction first.
 """
 
 from __future__ import annotations
@@ -47,16 +53,17 @@ from math import prod
 
 from delegatebox.core import (
     DEFAULT_STATE_LIMIT,
+    Alternative,
     CostModel,
     Instance,
     InvalidParameters,
     Number,
     PolicyIncomplete,
     StateLimitExceeded,
+    make_distribution,
     to_json,
 )
 from delegatebox.delegation import SignalingMechanism
-from delegatebox.instances import _reachable_policy
 from delegatebox.pandora import (
     INSPECT,
     SELECT_CLOSED,
@@ -525,6 +532,28 @@ def instance_json_reference(instance: Instance) -> str:
     return json.dumps(to_json(obj), sort_keys=True)
 
 
+def _reachable_policy(supports, rule) -> PnoiPolicy:
+    """Decision table over the states reachable from (every box unopened, None).
+
+    ``rule(unopened, best)`` gives each new state its action; the states an
+    inspection of box j leads to are then filled depth first, in the order
+    of ``supports[j]``, one frame per opened box.
+    """
+    table: dict = {}
+
+    def fill(unopened: frozenset, best) -> None:
+        if (unopened, best) in table:
+            return
+        kind, j = table[(unopened, best)] = rule(unopened, best)
+        if kind == INSPECT:
+            rest = unopened - {j}
+            for v in supports[j]:
+                fill(rest, v if best is None or v > best else best)
+
+    fill(frozenset(range(len(supports))), None)
+    return PnoiPolicy(table)
+
+
 def random_signaling_mechanism(
     rng: random.Random, instance: Instance, max_signals: int = 3
 ) -> SignalingMechanism:
@@ -555,3 +584,33 @@ def with_monotone_costs(rng: random.Random, inst: Instance) -> Instance:
         extra = Fraction(max(len(subset) - 1, 0), 7)
         table[subset] = sum((own[j] for j in subset), start=extra)
     return Instance(inst.alternatives, CostModel.monotone(table), inst.delegation_cost)
+
+
+def random_corpus_reference(
+    seed: int,
+    count: int,
+    max_n: int = 4,
+    support_size: int = 3,
+    value_max: int = 8,
+    cost_max: int = 2,
+    cdel_max: int = 0,
+) -> list[Instance]:
+    """``instances.random_corpus`` with every grid Fraction built before the
+    values are sampled from it, in the same order of draws."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        alternatives = []
+        for _ in range(n):
+            size = rng.randint(1, support_size)
+            grid = [Fraction(k, 2) for k in range(2 * value_max + 1)]
+            values = rng.sample(grid, size)
+            cuts = sorted(rng.sample(range(1, 16), size - 1)) if size > 1 else []
+            bounds = [0, *cuts, 16]
+            atoms = [(v, Fraction(b - a, 16)) for v, a, b in zip(values, bounds, bounds[1:])]
+            cost = Fraction(rng.randint(0, 4 * cost_max), 4)
+            alternatives.append(Alternative(make_distribution(atoms), cost))
+        cdel = Fraction(rng.randint(0, 4 * cdel_max), 4) if cdel_max else Fraction(0)
+        out.append(Instance(tuple(alternatives), delegation_cost=cdel))
+    return out

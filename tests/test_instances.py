@@ -5,6 +5,7 @@ import pytest
 
 from delegatebox import InvalidParameters, instance_to_json
 from delegatebox.instances import (
+    _info_policy,
     gen,
     identical_binary,
     inapprox_first_best,
@@ -15,9 +16,14 @@ from delegatebox.instances import (
     tightness,
 )
 from delegatebox.delegation import build_spmi, deterministic_agent, evaluate_spmi
-from delegatebox.pandora import pnoi_optimal
+from delegatebox.pandora import INSPECT, SELECT_CLOSED, STOP, pnoi_optimal
 
-from oracles import inspection_only_best, walk_table_policy
+from oracles import (
+    _reachable_policy,
+    inspection_only_best,
+    random_corpus_reference,
+    walk_table_policy,
+)
 
 
 def test_tightness_structure():
@@ -57,6 +63,23 @@ def test_info_value_mechanism_walks_everything_but_its_signal_box():
     assert selected is None
 
 
+def test_info_policy_is_the_table_its_rule_reaches():
+    # The rule info_value's tables were once built from, walked depth first
+    # over the states it reaches.
+    support = (F(0), F(1))
+    for n in range(2, 13):
+        for keep in range(n):
+            def rule(unopened, best):
+                others = sorted(unopened - {keep})
+                if others:
+                    return (INSPECT, others[0])
+                return (SELECT_CLOSED, keep) if best == 0 else (STOP, None)
+
+            table = _info_policy(n, keep, support).table
+            assert table == _reachable_policy([support] * n, rule).table
+            assert len(table) == 2 * n - 1
+
+
 def test_parameter_validation():
     with pytest.raises(InvalidParameters):
         tightness(0)
@@ -78,6 +101,21 @@ def test_random_instance_is_seed_deterministic():
     assert instance_to_json(a) == instance_to_json(b)
     c = random_instance(random.Random(100), 4)
     assert instance_to_json(a) != instance_to_json(c)
+
+
+def test_random_corpus_draws_what_the_grid_sampler_drew():
+    for seed in range(5):
+        assert list(random_corpus(seed, 60)) == random_corpus_reference(seed, 60)
+    wide = dict(max_n=3, support_size=16, value_max=40, cost_max=3, cdel_max=2)
+    assert list(random_corpus(7, 30, **wide)) == random_corpus_reference(7, 30, **wide)
+
+
+def test_random_instance_takes_no_time_in_value_max():
+    # Only the drawn grid values are built, so a huge grid costs nothing.
+    inst = random_instance(random.Random(1), 4, support_size=16, value_max=10**12)
+    for alt in inst.alternatives:
+        for v, _ in alt.dist.atoms:
+            assert (2 * v).denominator == 1 and 0 <= v <= 10**12
 
 
 def test_random_corpus_shapes():
