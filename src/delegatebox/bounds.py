@@ -46,7 +46,7 @@ def upper_bound_costly(instance: Instance, pnoi_oracle=None) -> Number:
     return max(direct, upper_bound_costless(instance) - instance.delegation_cost)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditReport:
     """Result of checking a mechanism's value against its claimed factor."""
 

@@ -2,15 +2,18 @@
 
 Everything runs in one of two arithmetic modes: ``exact`` (fractions.Fraction
 end to end, so equality checks are true equalities) or ``float`` (IEEE doubles
-with a 1e-9 comparison tolerance). Containers are immutable after construction
-and safe to share across threads.
+with a 1e-9 comparison tolerance). The fields of every container are
+immutable after construction. An ``Instance`` also fills its means, E[max X]
+and E[max (X - c)+] once, on first use: the value written is always the one
+the same kernel call would return, so a fill is idempotent, and sharing an
+instance across threads stays safe.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from itertools import groupby
@@ -182,7 +185,7 @@ def _to_json(x):
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiscreteDistribution:
     """Finite support of nonnegative values; atoms sorted by increasing value."""
 
@@ -194,7 +197,8 @@ class DiscreteDistribution:
 
     @property
     def mode(self) -> Mode:
-        return "exact" if isinstance(self.atoms[0][0], Fraction) else "float"
+        # An exact type test, as in mean.
+        return "exact" if type(self.atoms[0][0]) is Fraction else "float"
 
     def mean(self) -> Number:
         """E[X]; in exact mode one integer sum over the two lcms of denominators."""
@@ -270,7 +274,7 @@ def make_distribution(pairs: Sequence[tuple], mode: Mode = "exact") -> DiscreteD
     return DiscreteDistribution(atoms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Alternative:
     """One box: the principal's utility distribution plus its inspection cost."""
 
@@ -283,7 +287,7 @@ class Alternative:
             raise NegativeValue(f"negative inspection cost: {self.inspect_cost}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CostModel:
     """Additive per-alternative costs, or a monotone set function over subsets.
 
@@ -317,13 +321,28 @@ class CostModel:
         return CostModel("monotone", table)
 
 
-@dataclass(frozen=True)
+def _derived():
+    # A field worked out from the others: not an argument, and left out of
+    # repr, == and hash.
+    return field(default=None, init=False, repr=False, compare=False)
+
+
+@dataclass(frozen=True, slots=True)
 class Instance:
-    """The alternatives, a cost model, and the delegation cost."""
+    """The alternatives, a cost model, and the delegation cost.
+
+    ``mode`` is set from the alternatives at construction. The means, E[max
+    X] and E[max (X - c)+] start as None and are filled on first use by
+    ``expected_values`` and ``expected_of_max``.
+    """
 
     alternatives: tuple[Alternative, ...]
     cost_model: CostModel = CostModel("additive")
     delegation_cost: Number = 0
+    mode: Mode = _derived()
+    _means: Optional[tuple[Number, ...]] = _derived()
+    _max: Optional[Number] = _derived()
+    _surplus: Optional[Number] = _derived()
 
     def __post_init__(self):
         object.__setattr__(self, "alternatives", tuple(self.alternatives))
@@ -333,6 +352,7 @@ class Instance:
         for alt in self.alternatives:
             if alt.dist.mode != mode:
                 raise InvalidParameters("mixed arithmetic modes in one instance")
+        object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "delegation_cost", as_number(self.delegation_cost, mode))
         if self.delegation_cost < 0:
             raise NegativeValue(f"negative delegation cost: {self.delegation_cost}")
@@ -364,10 +384,6 @@ class Instance:
     def n(self) -> int:
         return len(self.alternatives)
 
-    @property
-    def mode(self) -> Mode:
-        return self.alternatives[0].dist.mode
-
     def zero(self) -> Number:
         return Fraction(0) if self.mode == "exact" else 0.0
 
@@ -391,7 +407,11 @@ class Instance:
         return self.cost_model.table[subset]
 
     def expected_values(self) -> tuple[Number, ...]:
-        return tuple(alt.dist.mean() for alt in self.alternatives)
+        means = self._means
+        if means is None:
+            means = tuple(alt.dist.mean() for alt in self.alternatives)
+            object.__setattr__(self, "_means", means)
+        return means
 
     def support_product_size(self) -> int:
         return prod(len(alt.dist.atoms) for alt in self.alternatives)
@@ -495,13 +515,21 @@ def expected_of_max(instance: Instance, transform=IDENTITY) -> Number:
 
     ``transform`` is "identity" (f_i(x) = x) or "shifted_positive"
     (f_i(x) = (x - c_i)+ with c_i the singleton cost of alternative i).
+    The first call per transform runs ``expected_max_of_dists`` and stores
+    its result on the instance; later calls return the stored value.
     """
-    dists = [alt.dist for alt in instance.alternatives]
     if transform == IDENTITY:
-        return expected_max_of_dists(dists)
-    if transform == SHIFTED_POSITIVE:
-        return expected_max_of_dists(dists, instance.singleton_costs())
-    raise InvalidParameters(f"unknown transform: {transform!r}")
+        slot = "_max"
+    elif transform == SHIFTED_POSITIVE:
+        slot = "_surplus"
+    else:
+        raise InvalidParameters(f"unknown transform: {transform!r}")
+    value = getattr(instance, slot)
+    if value is None:
+        costs = instance.singleton_costs() if transform == SHIFTED_POSITIVE else None
+        value = expected_max_of_dists([alt.dist for alt in instance.alternatives], costs)
+        object.__setattr__(instance, slot, value)
+    return value
 
 
 # --- JSON instance schema -------------------------------------------------

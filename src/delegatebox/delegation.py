@@ -38,7 +38,7 @@ class _WorstCase:
 WORST_CASE = _WorstCase()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AgentProfile:
     """The agent's utilities: one fixed value per alternative, or a distribution each."""
 
@@ -84,7 +84,7 @@ def cost_ordered_adversary(instance: Instance) -> AgentProfile:
     return deterministic_agent(utilities)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Spmi:
     """Single-proposal mechanism with inspection: accept proposed i iff x_i - c_i >= threshold."""
 
@@ -95,7 +95,7 @@ class Spmi:
             raise NegativeValue("SPMI threshold must be nonnegative")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False)
 class SignalingMechanism:
     """Finite signal set, each signal mapped to a terminating inspection policy."""
 
@@ -111,7 +111,7 @@ class SignalingMechanism:
                 raise InvalidParameters(f"signal {sig!r} has no policy")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MechanismReport:
     """What a composed mechanism chose and what it is worth."""
 

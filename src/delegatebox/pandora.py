@@ -129,12 +129,20 @@ def evaluate_policy(instance: Instance, policy: PnoiPolicy) -> Number:
 
     total = instance.zero()
     layer = {(full, 0): 1}
+    # The unopened set of each mask in the layer, made once per mask from
+    # the set of a mask one layer up, as pnoi_optimal's states_at does.
+    boxes = frozenset(range(n))
+    unopened_at = {full: boxes}
     while layer:
         reached: dict = {}
+        unopened_next: dict = {}
         for (mask, best), mass in layer.items():
-            step = _step(policy, n, bests, mask, best)
+            unopened = unopened_at[mask]
+            step = _step(policy, n, bests, unopened, best)
             if step >= 0:
                 rest = mask ^ (1 << step)
+                if rest not in unopened_next:
+                    unopened_next[rest] = unopened - {step}
                 for k, p in atoms[step]:
                     key = rest, max(best, k)
                     reached[key] = reached.get(key, 0) + mass * p
@@ -143,8 +151,8 @@ def evaluate_policy(instance: Instance, policy: PnoiPolicy) -> Number:
                 gain = instance.zero()
             else:
                 gain = bests[best] if step == _TAKE_BEST else means[_CLOSED - step]
-            total = total + mass * (gain - instance.inspection_cost(_box_set(full ^ mask)))
-        layer = reached
+            total = total + mass * (gain - instance.inspection_cost(boxes - unopened))
+        layer, unopened_at = reached, unopened_next
     return total
 
 
@@ -184,9 +192,8 @@ _TAKE_BEST = -2
 _CLOSED = -3
 
 
-def _step(policy: PnoiPolicy, n: int, bests: Sequence, mask: int, best: int) -> int:
+def _step(policy: PnoiPolicy, n: int, bests: Sequence, unopened: frozenset, best: int) -> int:
     """The step code of ``policy`` at a state, or the table's PolicyIncomplete."""
-    unopened = _box_set(mask)
     kind, index = policy.action(unopened, bests[best])
     if kind == STOP:
         return _STOP
@@ -259,7 +266,7 @@ def _policy_sweep(
                 key = mask * width + best
                 step = table.get(key)
                 if step is None:
-                    step = table[key] = _step(policy, n, bests, mask, best)
+                    step = table[key] = _step(policy, n, bests, _box_set(mask), best)
                 if step < 0:
                     break
                 mask ^= 1 << step

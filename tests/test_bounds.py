@@ -1,7 +1,9 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from delegatebox import core
 from delegatebox import (
     Alternative,
     Instance,
@@ -138,3 +140,20 @@ class TestAudit:
             result = audit(inst, report, COSTLESS)
             assert result.passed
             assert pnoi_optimal(inst)[0] <= result.ub_costless
+
+
+def test_mechanisms_and_audits_compute_each_moment_once(monkeypatch):
+    # Equal costs, so the identical regime applies and asks for E[max X] too.
+    inst = Instance((box([(0, "0.5"), (4, "0.5")], 1), box([(1, "0.5"), (3, "0.5")], 1)))
+    kernel = core.expected_max_of_dists
+    calls = Counter()
+
+    def counting(dists, costs=None):
+        calls["identity" if costs is None else "shifted_positive"] += 1
+        return kernel(dists, costs)
+
+    monkeypatch.setattr(core, "expected_max_of_dists", counting)
+    assert audit(inst, maximal_mechanism_costless(inst), COSTLESS).passed
+    assert calls == {"shifted_positive": 1}
+    assert audit(inst, identical_cost_mechanism(inst), IDENTICAL).passed
+    assert calls == {"identity": 1, "shifted_positive": 1}

@@ -153,6 +153,57 @@ def test_expected_of_max_matches_brute_force_with_costs():
     assert expected_of_max(inst, "shifted_positive") == want
 
 
+def _two_costly_boxes(mode="exact"):
+    inst = Instance(
+        (box([(0, "0.5"), (3, "0.5")], 1), box([(1, "0.25"), (2, "0.75")], "0.5")),
+        delegation_cost="0.25",
+    )
+    return inst if mode == "exact" else inst.to_float()
+
+
+def test_each_transform_fills_its_own_moment():
+    inst = _two_costly_boxes()
+    costs = inst.singleton_costs()
+    want_max = brute_expected_of_max(inst)
+    want_surplus = brute_expected_of_max(inst, lambda i, v: max(v - costs[i], F(0)))
+    assert want_max != want_surplus
+    assert expected_of_max(inst, "identity") == want_max
+    assert expected_of_max(inst, "shifted_positive") == want_surplus
+    assert expected_of_max(inst, "identity") == want_max
+    assert inst.expected_values() == (F(3, 2), F(7, 4))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_filled_moments_leave_equality_repr_json_and_pickling_alone(mode):
+    fresh, filled = _two_costly_boxes(mode), _two_costly_boxes(mode)
+    moments = (
+        filled.expected_values(),
+        expected_of_max(filled, "identity"),
+        expected_of_max(filled, "shifted_positive"),
+    )
+    assert filled == fresh
+    assert hash(filled) == hash(fresh)
+    assert repr(filled) == repr(fresh)
+    assert instance_to_json(filled) == instance_to_json(fresh)
+    for inst in (fresh, filled):
+        back = pickle.loads(pickle.dumps(inst))
+        assert back == inst
+        assert back.mode == mode
+        assert (
+            back.expected_values(),
+            expected_of_max(back, "identity"),
+            expected_of_max(back, "shifted_positive"),
+        ) == moments
+
+
+def test_value_classes_have_no_instance_dict():
+    inst = _two_costly_boxes()
+    for obj in (inst, inst.alternatives[0], inst.alternatives[0].dist):
+        assert not hasattr(obj, "__dict__")
+    with pytest.raises(AttributeError):
+        inst.mode = "float"
+
+
 small_prob_weights = st.lists(st.integers(1, 8), min_size=1, max_size=3)
 
 

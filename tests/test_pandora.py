@@ -288,14 +288,17 @@ class TestOptimalSearch:
         def chain(n):
             # Open n boxes worth 1 for sure in index order, then take the best.
             inst = Instance(tuple(box([(1, 1)]) for _ in range(n)))
-            table = {(frozenset(range(n)), None): (INSPECT, 0)}
+            unopened = frozenset(range(n))
+            table = {(unopened, None): (INSPECT, 0)}
             for j in range(1, n):
-                table[(frozenset(range(j, n)), F(1))] = (INSPECT, j)
+                unopened = unopened - {j - 1}
+                table[(unopened, F(1))] = (INSPECT, j)
             table[(frozenset(), F(1))] = (SELECT_OPENED_BEST, None)
             return inst, PnoiPolicy(table)
 
         assert evaluate_policy(*chain(50)) == 1
         assert evaluate_policy(*chain(1000)) == 1
+        assert evaluate_policy(*chain(4000)) == 1
 
 
 class TestUpperBound:
