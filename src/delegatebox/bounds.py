@@ -87,13 +87,16 @@ def audit(
     report: MechanismReport,
     regime: str,
     alpha: Optional[Number] = None,
+    pnoi_oracle=None,
 ) -> AuditReport:
     """Check mechanism_value * claimed_bound >= applicable upper bound.
 
     Regimes: "costless" (factor 3), "costly" with the delegation cost pinned
     to alpha * E[max (X_i - c_i)+] for alpha < 1/2 (factor (3-4a)/(1-2a)),
     and "identical" equal-cost costless instances (factor 2, audited against
-    max(max_i E[X_i], E[max_i X_i] - c)). Only the costly regime takes alpha.
+    max(max_i E[X_i], E[max_i X_i] - c)). Only the costly regime takes alpha,
+    and only it solves the DP, through ``pnoi_oracle`` as in
+    ``upper_bound_costly``.
     """
     if alpha is not None and regime != COSTLY:
         raise InvalidParameters(f"alpha does not apply to the {regime} regime")
@@ -119,7 +122,7 @@ def audit(
                 "delegation cost does not equal alpha * E[max (X_i - c_i)+]"
             )
         claimed = (3 * one - 4 * alpha) / (1 - 2 * alpha)
-        ub_costly = upper_bound_costly(instance)
+        ub_costly = upper_bound_costly(instance, pnoi_oracle)
         ub_used = ub_costly
     elif regime == IDENTICAL:
         costs = instance.singleton_costs()

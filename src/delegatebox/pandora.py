@@ -8,10 +8,10 @@ inspection is optional (select-a-closed-box allowed).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
 from math import prod
+from threading import Lock
 from typing import Optional, Sequence
 
 from .core import (
@@ -90,14 +90,40 @@ def weitzman_value(instance: Instance) -> Number:
     return expected_max_of_dists(capped)
 
 
-@dataclass(frozen=True, eq=False)
 class PnoiPolicy:
     """Decision table over states (unopened set, best observed value or None).
 
     Each inspect action shrinks the unopened set, so every policy terminates.
+    ``PnoiPolicy(table)`` wraps a ready dict. ``pnoi_optimal`` instead hands
+    over its step codes, and the dict is built from them the first time
+    ``table`` or ``action`` is read, once even when threads race, so callers
+    that keep only the value never pay for it. Pickling and copying carry
+    the built table.
     """
 
-    table: dict
+    __slots__ = ("_table", "_build", "_lock")
+
+    def __init__(self, table: dict) -> None:
+        self._table, self._build, self._lock = table, None, None
+
+    @classmethod
+    def _deferred(cls, build) -> PnoiPolicy:
+        """A policy whose table is ``build()``, called on the first read."""
+        policy = cls(None)
+        policy._build, policy._lock = build, Lock()
+        return policy
+
+    @property
+    def table(self) -> dict:
+        if self._table is None:
+            with self._lock:
+                if self._table is None:
+                    self._table = self._build()
+                    self._build = None
+        return self._table
+
+    def __reduce__(self):
+        return PnoiPolicy, (self.table,)
 
     def action(self, unopened: frozenset, best) -> Action:
         try:
@@ -212,6 +238,17 @@ def _step(policy: PnoiPolicy, n: int, bests: Sequence, unopened: frozenset, best
             raise PolicyIncomplete(f"inspect on {what} box {index}")
         return index
     raise PolicyIncomplete(f"unknown action kind {kind!r}")
+
+
+def _action(code: int) -> Action:
+    """The table action of a step code: the inverse of ``_step``."""
+    if code >= 0:
+        return INSPECT, code
+    if code == _STOP:
+        return STOP, None
+    if code == _TAKE_BEST:
+        return SELECT_OPENED_BEST, None
+    return SELECT_CLOSED, _CLOSED - code
 
 
 def _policy_sweep(
@@ -337,8 +374,10 @@ def pnoi_optimal(
     boxes at or above the largest lowest atom among them. A state with
     unopened set S is scaled by D * prod_{j in S} q_j; every candidate at a
     state has that scale, so comparisons stay exact, and only the root is
-    turned back into a Fraction. The returned table keeps the public
-    (frozenset, value or None) state keys.
+    turned back into a Fraction. Beside its row, each mask keeps one list of
+    ``_step`` codes by best index, and an improving candidate overwrites one
+    slot. The returned policy turns those codes into the public table, keyed
+    (frozenset, value or None), the first time its table is read.
     """
     _require_additive(instance, "pnoi_optimal")
     n = instance.n
@@ -354,73 +393,88 @@ def pnoi_optimal(
     # q_j * D * E[X_j] for box j.
     means = [sum(w * scaled_values[k] for k, w in box) for box in atoms]
     # reach[mask] = (prod of q_j over mask, the boxes of mask that may be
-    # opened, the best select-closed candidate as (scaled value, action)) for
-    # the masks the DP can reach, built from the highest box down. Box j joins
-    # only with its next higher twin `up`, which it then shadows; as the
-    # lowest box of mask | bit it wins select ties.
-    reach = {0: (1, 0, 0, None)}
+    # opened, the best select-closed candidate as (scaled value, step code))
+    # for the masks the DP can reach, built from the highest box down. Box j
+    # joins only with its next higher twin `up`, which it then shadows; as
+    # the lowest box of mask | bit it wins select ties.
+    reach = {0: (1, 0, 0, _STOP)}
     # kind -> (bit of its lowest box so far, position in reach where the
     # masks holding that box begin); no earlier mask can hold it.
     twin_above: dict = {}
     for j in range(n - 1, -1, -1):
-        bit, q, select = 1 << j, box_units[j], (SELECT_CLOSED, j)
+        bit, q, select = 1 << j, box_units[j], _CLOSED - j
         up, first = twin_above.get(kinds[j], (0, 0))
         twin_above[kinds[j]] = bit, len(reach)
-        for mask, (s, free, picked, action) in list(islice(reach.items(), first, None)):
+        for mask, (s, free, picked, step) in list(islice(reach.items(), first, None)):
             if not up or mask & up:
                 if means[j] * s >= picked * q:
-                    picked, action = means[j] * s, select
+                    picked, step = means[j] * s, select
                 else:
                     picked = picked * q
-                reach[mask | bit] = (s * q, free & ~up | bit, picked, action)
+                reach[mask | bit] = (s * q, free & ~up | bit, picked, step)
 
     width = len(bests)
     full = (1 << n) - 1
-    # (unopened boxes, bitset of best indices to fill) per mask. Reversed,
-    # reach runs down from the full mask, and holds mask | 1 << j for the
-    # highest opened box j; in order, it puts every mask after its submasks.
+    # Bitset of the best indices to fill, per mask. Reversed, reach runs down
+    # from the full mask, and holds mask | 1 << j for the highest opened box
+    # j; in order, it puts every mask after its submasks.
     spans = [sum(1 << k for k, _ in box) for box in atoms]
-    states_at = {full: (frozenset(range(n)), 1)}
+    held_at = {full: 1}
     for mask in reversed(reach):
         if mask != full:
             j = (full ^ mask).bit_length() - 1
-            unopened, up = states_at[mask | 1 << j]
+            up = held_at[mask | 1 << j]
             floor = max(up & -up, spans[j] & -spans[j])
-            states_at[mask] = unopened - {j}, (up | spans[j]) & -floor
+            held_at[mask] = (up | spans[j]) & -floor
 
-    inspect = [(INSPECT, j) for j in range(n)]
-    stop, take = (STOP, None), (SELECT_OPENED_BEST, None)
     rows: dict = {}
-    table = {}
+    steps: dict = {}  # mask -> step code by best index, read at the held ones
     for mask, (s, free, picked, select) in reach.items():
-        unopened, held = states_at[mask]
+        held = held_at[mask]
         fill = [k for k in range(width) if held >> k & 1]
         row = [0] * width
-        keys = [(unopened, bests[best]) for best in fill]
-        for best, key in zip(fill, keys):
-            top, action = 0, stop
+        step = [_STOP] * width
+        for best in fill:
+            top = 0
             if scaled_values[best] * s > top:
-                top, action = scaled_values[best] * s, take
+                top, step[best] = scaled_values[best] * s, _TAKE_BEST
             if picked > top:
-                top, action = picked, select
-            row[best], table[key] = top, action
+                top, step[best] = picked, select
+            row[best] = top
         while free:
             bit = free & -free
             free ^= bit
             j = bit.bit_length() - 1
             sub = rows[mask ^ bit]
             box, base = atoms[j], -scaled_costs[j] * s
-            for best, key in zip(fill, keys):
+            for best in fill:
                 cont = base
                 for k, w in box:
                     cont = cont + w * sub[k if k > best else best]
                 if cont > row[best]:
-                    row[best], table[key] = cont, inspect[j]
+                    row[best], step[best] = cont, j
         rows[mask] = row
+        steps[mask] = step
+
+    def table() -> dict:
+        # Each mask's unopened set is made from that of a mask one box up.
+        actions = {code: _action(code) for code in range(_CLOSED - n + 1, n)}
+        unopened_at = {full: frozenset(range(n))}
+        for mask in reversed(steps):
+            if mask != full:
+                j = (full ^ mask).bit_length() - 1
+                unopened_at[mask] = unopened_at[mask | 1 << j] - {j}
+        out = {}
+        for mask, step in steps.items():
+            unopened, held = unopened_at[mask], held_at[mask]
+            for best in range(width):
+                if held >> best & 1:
+                    out[unopened, bests[best]] = actions[step[best]]
+        return out
 
     root = rows[full][0]
     root = Fraction(root, unit * reach[full][0]) if exact else float(root)
-    return root, PnoiPolicy(table)
+    return root, PnoiPolicy._deferred(table)
 
 
 def pnoi_value_upper_bound(instance: Instance) -> Number:

@@ -104,14 +104,19 @@ def test_audit_failure_exit_code_is_distinct(tmp_path, capsys):
     assert record["error"]["type"] == "NotCostless"
 
 
-def test_audit_costly_regime_with_alpha(tmp_path, capsys):
+def costly_instance_path(tmp_path, max_n):
+    # Delegation cost 1/4 of E[max (X_i - c_i)+], as `--alpha 1/4` needs.
     from delegatebox import expected_of_max
     from delegatebox.instances import random_corpus
 
-    base = next(random_corpus(seed=6, count=1, max_n=3))
+    base = next(random_corpus(seed=6, count=1, max_n=max_n))
     surplus = expected_of_max(base, "shifted_positive")
     inst = Instance(base.alternatives, base.cost_model, F(1, 4) * surplus)
-    path = write_instance(tmp_path, inst)
+    return write_instance(tmp_path, inst)
+
+
+def test_audit_costly_regime_with_alpha(tmp_path, capsys):
+    path = costly_instance_path(tmp_path, 3)
     code, stdout, _ = run_cli(
         capsys, "audit", "--instance", path, "--regime", "costly",
         "--alpha", "1/4", "--format", "json",
@@ -121,6 +126,24 @@ def test_audit_costly_regime_with_alpha(tmp_path, capsys):
     assert report["pass"] is True
     assert report["claimed_bound"] == "4"
     assert report["mechanism"] == "costly"
+
+
+def test_costly_audit_solves_the_dp_once(tmp_path, capsys, monkeypatch):
+    from delegatebox import bounds, delegation, pandora
+
+    path = costly_instance_path(tmp_path, 6)
+    argv = ["audit", "--instance", path, "--regime", "costly", "--alpha", "1/4"]
+    want = run_cli(capsys, *argv, "--format", "json")
+    solve, calls = pandora.pnoi_optimal, []
+
+    def counting(instance, *args, **kwargs):
+        calls.append(instance)
+        return solve(instance, *args, **kwargs)
+
+    for module in (pandora, delegation, bounds):
+        monkeypatch.setattr(module, "pnoi_optimal", counting)
+    assert run_cli(capsys, *argv, "--format", "json") == want
+    assert len(calls) == 1
 
 
 def test_missing_instance_file_yields_error_record(capsys):

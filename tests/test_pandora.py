@@ -1,4 +1,8 @@
+import copy
+import pickle
 import random
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -333,6 +337,53 @@ def test_policy_serialization_round_trip():
         back[state] = (row["action"]["kind"], row["action"].get("index"))
     assert back == policy.table
     assert evaluate_policy(inst, PnoiPolicy(back)) == value
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_dp_policies_pickle_and_copy_before_and_after_the_table_is_read(mode):
+    inst = Instance(tuple(three_point_boxes(random.Random(3), 5)))
+    if mode == "float":
+        inst = inst.to_float()
+    want = pnoi_reference(inst)[1].table
+    for read_first in (False, True):
+        for clone in (lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy):
+            policy = pnoi_optimal(inst)[1]
+            if read_first:
+                assert policy.table == want
+            back = clone(policy)
+            assert back.table == want
+            assert policy.table == want
+
+
+def test_first_table_read_is_safe_across_threads():
+    inst = Instance(tuple(three_point_boxes(random.Random(4), 7)))
+    policy, want = pnoi_optimal(inst)[1], pnoi_optimal(inst)[1].table
+    start = threading.Barrier(8)
+    tables, errors = [], []
+
+    def read():
+        try:
+            start.wait(timeout=10)
+            tables.append(policy.table)
+        except Exception as exc:  # recorded, then asserted on below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(tables) == 8
+    # One build: every reader holds the same dict, equal to a fresh solve's.
+    assert all(table is tables[0] for table in tables)
+    assert tables[0] == want
 
 
 def test_walk_table_policy_reports_outcome():
