@@ -223,23 +223,40 @@ class DiscreteDistribution:
         return DiscreteDistribution(_merge_atoms((fn(v), p) for v, p in self.atoms))
 
     def to_float(self) -> "DiscreteDistribution":
-        return DiscreteDistribution(
-            tuple((float(v), float(p)) for v, p in self.atoms)
-        )
+        """The float copy, atom by atom in order.
+
+        Rounding keeps the order of values, so two values that round to the
+        same double are neighbours: they merge into one atom, their
+        probabilities added in atom order, and an atom whose probability
+        rounds to 0.0 is dropped, as ``make_distribution`` would merge and
+        drop them. Without such a collision every atom keeps its bits.
+        """
+        return DiscreteDistribution(_merge_sorted((_float(v), _float(p)) for v, p in self.atoms))
+
+
+def _float(x: Number) -> float:
+    # The correctly rounded int division that float(Fraction) runs through
+    # the Python-level numbers.Rational.__float__ (Python 3.10 to 3.13): the
+    # same bits, without that call. It raises OverflowError past the range.
+    return x.numerator / x.denominator if type(x) is Fraction else float(x)
 
 
 def _merge_atoms(pairs) -> tuple[tuple[Number, Number], ...]:
     # A stable sort keeps equal values in input order, so each run is added
     # up in that order; on presorted input (a monotone transform) it is linear.
-    values: list = []
-    probs: list = []
-    for v, p in sorted(pairs, key=itemgetter(0)):
-        if values and values[-1] == v:
-            probs[-1] += p
+    return _merge_sorted(sorted(pairs, key=itemgetter(0)))
+
+
+def _merge_sorted(pairs) -> tuple[tuple[Number, Number], ...]:
+    # Pairs sorted by value: each run of equal values becomes one atom, its
+    # probabilities added in order, and zero-probability atoms are dropped.
+    atoms: list = []
+    for v, p in pairs:
+        if atoms and atoms[-1][0] == v:
+            atoms[-1] = (v, atoms[-1][1] + p)
         else:
-            values.append(v)
-            probs.append(p)
-    return tuple((v, p) for v, p in zip(values, probs) if p != 0)
+            atoms.append((v, p))
+    return tuple(atom for atom in atoms if atom[1])
 
 
 def make_distribution(pairs: Sequence[tuple], mode: Mode = "exact") -> DiscreteDistribution:
@@ -413,22 +430,36 @@ class Instance:
             object.__setattr__(self, "_means", means)
         return means
 
+    def with_delegation_cost(self, cost: Number) -> "Instance":
+        """This instance with another delegation cost.
+
+        No moment reads the delegation cost, so the means, E[max X] and E[max
+        (X - c)+] already filled here are carried over, not recomputed.
+        """
+        other = Instance(self.alternatives, self.cost_model, cost)
+        for slot in ("_means", "_max", "_surplus"):
+            object.__setattr__(other, slot, getattr(self, slot))
+        return other
+
     def support_product_size(self) -> int:
         return prod(len(alt.dist.atoms) for alt in self.alternatives)
 
     def to_float(self) -> "Instance":
+        """The float copy: each exact number becomes the double that
+        float(Fraction) gives it, and InvalidParameters is raised if one is
+        outside the float range."""
         try:
             alts = tuple(
-                Alternative(alt.dist.to_float(), float(alt.inspect_cost))
+                Alternative(alt.dist.to_float(), _float(alt.inspect_cost))
                 for alt in self.alternatives
             )
             if self.cost_model.kind == "monotone":
                 cm = CostModel.monotone(
-                    {k: float(v) for k, v in self.cost_model.table.items()}
+                    {k: _float(v) for k, v in self.cost_model.table.items()}
                 )
             else:
                 cm = CostModel.additive()
-            cdel = float(self.delegation_cost)
+            cdel = _float(self.delegation_cost)
         except OverflowError:
             raise InvalidParameters("a number is outside the float range") from None
         return Instance(alts, cm, cdel)

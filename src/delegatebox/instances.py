@@ -13,6 +13,7 @@ from typing import Iterator, Optional
 from .core import (
     DEFAULT_STATE_LIMIT,
     Alternative,
+    DiscreteDistribution,
     Instance,
     InvalidParameters,
     StateLimitExceeded,
@@ -138,6 +139,9 @@ def spmi_fail(n: int = 2) -> Instance:
     return Instance(alts)
 
 
+_SIXTEENTHS = tuple(Fraction(w, 16) for w in range(17))
+
+
 def random_instance(
     rng: random.Random,
     n: int,
@@ -146,7 +150,14 @@ def random_instance(
     cost_max: int = 2,
     cdel_max: int = 0,
 ) -> Instance:
-    """Seeded random instance on a coarse grid (values k/2, costs k/4, probs k/16)."""
+    """Seeded random instance on a coarse grid (values k/2, costs k/4, probs w/16).
+
+    Each box's atoms are built valid, so they skip ``make_distribution``:
+    ``rng.sample`` draws distinct grid indices k, so the values are
+    distinct, and sorting the (k, w) pairs sorts them; ``_random_composition``
+    draws positive weights w that sum to 16, so no probability is zero and
+    they sum to exactly 1.
+    """
     if n < 1 or support_size < 1:
         raise InvalidParameters("need n >= 1 and support_size >= 1")
     if min(value_max, cost_max, cdel_max) < 0:
@@ -157,11 +168,11 @@ def random_instance(
     alternatives = []
     for _ in range(n):
         size = rng.randint(1, support_size)
-        values = [Fraction(k, 2) for k in rng.sample(range(2 * value_max + 1), size)]
+        ks = rng.sample(range(2 * value_max + 1), size)
         weights = _random_composition(rng, size, 16)
-        atoms = [(v, Fraction(w, 16)) for v, w in zip(values, weights)]
+        atoms = tuple((Fraction(k, 2), _SIXTEENTHS[w]) for k, w in sorted(zip(ks, weights)))
         cost = Fraction(rng.randint(0, 4 * cost_max), 4)
-        alternatives.append(Alternative(make_distribution(atoms), cost))
+        alternatives.append(Alternative(DiscreteDistribution(atoms), cost))
     cdel = Fraction(rng.randint(0, 4 * cdel_max), 4) if cdel_max else Fraction(0)
     return Instance(tuple(alternatives), delegation_cost=cdel)
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from . import bounds, delegation, instances, pandora
 from .core import SCHEMA_VERSION as SUITE_VERSION
-from .core import Instance, expected_of_max, to_json
+from .core import expected_of_max, to_json
 
 TIGHTNESS_EPS = (Fraction(1, 5), Fraction(1, 10), Fraction(1, 20), Fraction(1, 100))
 IDENTICAL_NS = (6, 10, 20)
@@ -160,13 +160,15 @@ def costly_case1_rows(seed: int, count: int = CORPUS_SIZE) -> list[dict]:
     violations = [0] * len(COSTLY_ALPHAS)
     worst_slack = [None] * len(COSTLY_ALPHAS)
     for base in instances.random_corpus(seed, count):
+        # Neither the search DP nor the moments read the delegation cost,
+        # which is all that alpha changes: one solve of the base instance
+        # answers both oracle calls at every alpha, and its moments, filled
+        # once here, carry over to each alpha's instance.
         surplus = expected_of_max(base, "shifted_positive")
-        # The search DP never reads the delegation cost, which is all that
-        # alpha changes, so one solve of the base instance answers both
-        # oracle calls at every alpha.
+        base.expected_values()
         solved = pandora.pnoi_optimal(base)
         for a, alpha in enumerate(COSTLY_ALPHAS):
-            inst = Instance(base.alternatives, base.cost_model, alpha * surplus)
+            inst = base.with_delegation_cost(alpha * surplus)
             report = delegation.costly_mechanism(inst, lambda _: solved)
             ub = bounds.upper_bound_costly(inst, lambda _: solved)
             slack = report.value - factors[a] * ub

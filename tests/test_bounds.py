@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from delegatebox import core
+from delegatebox import core, repro
 from delegatebox import (
     Alternative,
     Instance,
@@ -157,3 +157,25 @@ def test_mechanisms_and_audits_compute_each_moment_once(monkeypatch):
     assert calls == {"shifted_positive": 1}
     assert audit(inst, identical_cost_mechanism(inst), IDENTICAL).passed
     assert calls == {"identity": 1, "shifted_positive": 1}
+
+
+def test_costly_repro_rows_compute_each_moment_once_per_base(monkeypatch):
+    # Each alpha's instance differs from its base only in the delegation
+    # cost, which no moment reads, so the base's moments carry over.
+    kernel, mean = core.expected_max_of_dists, core.DiscreteDistribution.mean
+    calls = Counter()
+
+    def counting_kernel(dists, costs=None):
+        calls["identity" if costs is None else "shifted_positive"] += 1
+        return kernel(dists, costs)
+
+    def counting_mean(dist):
+        calls["mean"] += 1
+        return mean(dist)
+
+    monkeypatch.setattr(core, "expected_max_of_dists", counting_kernel)
+    monkeypatch.setattr(core.DiscreteDistribution, "mean", counting_mean)
+    rows = repro.costly_case1_rows(8, count=20)
+    assert all(row["pass"] for row in rows)
+    boxes = sum(base.n for base in random_corpus(8, 20))
+    assert calls == {"shifted_positive": 20, "mean": boxes}

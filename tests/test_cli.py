@@ -345,6 +345,31 @@ def test_float_mode_flag(tmp_path, capsys):
     assert abs(report["value"] - 0.25) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        # Two values that round to one double, 0.0, merge into one atom.
+        ("--v", "1e-400"),
+        # A probability that rounds to 0.0 drops its atom.
+        ("--p", "1e-400"),
+    ],
+)
+def test_float_digest_is_the_same_from_the_family_and_from_its_json(tmp_path, capsys, flags):
+    family = ("--family", "identical_binary", "--n", "2", *flags)
+    out = tmp_path / "gen.json"
+    assert run_cli(capsys, "gen", *family, "--out", str(out))[0] == 0
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(json.loads(out.read_text())["instance"]))
+    digests = []
+    for source in (family, ("--instance", str(path))):
+        code, stdout, _ = run_cli(
+            capsys, "eval", *source, "--float", "--mechanism", "maximal", "--format", "json"
+        )
+        assert code == 0
+        digests.append(json.loads(stdout)["instance_digest"])
+    assert digests[0] == digests[1]
+
+
 def test_env_format_override(tmp_path, capsys, monkeypatch):
     inst = Instance((Alternative(make_distribution([(3, 1)]), 0),))
     path = write_instance(tmp_path, inst)

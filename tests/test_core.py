@@ -343,6 +343,48 @@ def test_merged_sweep_matches_both_oracles(inst, mode):
             assert abs(got - brute) <= 1e-9
 
 
+def _exact_numbers(inst):
+    """Every number of an instance, in atom, cost and table-key order."""
+    out = []
+    for alt in inst.alternatives:
+        out += [x for atom in alt.dist.atoms for x in atom]
+        out.append(alt.inspect_cost)
+    out.append(inst.delegation_cost)
+    if inst.cost_model.kind == "monotone":
+        out += [c for _, c in sorted(inst.cost_model.table.items(), key=lambda kv: sorted(kv[0]))]
+    return out
+
+
+def test_to_float_gives_the_bits_of_float_fraction():
+    # Fractions with numerator and denominator both past 2**1024, and a
+    # subnormal result.
+    huge = F(7**400 + 1, 5 * 7**399)
+    tiny = F(1, 3 * 2**1060)
+    assert huge.denominator > 2**1024 and 0 < float(tiny) < 2.2250738585072014e-308
+    extreme = Instance(
+        (box([(tiny, F(1, 3)), (huge, F(2, 3))], tiny), box([(F(1, 7), 1)], huge)),
+        delegation_cost=huge,
+    )
+    monotone = Instance(
+        extreme.alternatives,
+        CostModel.monotone({frozenset(): 0, frozenset({0}): tiny, frozenset({1}): huge,
+                            frozenset({0, 1}): huge + 1}),
+    )
+    cases = [*random_corpus(7, 2000), extreme, monotone]
+    cases += [identical_binary(n, F(1, n), 1, F(2, n)) for n in range(2, 40)]
+    for inst in cases:
+        got = [repr(x) for x in _exact_numbers(inst.to_float())]
+        assert got == [repr(float(x)) for x in _exact_numbers(inst)]
+
+
+def test_to_float_merges_values_that_round_to_one_double():
+    dist = make_distribution([(0, "0.5"), (F(1, 10**400), "0.25"), (1, "0.25")])
+    assert dist.to_float().atoms == ((0.0, 0.75), (1.0, 0.25))
+    # An atom whose probability rounds to 0.0 is dropped.
+    rare = make_distribution([(0, 1 - F(1, 10**400)), (1, F(1, 10**400))])
+    assert rare.to_float().atoms == ((0.0, 1.0),)
+
+
 def test_instance_json_round_trip():
     inst = Instance(
         (box([(0, "0.5"), (3, "0.5")], "0.25"), box([(1, 1)], "1/3")),

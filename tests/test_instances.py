@@ -106,8 +106,23 @@ def test_random_instance_is_seed_deterministic():
 def test_random_corpus_draws_what_the_grid_sampler_drew():
     for seed in range(5):
         assert list(random_corpus(seed, 60)) == random_corpus_reference(seed, 60)
-    wide = dict(max_n=3, support_size=16, value_max=40, cost_max=3, cdel_max=2)
-    assert list(random_corpus(7, 30, **wide)) == random_corpus_reference(7, 30, **wide)
+    for shape in (
+        dict(max_n=3, support_size=16, value_max=40, cost_max=3, cdel_max=2),
+        # Every weight 1/16 once sixteen atoms are drawn.
+        dict(max_n=3, support_size=16, value_max=8),
+        # The one-point grid: a point mass at 0.
+        dict(max_n=3, support_size=1, value_max=0),
+    ):
+        assert list(random_corpus(7, 30, **shape)) == random_corpus_reference(7, 30, **shape)
+    sixteenths = [
+        alt.dist.atoms
+        for inst in random_corpus(7, 30, max_n=3, support_size=16, value_max=8)
+        for alt in inst.alternatives
+        if len(alt.dist.atoms) == 16
+    ]
+    assert sixteenths and all(p == F(1, 16) for atoms in sixteenths for _, p in atoms)
+    for inst in random_corpus(7, 30, max_n=3, support_size=1, value_max=0):
+        assert all(alt.dist.atoms == ((0, 1),) for alt in inst.alternatives)
 
 
 def test_random_instance_takes_no_time_in_value_max():
