@@ -28,6 +28,7 @@ from .pandora import (
     PnoiPolicy,
     evaluate_policy,
     pnoi_optimal,
+    pnoi_value,
     pnoi_value_upper_bound,
     reservation_cap,
     weitzman_value,

@@ -17,7 +17,7 @@ from .core import (
     to_json,
 )
 from .delegation import MechanismReport
-from .pandora import pnoi_optimal
+from .pandora import pnoi_value
 
 COSTLESS = "costless"
 COSTLY = "costly"
@@ -34,16 +34,14 @@ def upper_bound_costless(instance: Instance) -> Number:
     return max(instance.expected_values()) + expected_of_max(instance, "shifted_positive")
 
 
-def upper_bound_costly(instance: Instance, pnoi_oracle=None) -> Number:
+def upper_bound_costly(instance: Instance) -> Number:
     """Bound splitting on whether the optimum delegates.
 
     Non-delegating optima are bounded by the exact direct-search value,
     delegating ones by the costless bound net of the delegation cost; the max
     covers both since we cannot know which side the optimum takes.
     """
-    oracle = pnoi_oracle if pnoi_oracle is not None else pnoi_optimal
-    direct, _ = oracle(instance)
-    return max(direct, upper_bound_costless(instance) - instance.delegation_cost)
+    return max(pnoi_value(instance), upper_bound_costless(instance) - instance.delegation_cost)
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,7 +85,6 @@ def audit(
     report: MechanismReport,
     regime: str,
     alpha: Optional[Number] = None,
-    pnoi_oracle=None,
 ) -> AuditReport:
     """Check mechanism_value * claimed_bound >= applicable upper bound.
 
@@ -95,8 +92,8 @@ def audit(
     to alpha * E[max (X_i - c_i)+] for alpha < 1/2 (factor (3-4a)/(1-2a)),
     and "identical" equal-cost costless instances (factor 2, audited against
     max(max_i E[X_i], E[max_i X_i] - c)). Only the costly regime takes alpha,
-    and only it solves the DP, through ``pnoi_oracle`` as in
-    ``upper_bound_costly``.
+    and only it reads the direct-search value, which a costly mechanism run
+    on the same instance has already solved.
     """
     if alpha is not None and regime != COSTLY:
         raise InvalidParameters(f"alpha does not apply to the {regime} regime")
@@ -122,7 +119,7 @@ def audit(
                 "delegation cost does not equal alpha * E[max (X_i - c_i)+]"
             )
         claimed = (3 * one - 4 * alpha) / (1 - 2 * alpha)
-        ub_costly = upper_bound_costly(instance, pnoi_oracle)
+        ub_costly = upper_bound_costly(instance)
         ub_used = ub_costly
     elif regime == IDENTICAL:
         costs = instance.singleton_costs()

@@ -8,7 +8,6 @@ machine-readable record and exit 2; audit and repro exit 1 when a check fails.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -188,8 +187,7 @@ def _emit(obj: dict, fmt: str) -> None:
 
 def _mechanism_report(inst: Instance, name: str) -> dict:
     if name == "pnoi":
-        value, _ = pandora.pnoi_optimal(inst)
-        return {"mechanism": "pnoi", "value": value}
+        return {"mechanism": "pnoi", "value": pandora.pnoi_value(inst)}
     if name == "weitzman":
         return {"mechanism": "weitzman", "value": pandora.weitzman_value(inst)}
     if name == "spmi":
@@ -225,11 +223,8 @@ def _cmd_audit(args) -> int:
         raise InvalidParameters("audit needs a composed mechanism (maximal|costly|identical)")
     inst, meta = _load_instance(args)
     alpha = as_number(args.alpha, inst.mode) if args.alpha is not None else None
-    # One DP solve serves both the costly mechanism and the costly bound.
-    pnoi_once = functools.cache(pandora.pnoi_optimal)
-    run = COMPOSED[mechanism]
-    report = run(inst, pnoi_once) if mechanism == "costly" else run(inst)
-    audit_report = bounds.audit(inst, report, args.regime, alpha, pnoi_once)
+    report = COMPOSED[mechanism](inst)
+    audit_report = bounds.audit(inst, report, args.regime, alpha)
     out = audit_report.to_obj()
     out["schema"] = repro.SUITE_VERSION
     out["mechanism"] = mechanism

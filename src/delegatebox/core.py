@@ -3,10 +3,10 @@
 Everything runs in one of two arithmetic modes: ``exact`` (fractions.Fraction
 end to end, so equality checks are true equalities) or ``float`` (IEEE doubles
 with a 1e-9 comparison tolerance). The fields of every container are
-immutable after construction. An ``Instance`` also fills its means, E[max X]
-and E[max (X - c)+] once, on first use: the value written is always the one
-the same kernel call would return, so a fill is idempotent, and sharing an
-instance across threads stays safe.
+immutable after construction. An ``Instance`` also fills its means, E[max X],
+E[max (X - c)+] and its direct-search value once, on first use: the value
+written is always the one the same kernel call would return, so a fill is
+idempotent, and sharing an instance across threads stays safe.
 """
 
 from __future__ import annotations
@@ -264,7 +264,7 @@ def make_distribution(pairs: Sequence[tuple], mode: Mode = "exact") -> DiscreteD
 
     Duplicate values are merged, zero-probability atoms dropped, and the
     result is sorted by value. Probabilities must sum to exactly 1 in exact
-    mode, or to within 1e-12 in float mode (then renormalized).
+    mode, or to within 1e-12 in float mode, where they are kept as given.
     """
     if not pairs:
         raise EmptySupport("distribution needs at least one atom")
@@ -287,7 +287,6 @@ def make_distribution(pairs: Sequence[tuple], mode: Mode = "exact") -> DiscreteD
     else:
         if abs(total - 1.0) > FLOAT_PROB_TOL:
             raise ProbabilitySumMismatch(f"probabilities sum to {total!r}")
-        atoms = tuple((v, p / total) for v, p in atoms)
     return DiscreteDistribution(atoms)
 
 
@@ -349,8 +348,8 @@ class Instance:
     """The alternatives, a cost model, and the delegation cost.
 
     ``mode`` is set from the alternatives at construction. The means, E[max
-    X] and E[max (X - c)+] start as None and are filled on first use by
-    ``expected_values`` and ``expected_of_max``.
+    X], E[max (X - c)+] and direct-search value start as None and are filled
+    on first use, by ``expected_values``, ``expected_of_max`` and ``pnoi_value``.
     """
 
     alternatives: tuple[Alternative, ...]
@@ -360,6 +359,7 @@ class Instance:
     _means: Optional[tuple[Number, ...]] = _derived()
     _max: Optional[Number] = _derived()
     _surplus: Optional[Number] = _derived()
+    _direct: Optional[Number] = _derived()
 
     def __post_init__(self):
         object.__setattr__(self, "alternatives", tuple(self.alternatives))
@@ -369,7 +369,7 @@ class Instance:
         for alt in self.alternatives:
             if alt.dist.mode != mode:
                 raise InvalidParameters("mixed arithmetic modes in one instance")
-        object.__setattr__(self, "mode", mode)
+        self._fill("mode", mode)
         object.__setattr__(self, "delegation_cost", as_number(self.delegation_cost, mode))
         if self.delegation_cost < 0:
             raise NegativeValue(f"negative delegation cost: {self.delegation_cost}")
@@ -423,22 +423,25 @@ class Instance:
             )
         return self.cost_model.table[subset]
 
+    def _fill(self, slot: str, value):
+        # The one writer of a derived field; callers read a filled slot first.
+        object.__setattr__(self, slot, value)
+        return value
+
     def expected_values(self) -> tuple[Number, ...]:
         means = self._means
         if means is None:
-            means = tuple(alt.dist.mean() for alt in self.alternatives)
-            object.__setattr__(self, "_means", means)
+            means = self._fill("_means", tuple(alt.dist.mean() for alt in self.alternatives))
         return means
 
     def with_delegation_cost(self, cost: Number) -> "Instance":
         """This instance with another delegation cost.
 
-        No moment reads the delegation cost, so the means, E[max X] and E[max
-        (X - c)+] already filled here are carried over, not recomputed.
+        No value filled on first use depends on the delegation cost, so each carries over.
         """
         other = Instance(self.alternatives, self.cost_model, cost)
-        for slot in ("_means", "_max", "_surplus"):
-            object.__setattr__(other, slot, getattr(self, slot))
+        for slot in ("_means", "_max", "_surplus", "_direct"):
+            other._fill(slot, getattr(self, slot))
         return other
 
     def support_product_size(self) -> int:
@@ -559,7 +562,7 @@ def expected_of_max(instance: Instance, transform=IDENTITY) -> Number:
     if value is None:
         costs = instance.singleton_costs() if transform == SHIFTED_POSITIVE else None
         value = expected_max_of_dists([alt.dist for alt in instance.alternatives], costs)
-        object.__setattr__(instance, slot, value)
+        instance._fill(slot, value)
     return value
 
 

@@ -25,7 +25,7 @@ from .core import (
     expected_of_max,
     to_json,
 )
-from .pandora import _policy_sweep, pnoi_optimal, policy_to_rows
+from .pandora import _policy_sweep, pnoi_value, policy_to_rows
 
 
 class _WorstCase:
@@ -280,15 +280,14 @@ def maximal_mechanism_costless(instance: Instance) -> MechanismReport:
     )
 
 
-def costly_mechanism(instance: Instance, pnoi_oracle=None) -> MechanismReport:
+def costly_mechanism(instance: Instance) -> MechanismReport:
     """Run the optimal direct search, or the SPMI net of the delegation cost.
 
-    v1 is the exact optimal nonobligatory-inspection value, v2 the SPMI
-    guarantee E[max (X_i - c_i)+]/2 - delegation cost; the larger branch runs
-    (direct search on ties).
+    v1 is the exact optimal nonobligatory-inspection value (``pnoi_value``),
+    v2 the SPMI guarantee E[max (X_i - c_i)+]/2 - delegation cost; the larger
+    branch runs (direct search on ties).
     """
-    oracle = pnoi_oracle if pnoi_oracle is not None else pnoi_optimal
-    v1, _policy = oracle(instance)
+    v1 = pnoi_value(instance)
     half_surplus = expected_of_max(instance, "shifted_positive") / 2
     v2 = half_surplus - instance.delegation_cost
     components = {"v1": v1, "v2": v2, "half_max_surplus": half_surplus}

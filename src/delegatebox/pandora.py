@@ -477,6 +477,13 @@ def pnoi_optimal(
     return root, PnoiPolicy._deferred(table)
 
 
+def pnoi_value(instance: Instance) -> Number:
+    """``pnoi_optimal(instance)[0]`` at the default state limit, kept on the instance."""
+    if instance._direct is None:
+        instance._fill("_direct", pnoi_optimal(instance)[0])
+    return instance._direct
+
+
 def pnoi_value_upper_bound(instance: Instance) -> Number:
     """E[max_i min(X_i, cap_i)] + max_i E[X_i].
 

@@ -30,7 +30,7 @@ def tightness_rows() -> list[dict]:
     ratios = []
     for eps in TIGHTNESS_EPS:
         inst = instances.tightness(eps)
-        opt, _ = pandora.pnoi_optimal(inst)
+        opt = pandora.pnoi_value(inst)
         expected = 3 - 3 * eps + eps * eps
         report = delegation.maximal_mechanism_costless(inst)
         ratio = opt / report.value
@@ -61,7 +61,7 @@ def identical_binary_rows() -> list[dict]:
     rows = []
     for n in IDENTICAL_NS:
         inst = instances.identical_binary(n, p=Fraction(1, n), v=1, c=Fraction(2, n))
-        direct, _ = pandora.pnoi_optimal(inst)
+        direct = pandora.pnoi_value(inst)
         spmi = delegation.build_spmi(inst)
         spmi_value = delegation.evaluate_spmi(inst, spmi)
         floor = 1 - (1 - Fraction(1, n)) ** n - Fraction(2, n)
@@ -81,13 +81,12 @@ def identical_binary_rows() -> list[dict]:
 def first_best_gap_row(n: int = 10) -> dict:
     inst = instances.inapprox_first_best(n)
     first_best = expected_of_max(inst, "identity")
-    solved = pandora.pnoi_optimal(inst)
     values = {
-        "pnoi": solved[0],
+        "pnoi": pandora.pnoi_value(inst),
         "weitzman": pandora.weitzman_value(inst),
         "spmi": delegation.evaluate_spmi(inst, delegation.build_spmi(inst)),
         "maximal": delegation.maximal_mechanism_costless(inst).value,
-        "costly": delegation.costly_mechanism(inst, lambda _: solved).value,
+        "costly": delegation.costly_mechanism(inst).value,
         "identical": delegation.identical_cost_mechanism(inst).value,
     }
     top = max(values.values())
@@ -161,16 +160,15 @@ def costly_case1_rows(seed: int, count: int = CORPUS_SIZE) -> list[dict]:
     worst_slack = [None] * len(COSTLY_ALPHAS)
     for base in instances.random_corpus(seed, count):
         # Neither the search DP nor the moments read the delegation cost,
-        # which is all that alpha changes: one solve of the base instance
-        # answers both oracle calls at every alpha, and its moments, filled
-        # once here, carry over to each alpha's instance.
+        # which is all that alpha changes: the base's DP value and moments,
+        # filled once here, carry over to each alpha's instance.
         surplus = expected_of_max(base, "shifted_positive")
         base.expected_values()
-        solved = pandora.pnoi_optimal(base)
+        pandora.pnoi_value(base)
         for a, alpha in enumerate(COSTLY_ALPHAS):
             inst = base.with_delegation_cost(alpha * surplus)
-            report = delegation.costly_mechanism(inst, lambda _: solved)
-            ub = bounds.upper_bound_costly(inst, lambda _: solved)
+            report = delegation.costly_mechanism(inst)
+            ub = bounds.upper_bound_costly(inst)
             slack = report.value - factors[a] * ub
             if slack < 0:
                 violations[a] += 1

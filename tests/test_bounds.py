@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from delegatebox import core, repro
+from delegatebox import core, pandora, repro
 from delegatebox import (
     Alternative,
     Instance,
@@ -161,8 +161,11 @@ def test_mechanisms_and_audits_compute_each_moment_once(monkeypatch):
 
 def test_costly_repro_rows_compute_each_moment_once_per_base(monkeypatch):
     # Each alpha's instance differs from its base only in the delegation
-    # cost, which no moment reads, so the base's moments carry over.
-    kernel, mean = core.expected_max_of_dists, core.DiscreteDistribution.mean
+    # cost, which neither a moment nor the DP reads, so the base's moments
+    # and DP value carry over.
+    kernel, mean, solve = (
+        core.expected_max_of_dists, core.DiscreteDistribution.mean, pandora.pnoi_optimal
+    )
     calls = Counter()
 
     def counting_kernel(dists, costs=None):
@@ -173,9 +176,14 @@ def test_costly_repro_rows_compute_each_moment_once_per_base(monkeypatch):
         calls["mean"] += 1
         return mean(dist)
 
+    def counting_solve(instance, *args, **kwargs):
+        calls["pnoi_optimal"] += 1
+        return solve(instance, *args, **kwargs)
+
     monkeypatch.setattr(core, "expected_max_of_dists", counting_kernel)
     monkeypatch.setattr(core.DiscreteDistribution, "mean", counting_mean)
+    monkeypatch.setattr(pandora, "pnoi_optimal", counting_solve)
     rows = repro.costly_case1_rows(8, count=20)
     assert all(row["pass"] for row in rows)
     boxes = sum(base.n for base in random_corpus(8, 20))
-    assert calls == {"shifted_positive": 20, "mean": boxes}
+    assert calls == {"shifted_positive": 20, "mean": boxes, "pnoi_optimal": 20}

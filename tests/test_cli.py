@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from delegatebox import Alternative, Instance, instance_to_json, make_distribution
 from delegatebox import instances
 from delegatebox.cli import FORMATS, MECHANISMS, REGIMES, _build_parser, main
-from delegatebox.repro import run_repro
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -129,7 +128,7 @@ def test_audit_costly_regime_with_alpha(tmp_path, capsys):
 
 
 def test_costly_audit_solves_the_dp_once(tmp_path, capsys, monkeypatch):
-    from delegatebox import bounds, delegation, pandora
+    from delegatebox import pandora
 
     path = costly_instance_path(tmp_path, 6)
     argv = ["audit", "--instance", path, "--regime", "costly", "--alpha", "1/4"]
@@ -140,8 +139,7 @@ def test_costly_audit_solves_the_dp_once(tmp_path, capsys, monkeypatch):
         calls.append(instance)
         return solve(instance, *args, **kwargs)
 
-    for module in (pandora, delegation, bounds):
-        monkeypatch.setattr(module, "pnoi_optimal", counting)
+    monkeypatch.setattr(pandora, "pnoi_optimal", counting)
     assert run_cli(capsys, *argv, "--format", "json") == want
     assert len(calls) == 1
 
@@ -166,11 +164,7 @@ def run_script(name, *args):
     )
 
 
-def test_scripts_run_end_to_end(tmp_path):
-    out = tmp_path / "repro.json"
-    repro = run_script("repro_claims.py", "--seed", "7", "--out", str(out))
-    assert repro.returncode == 0, repro.stderr
-    assert json.loads(out.read_text()) == run_repro(7)
+def test_scripts_run_end_to_end():
     audit = run_script("audit_corpus.py", "--seed", "7", "--count", "20")
     assert audit.returncode == 0, audit.stderr
     assert "instances audited: 20" in audit.stdout

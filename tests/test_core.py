@@ -23,6 +23,7 @@ from delegatebox import (
     instance_from_json,
     instance_to_json,
     make_distribution,
+    pnoi_value,
 )
 from delegatebox.core import (
     DiscreteDistribution,
@@ -180,6 +181,7 @@ def test_filled_moments_leave_equality_repr_json_and_pickling_alone(mode):
         filled.expected_values(),
         expected_of_max(filled, "identity"),
         expected_of_max(filled, "shifted_positive"),
+        pnoi_value(filled),
     )
     assert filled == fresh
     assert hash(filled) == hash(fresh)
@@ -193,6 +195,7 @@ def test_filled_moments_leave_equality_repr_json_and_pickling_alone(mode):
             back.expected_values(),
             expected_of_max(back, "identity"),
             expected_of_max(back, "shifted_positive"),
+            pnoi_value(back),
         ) == moments
 
 
@@ -383,6 +386,15 @@ def test_to_float_merges_values_that_round_to_one_double():
     # An atom whose probability rounds to 0.0 is dropped.
     rare = make_distribution([(0, 1 - F(1, 10**400)), (1, F(1, 10**400))])
     assert rare.to_float().atoms == ((0.0, 1.0),)
+
+
+def test_float_json_load_keeps_the_bits_of_to_float():
+    # Ten doubles 0.1 sum to 0.9999999999999999; dividing each by that sum
+    # would load 0.10000000000000002 atoms and another digest.
+    inst = Instance((box([(v, F(1, 10)) for v in range(10)], "1/4"),))
+    loaded = instance_from_json(instance_to_json(inst), "float")
+    assert loaded.alternatives[0].dist.atoms == inst.to_float().alternatives[0].dist.atoms
+    assert instance_digest(loaded) == instance_digest(inst.to_float())
 
 
 def test_instance_json_round_trip():

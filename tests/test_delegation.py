@@ -52,7 +52,8 @@ from delegatebox.pandora import (
     pnoi_optimal,
     weitzman_value,
 )
-from delegatebox import SignalingMechanism
+from delegatebox import SignalingMechanism, pandora
+from delegatebox.bounds import COSTLY, audit
 
 from oracles import (
     agent_best_response,
@@ -334,14 +335,18 @@ class TestCostlyMechanism:
         report = costly_mechanism(inst)
         assert report.value >= (F(1, 2) - F(1, 4)) * surplus
 
-    def test_oracle_is_pluggable(self):
-        calls = []
+    def test_an_audit_of_the_mechanism_solves_the_dp_once(self, monkeypatch):
+        # The mechanism keeps the DP value on the instance, and the audit's
+        # bound reads it there.
+        solve, calls = pandora.pnoi_optimal, []
 
-        def oracle(instance):
+        def counting(instance, *args, **kwargs):
             calls.append(instance)
-            return pnoi_optimal(instance)
+            return solve(instance, *args, **kwargs)
 
-        costly_mechanism(tightness(F(1, 10)), oracle)
+        monkeypatch.setattr(pandora, "pnoi_optimal", counting)
+        inst = tightness(F(1, 10))
+        assert audit(inst, costly_mechanism(inst), COSTLY, 0).passed
         assert len(calls) == 1
 
 

@@ -33,6 +33,7 @@ from delegatebox.pandora import (
     PnoiPolicy,
     evaluate_policy,
     pnoi_optimal,
+    pnoi_value,
     pnoi_value_upper_bound,
     policy_to_rows,
     reservation_cap,
@@ -353,6 +354,22 @@ def test_dp_policies_pickle_and_copy_before_and_after_the_table_is_read(mode):
             back = clone(policy)
             assert back.table == want
             assert policy.table == want
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_pnoi_value_is_the_dp_value_solved_once_per_instance(mode):
+    inst = Instance(tuple(three_point_boxes(random.Random(5), 4)), delegation_cost=F(1, 3))
+    if mode == "float":
+        inst = inst.to_float()
+    value = pnoi_optimal(inst)[0]
+    # pnoi_optimal neither reads nor fills the stored value, whatever its limit.
+    pnoi_optimal(inst, state_limit=10**7)
+    assert inst._direct is None
+    assert pnoi_value(inst) == value
+    assert inst._direct == value
+    # The DP never reads the delegation cost; the float copy solves its own.
+    assert inst.with_delegation_cost(0)._direct == value
+    assert inst.to_float()._direct is None
 
 
 def test_first_table_read_is_safe_across_threads():
