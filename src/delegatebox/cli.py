@@ -2,7 +2,8 @@
 
 Environment overrides use the DELEGATEBOX_ prefix (FORMAT, MODE, SEED) and are
 beaten by explicit flags. Errors, a bad override among them, print a
-machine-readable record and exit 2; audit and repro exit 1 when a check fails.
+machine-readable record and exit 2; once an instance is loaded, the record
+carries its ``instance_digest``. audit and repro exit 1 when a check fails.
 """
 
 from __future__ import annotations
@@ -154,6 +155,11 @@ def _generate(args) -> tuple[Instance, Optional[delegation.SignalingMechanism], 
 
 
 def _load_instance(args) -> tuple[Instance, Optional[dict]]:
+    """The instance of --instance or --family, and its ``generator`` record.
+
+    Sets ``args.instance_digest``, which ``main`` adds to the error record of
+    anything raised after the load.
+    """
     mode = _resolve_mode(args)
     if args.instance and args.family:
         raise InvalidParameters("give either --instance or --family, not both")
@@ -163,11 +169,14 @@ def _load_instance(args) -> tuple[Instance, Optional[dict]]:
             text = Path(args.instance).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise InvalidParameters(f"instance file is not UTF-8: {exc}") from None
-        return instance_from_json(text, mode), None
-    if args.family:
+        inst, meta = instance_from_json(text, mode), None
+    elif args.family:
         inst, _, meta = _generate(args)
-        return (inst if mode == "exact" else inst.to_float()), meta
-    raise InvalidParameters("need --instance PATH or --family NAME")
+        inst = inst if mode == "exact" else inst.to_float()
+    else:
+        raise InvalidParameters("need --instance PATH or --family NAME")
+    args.instance_digest = instance_digest(inst)
+    return inst, meta
 
 
 def _emit(obj: dict, fmt: str) -> None:
@@ -208,7 +217,7 @@ def _cmd_eval(args) -> int:
     inst, meta = _load_instance(args)
     out = to_json(_mechanism_report(inst, args.mechanism))
     out["schema"] = repro.SUITE_VERSION
-    out["instance_digest"] = instance_digest(inst)
+    out["instance_digest"] = args.instance_digest
     out["arithmetic_mode"] = inst.mode
     if meta:
         out["generator"] = meta
@@ -275,8 +284,11 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except DelegateboxError as exc:
-        record = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        print(json.dumps(record, sort_keys=True), file=sys.stderr)
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        digest = getattr(args, "instance_digest", None)
+        if digest is not None:
+            error["instance_digest"] = digest
+        print(json.dumps({"error": error}, sort_keys=True), file=sys.stderr)
         return 2
     except OSError as exc:
         record = {"error": {"type": "IOError", "message": str(exc)}}

@@ -7,6 +7,7 @@ inspection is optional (select-a-closed-box allowed).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import islice, product
@@ -17,6 +18,7 @@ from typing import Optional, Sequence
 from .core import (
     DEFAULT_ENUMERATION_LIMIT,
     DEFAULT_STATE_LIMIT,
+    FLOAT_TOL,
     Alternative,
     EnumerationLimitExceeded,
     Instance,
@@ -251,6 +253,34 @@ def _action(code: int) -> Action:
     return SELECT_CLOSED, _CLOSED - code
 
 
+def _cut(box: Sequence, unit: Number, cost: Number, values: Sequence, exact: bool) -> int:
+    """The first best index from which inspecting a box never wins.
+
+    ``box`` holds the box's atoms as (index into the increasing ``values``,
+    weight), ``unit`` their total weight and ``cost`` the inspection cost on
+    the scale of ``values``, as ``pnoi_optimal`` holds them. Inspecting at
+    best value b is cut where the box's shortfall sum w (values[k] - b)+
+    is below unit * cost, by more than FLOAT_TOL in float mode. The
+    shortfall falls as b rises, so those indices form a tail: a walk down
+    the box's atoms finds the segment where the shortfall crosses, and one
+    bisection of ``values`` places the cut there. Index 0 (nothing opened)
+    is never cut, nor is any index of a box that costs nothing.
+    """
+    target = unit * cost - (0 if exact else FLOAT_TOL)
+    if target <= 0:
+        return len(values)
+    lower, upper, tail_prob, tail_sum = 1, 0, 0, 0
+    for k, w in reversed(box):
+        if tail_sum - tail_prob * values[k] >= target:
+            lower = k
+            break
+        upper, tail_prob, tail_sum = k, tail_prob + w, tail_sum + w * values[k]
+    # From values[lower] to values[upper] the shortfall is tail_sum -
+    # tail_prob * b; it is below target at values[upper].
+    gap = tail_sum - target
+    return bisect_right(values, gap // tail_prob if exact else gap / tail_prob, lower, upper + 1)
+
+
 def _policy_sweep(
     instance: Instance,
     policies: Sequence[PnoiPolicy],
@@ -378,6 +408,17 @@ def pnoi_optimal(
     ``_step`` codes by best index, and an improving candidate overwrites one
     slot. The returned policy turns those codes into the public table, keyed
     (frozenset, value or None), the first time its table is read.
+
+    Weitzman's rule prunes the scan. V(S - {j}, .) is nondecreasing and
+    1-Lipschitz in b, so inspecting box j at an opened best b is worth at
+    most V(S - {j}, b) + E[(X_j - b)+] - c_j. When E[(X_j - b)+] < c_j that
+    is below V(S - {j}, b) <= V(S, b): the candidate is never a maximizer,
+    and skipping it changes no value and no table entry. Float mode skips it
+    only when c_j exceeds the shortfall by more than FLOAT_TOL, so rounding
+    cannot turn a skipped candidate into the argmax. The shortfall falls as
+    b rises, so each box gets one cut index into the sorted values
+    (``_cut``), computed once per call, where its scan over best indices
+    stops. The rule never applies with nothing opened, or to a free box.
     """
     _require_additive(instance, "pnoi_optimal")
     n = instance.n
@@ -392,6 +433,7 @@ def pnoi_optimal(
     exact = instance.mode == "exact"
     # q_j * D * E[X_j] for box j.
     means = [sum(w * scaled_values[k] for k, w in box) for box in atoms]
+    cuts = [_cut(*kind, scaled_values, exact) for kind in kinds]
     # reach[mask] = (prod of q_j over mask, the boxes of mask that may be
     # opened, the best select-closed candidate as (scaled value, step code))
     # for the masks the DP can reach, built from the highest box down. Box j
@@ -446,8 +488,10 @@ def pnoi_optimal(
             free ^= bit
             j = bit.bit_length() - 1
             sub = rows[mask ^ bit]
-            box, base = atoms[j], -scaled_costs[j] * s
+            box, base, cut = atoms[j], -scaled_costs[j] * s, cuts[j]
             for best in fill:
+                if best >= cut:
+                    break
                 cont = base
                 for k, w in box:
                     cont = cont + w * sub[k if k > best else best]

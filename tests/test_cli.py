@@ -326,6 +326,31 @@ def test_bad_input_yields_one_error_record(tmp_path, capsys, monkeypatch, name):
     assert json.loads(stderr)["error"]["type"] == BAD_INPUT_TYPES.get(name, "InvalidParameters")
 
 
+# With --n 17 both end in StateLimitExceeded: 17 distinct boxes need
+# 2^17 * 12 DP states. With --n 0 the family fails to build.
+AFTER_LOAD_ERRORS = {
+    "eval": ["--mechanism", "pnoi"],
+    "audit": ["--regime", "costly", "--alpha", "1/4"],
+}
+
+
+@pytest.mark.parametrize("command", AFTER_LOAD_ERRORS)
+def test_errors_after_the_load_name_the_instance(capsys, command):
+    family = ["--family", "random", "--seed", "1", "--n"]
+    _, stdout, _ = run_cli(capsys, "gen", *family, "17")
+    digest = json.loads(stdout)["instance_digest"]
+    code, stdout, stderr = run_cli(capsys, command, *family, "17", *AFTER_LOAD_ERRORS[command])
+    assert code == 2 and stdout == ""
+    record = json.loads(stderr)
+    assert set(record) == {"error"}
+    assert record["error"]["type"] == "StateLimitExceeded"
+    assert record["error"]["instance_digest"] == digest
+    # An error raised before the load keeps the record without a digest.
+    code, _, stderr = run_cli(capsys, command, *family, "0", *AFTER_LOAD_ERRORS[command])
+    assert code == 2
+    assert set(json.loads(stderr)["error"]) == {"type", "message"}
+
+
 def test_float_mode_flag(tmp_path, capsys):
     inst = Instance((Alternative(make_distribution([(0, "0.5"), (1, "0.5")]), "0.25"),))
     path = write_instance(tmp_path, inst)

@@ -31,6 +31,8 @@ from delegatebox.pandora import (
     SELECT_OPENED_BEST,
     STOP,
     PnoiPolicy,
+    _cut,
+    _scaled_boxes,
     evaluate_policy,
     pnoi_optimal,
     pnoi_value,
@@ -73,7 +75,21 @@ def twin_canonical(instance, table):
     return {state: action for state, action in table.items() if canonical(state[0])}
 
 
+def box_cuts(instance):
+    """The cut of each box that pnoi_optimal scans up to, and the best values
+    (None first) that the cuts index."""
+    bests, _, units, values, atoms, costs = _scaled_boxes(
+        instance, [alt.inspect_cost for alt in instance.alternatives]
+    )
+    exact = instance.mode == "exact"
+    return [_cut(b, q, c, values, exact) for b, q, c in zip(atoms, units, costs)], bests
+
+
 half_coin = [(0, "0.5"), (1, "0.5")]
+
+
+def half_coin_at(low, high):
+    return [(low, F(1, 2)), (high, F(1, 2))]
 
 
 def three_point_boxes(rng, n):
@@ -222,6 +238,56 @@ class TestOptimalSearch:
                 assert value == ref_value
                 # Without twins the restriction keeps the whole table.
                 assert policy.table == twin_canonical(case, ref_policy.table)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_cap_rule_edge_cases_match_the_reference(self, mode):
+        # Each case: the instance, and per box the first best value at which
+        # the kernel no longer tries inspecting it (None: it always tries).
+        tie = Instance(
+            (box([(F(16, 5), 1)]), box([(F(12, 5), F(4, 5)), (F(17, 5), F(1, 5))], F(1, 25)))
+        )
+        # Box 1's cap is box 0's value 16/5, where E[(X_1 - b)+] = c_1: the
+        # candidate ties and must still be tried. In float mode the shortfall
+        # rounds below the cost, yet the float DP picks the inspection there.
+        assert reservation_cap(tie.alternatives[1]) == F(16, 5)
+        free = Instance((box(half_coin_at(0, 4)), box(half_coin_at(1, 3), F(1, 2))))
+        # Box 0 costs more than its mean but has the best one: it is never
+        # inspected once a value is in hand, yet the root selects it closed.
+        dear = Instance((box(half_coin_at(0, 6), 4), box(half_coin_at(1, 2), F(1, 4))))
+        twin = box([(0, F(1, 3)), (2, F(1, 3)), (5, F(1, 3))], F(1, 2))
+        twins = Instance((twin, box(half_coin_at(1, 4), F(1, 4)), twin))
+        cases = [
+            (tie, [None, F(17, 5)]),
+            (free, [None, 3]),
+            (dear, [0, 2]),
+            (twins, [4, 4, 4]),
+        ]
+        for inst, first_skipped in cases:
+            case = inst if mode == "exact" else inst.to_float()
+            value, policy = pnoi_optimal(case)
+            ref_value, ref_policy = pnoi_reference(case)
+            assert value == ref_value
+            assert policy.table == twin_canonical(case, ref_policy.table)
+            if inst is dear:
+                assert policy.action(frozenset({0, 1}), None) == (SELECT_CLOSED, 0)
+            cuts, bests = box_cuts(case)
+            assert min(cuts) >= 1  # index 0, nothing opened, is never cut
+            assert [bests[k] if k < len(bests) else None for k in cuts] == [
+                v if v is None or mode == "exact" else float(v) for v in first_skipped
+            ]
+
+    def test_cut_is_the_first_best_value_above_the_reservation_cap(self):
+        for inst in random_corpus(seed=0, count=300, max_n=6):
+            cuts, bests = box_cuts(inst)
+            for alt, cut in zip(inst.alternatives, cuts):
+                cost, mean = alt.inspect_cost, alt.dist.mean()
+                if cost == 0:
+                    assert cut == len(bests)
+                elif cost > mean:
+                    assert cut == 1
+                else:
+                    cap = reservation_cap(alt)
+                    assert cut == next(k for k in range(1, len(bests)) if bests[k] > cap)
 
     def test_policy_replay_reproduces_the_value(self):
         cases = list(random_corpus(seed=42, count=25, max_n=3))
