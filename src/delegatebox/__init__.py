@@ -52,7 +52,8 @@ from .delegation import (
     overinspection_utility,
     uninspected_selection_mass,
 )
-from .bounds import AuditReport, audit, upper_bound_costless, upper_bound_costly
+from .bounds import AuditReport, audit
+from .bounds import upper_bound_costless, upper_bound_costly, upper_bound_identical
 from .instances import gen
 
 __version__ = "0.1.0"

@@ -44,6 +44,46 @@ def upper_bound_costly(instance: Instance) -> Number:
     return max(pnoi_value(instance), upper_bound_costless(instance) - instance.delegation_cost)
 
 
+def upper_bound_identical(instance: Instance) -> Number:
+    """max(max_i E[X_i], E[max_i X_i] - c), the bound when every inspection costs c."""
+    shifted = expected_of_max(instance, "identity") - instance.singleton_costs()[0]
+    return max(max(instance.expected_values()), shifted)
+
+
+# regime -> (default composed mechanism, claimed factor of (one, alpha), upper bound).
+# Bounds go through their module names, so a wrapper set there (perfbench's tracer) sees them.
+REGIMES = {
+    COSTLESS: ("maximal", lambda one, a: 3 * one, lambda i: upper_bound_costless(i)),
+    COSTLY: ("costly", lambda one, a: (3 * one - 4 * a) / (1 - 2 * a),
+             lambda i: upper_bound_costly(i)),
+    IDENTICAL: ("identical", lambda one, a: 2 * one, lambda i: upper_bound_identical(i)),
+}
+
+
+def _check_regime(
+    instance: Instance, regime: str, alpha: Optional[Number], tolerance: Number
+) -> None:
+    """Raise unless ``regime`` is known and ``instance`` and ``alpha`` meet it."""
+    if alpha is not None and regime != COSTLY:
+        raise InvalidParameters(f"alpha does not apply to the {regime} regime")
+    if regime not in REGIMES:
+        raise InvalidParameters(f"unknown regime: {regime!r}")
+    if regime == COSTLY:
+        if alpha is None:
+            raise RegimeMismatch("costly regime needs alpha")
+        if not 0 <= alpha < Fraction(1, 2):
+            raise RegimeMismatch("alpha must lie in [0, 1/2)")
+        # Relative to the pin: rounding alone moves a float pin near 10^9 past FLOAT_TOL.
+        pin = alpha * expected_of_max(instance, "shifted_positive")
+        if abs(instance.delegation_cost - pin) > tolerance * max(1, abs(pin)):
+            raise RegimeMismatch("delegation cost does not equal alpha * E[max (X_i - c_i)+]")
+        return
+    if regime == IDENTICAL and len(set(instance.singleton_costs())) != 1:
+        raise RegimeMismatch("identical regime needs equal inspection costs")
+    if instance.delegation_cost != 0:
+        raise RegimeMismatch(f"{regime} regime needs delegation_cost == 0")
+
+
 @dataclass(frozen=True, slots=True)
 class AuditReport:
     """Result of checking a mechanism's value against its claimed factor."""
@@ -86,53 +126,23 @@ def audit(
     regime: str,
     alpha: Optional[Number] = None,
 ) -> AuditReport:
-    """Check mechanism_value * claimed_bound >= applicable upper bound.
+    """Check mechanism_value * claimed factor >= the regime's upper bound, from ``REGIMES``.
 
-    Regimes: "costless" (factor 3), "costly" with the delegation cost pinned
-    to alpha * E[max (X_i - c_i)+] for alpha < 1/2 (factor (3-4a)/(1-2a)),
-    and "identical" equal-cost costless instances (factor 2, audited against
-    max(max_i E[X_i], E[max_i X_i] - c)). Only the costly regime takes alpha,
-    and only it reads the direct-search value, which a costly mechanism run
-    on the same instance has already solved.
+    "costless": free delegation, 3 against ``upper_bound_costless``. "costly":
+    delegation cost = alpha * E[max (X_i - c_i)+] (in float mode within FLOAT_TOL
+    of the pin's size), 0 <= alpha < 1/2, (3 - 4a)/(1 - 2a) against
+    ``upper_bound_costly``. "identical": equal inspection costs, free delegation,
+    2 against ``upper_bound_identical``. Only the costly regime takes alpha, and
+    ``ub_costly`` is ``ub_costless`` outside it.
     """
-    if alpha is not None and regime != COSTLY:
-        raise InvalidParameters(f"alpha does not apply to the {regime} regime")
     one = Fraction(1) if instance.mode == "exact" else 1.0
     tolerance = 0 * one if instance.mode == "exact" else FLOAT_TOL
-    ub_free = upper_bound_costless(instance)
-
-    if regime == COSTLESS:
-        if instance.delegation_cost != 0:
-            raise RegimeMismatch("costless regime needs delegation_cost == 0")
-        claimed = 3 * one
-        ub_used = ub_free
-        ub_costly = ub_free  # delegation cost is zero, the split collapses
-    elif regime == COSTLY:
-        if alpha is None:
-            raise RegimeMismatch("costly regime needs alpha")
-        if not 0 <= alpha < Fraction(1, 2):
-            raise RegimeMismatch("alpha must lie in [0, 1/2)")
-        expected_cdel = alpha * expected_of_max(instance, "shifted_positive")
-        gap = abs(instance.delegation_cost - expected_cdel)
-        if gap > tolerance:
-            raise RegimeMismatch(
-                "delegation cost does not equal alpha * E[max (X_i - c_i)+]"
-            )
-        claimed = (3 * one - 4 * alpha) / (1 - 2 * alpha)
-        ub_costly = upper_bound_costly(instance)
-        ub_used = ub_costly
-    elif regime == IDENTICAL:
-        costs = instance.singleton_costs()
-        if len(set(costs)) != 1:
-            raise RegimeMismatch("identical regime needs equal inspection costs")
-        if instance.delegation_cost != 0:
-            raise RegimeMismatch("identical regime needs delegation_cost == 0")
-        claimed = 2 * one
-        shifted = expected_of_max(instance, "identity") - costs[0]
-        ub_used = max(max(instance.expected_values()), shifted)
-        ub_costly = ub_free
-    else:
-        raise InvalidParameters(f"unknown regime: {regime!r}")
+    _check_regime(instance, regime, alpha, tolerance)
+    _, factor, bound = REGIMES[regime]
+    claimed = factor(one, alpha)
+    ub_used = bound(instance)
+    ub_free = ub_used if regime == COSTLESS else upper_bound_costless(instance)
+    ub_costly = ub_used if regime == COSTLY else ub_free
 
     value = report.value
     passed = value * claimed >= ub_used - tolerance

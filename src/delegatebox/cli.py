@@ -34,13 +34,7 @@ COMPOSED = {
     "identical": delegation.identical_cost_mechanism,
 }
 MECHANISMS = ("pnoi", "spmi", *COMPOSED, "weitzman")
-# The mechanism an audit checks when --mechanism is not given.
-REGIME_MECHANISM = {
-    bounds.COSTLESS: "maximal",
-    bounds.COSTLY: "costly",
-    bounds.IDENTICAL: "identical",
-}
-REGIMES = tuple(REGIME_MECHANISM)
+REGIMES = tuple(bounds.REGIMES)
 FAMILY_FLAGS = sorted({name for _, defaults in instances.FAMILIES.values() for name in defaults})
 FORMATS = ("table", "json")
 MODES = ("exact", "float")
@@ -227,9 +221,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_audit(args) -> int:
     fmt = _resolve_format(args)
-    mechanism = args.mechanism or REGIME_MECHANISM[args.regime]
+    mechanism = args.mechanism or bounds.REGIMES[args.regime][0]
     if mechanism not in COMPOSED:
-        raise InvalidParameters("audit needs a composed mechanism (maximal|costly|identical)")
+        raise InvalidParameters(f"audit needs a composed mechanism ({'|'.join(COMPOSED)})")
     inst, meta = _load_instance(args)
     alpha = as_number(args.alpha, inst.mode) if args.alpha is not None else None
     report = COMPOSED[mechanism](inst)

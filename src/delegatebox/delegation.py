@@ -250,11 +250,17 @@ def best_closed_selection(instance: Instance) -> tuple[int, Number]:
     return index, best
 
 
-def _spmi_report(instance: Instance, threshold: Number, components: dict) -> MechanismReport:
-    """The SPMI branch of a composed mechanism, against the worst-case proposer."""
-    components["threshold"] = threshold
-    value = evaluate_spmi(instance, Spmi(threshold), WORST_CASE)
-    return MechanismReport("SPMI", value, components, True, instance.mode, "worst_case")
+def _better(
+    instance: Instance, branch: str, value: Number, arm: Number, components: dict
+) -> MechanismReport:
+    """Run the mean-split SPMI (against the worst-case proposer, its threshold last in
+    ``components``) iff its guarantee ``arm`` beats ``value``; ties keep ``branch``."""
+    if arm > value:
+        spmi = build_spmi(instance)
+        components["threshold"] = spmi.threshold
+        worst = evaluate_spmi(instance, spmi, WORST_CASE)
+        return MechanismReport("SPMI", worst, components, True, instance.mode, "worst_case")
+    return MechanismReport(branch, value, components, False, instance.mode, "none")
 
 
 def maximal_mechanism_costless(instance: Instance) -> MechanismReport:
@@ -272,12 +278,7 @@ def maximal_mechanism_costless(instance: Instance) -> MechanismReport:
         "best_closed_index": index,
         "half_max_surplus": half_surplus,
     }
-    # On ties the non-delegation branch wins.
-    if half_surplus > v_closed:
-        return _spmi_report(instance, half_surplus, components)
-    return MechanismReport(
-        "SelectBestClosed", v_closed, components, False, instance.mode, "none"
-    )
+    return _better(instance, "SelectBestClosed", v_closed, half_surplus, components)
 
 
 def costly_mechanism(instance: Instance) -> MechanismReport:
@@ -291,11 +292,7 @@ def costly_mechanism(instance: Instance) -> MechanismReport:
     half_surplus = expected_of_max(instance, "shifted_positive") / 2
     v2 = half_surplus - instance.delegation_cost
     components = {"v1": v1, "v2": v2, "half_max_surplus": half_surplus}
-    if v1 >= v2:
-        return MechanismReport(
-            "PnoiDirect", v1, components, False, instance.mode, "none"
-        )
-    return _spmi_report(instance, half_surplus, components)
+    return _better(instance, "PnoiDirect", v1, v2, components)
 
 
 def identical_cost_mechanism(instance: Instance) -> MechanismReport:
@@ -319,11 +316,7 @@ def identical_cost_mechanism(instance: Instance) -> MechanismReport:
         "half_shifted_max": half_shifted_max,
         "common_cost": common,
     }
-    if half_shifted_max > v_closed:
-        return _spmi_report(instance, build_spmi(instance).threshold, components)
-    return MechanismReport(
-        "SelectBestClosed", v_closed, components, False, instance.mode, "none"
-    )
+    return _better(instance, "SelectBestClosed", v_closed, half_shifted_max, components)
 
 
 def _signaling_sweep(

@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from delegatebox import Instance, expected_of_max
+from delegatebox import Instance, expected_of_max, gen, instance_to_json
 from delegatebox.bounds import upper_bound_costless, upper_bound_costly
 from delegatebox.cli import main as cli_main
 from delegatebox.delegation import (
@@ -257,6 +257,61 @@ def test_cli_encoded_bytes_are_pinned(capsys):
         assert cli_main(argv) == 0, argv
         out.append(capsys.readouterr().out)
     assert hashlib.sha256("".join(out).encode()).hexdigest() == ENCODED_CALLS_SHA256
+
+
+RND_CDEL = ["--family", "random", "--seed", "3", "--n", "3", "--cdel-max", "2"]
+TABLE = ["--format", "table"]
+# {pin} is an instance file: RND with its delegation cost pinned to 1/4 of
+# E[max (X_i - c_i)+], so that the costly regime at alpha 1/4 applies.
+AUDIT_CALLS = (
+    # The costly regime at a pinned and at a zero alpha, exact and float.
+    [["audit", "--instance", "{pin}", "--regime", "costly", "--alpha", "1/4", *mode, *JSON]
+     for mode in ([], ["--float"])]
+    + [["audit", *RND, "--regime", "costly", "--alpha", "0", *mode, *JSON]
+       for mode in ([], ["--float"])]
+    # One audit per regime in the table format.
+    + [
+        ["audit", *RND, "--regime", "costless", *TABLE],
+        ["audit", "--instance", "{pin}", "--regime", "costly", "--alpha", "1/4", *TABLE],
+        ["audit", *IB, "--regime", "identical", *TABLE],
+    ]
+    # A mechanism audited under another regime's claim.
+    + [
+        ["audit", *IB, "--regime", "costless", "--mechanism", "identical", *JSON],
+        ["audit", *IB, "--regime", "costly", "--alpha", "0", "--mechanism", "identical", *JSON],
+        ["audit", *IB, "--regime", "identical", "--mechanism", "costly", *JSON],
+        ["audit", *RND, "--regime", "costly", "--alpha", "0", "--mechanism", "maximal", *JSON],
+        ["audit", *RND, "--regime", "costless", "--mechanism", "costly", "--float", *JSON],
+    ]
+    # Error records on stderr, exit 2.
+    + [
+        ["audit", *RND, "--regime", "identical", *JSON],  # CostsNotIdentical
+        ["audit", *RND_CDEL, "--regime", "costless", *JSON],  # NotCostless
+        ["audit", *RND_CDEL, "--regime", "costless", "--mechanism", "costly", *JSON],
+        ["audit", *RND, "--regime", "identical", "--mechanism", "maximal", *JSON],
+        ["audit", *RND_CDEL, "--regime", "costly", *JSON],
+        ["audit", *RND_CDEL, "--regime", "costly", "--alpha", "1/2", *JSON],
+        ["audit", *RND_CDEL, "--regime", "costly", "--alpha", "1/4", "--float", *JSON],
+        ["audit", *RND, "--regime", "costless", "--alpha", "1/4", *JSON],
+        ["audit", *IB, "--regime", "identical", "--alpha", "0", *JSON],
+        ["audit", *RND, "--regime", "costless", "--mechanism", "pnoi", *JSON],
+    ]
+)
+# sha256 of each AUDIT_CALLS exit code, stdout and stderr, concatenated.
+AUDIT_CALLS_SHA256 = "d06a3714e41ff00223b912a46d736e7899b266a8b97a9f4a5257d441d8df1a9a"
+
+
+def test_cli_audit_bytes_are_pinned(capsys, tmp_path):
+    base, _ = gen("random", {"seed": 11, "n": 3})
+    pinned = base.with_delegation_cost(expected_of_max(base, "shifted_positive") / 4)
+    pin = tmp_path / "pin.json"
+    pin.write_text(instance_to_json(pinned))
+    out = []
+    for argv in AUDIT_CALLS:
+        code = cli_main([str(pin) if arg == "{pin}" else arg for arg in argv])
+        captured = capsys.readouterr()
+        out.append(f"{code}\n{captured.out}{captured.err}")
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == AUDIT_CALLS_SHA256
 
 
 # sha256 of `gen --family F` stdout at the registry defaults, one per family

@@ -19,6 +19,7 @@ from delegatebox.bounds import (
     audit,
     upper_bound_costless,
     upper_bound_costly,
+    upper_bound_identical,
 )
 from delegatebox.delegation import (
     costly_mechanism,
@@ -98,8 +99,26 @@ class TestAudit:
         result = audit(inst, identical_cost_mechanism(inst), IDENTICAL)
         assert result.claimed_bound == 2
         want_ub = max(max(inst.expected_values()), expected_of_max(inst) - 1)
-        assert result.ub_used == want_ub
+        assert result.ub_used == upper_bound_identical(inst) == want_ub
         assert result.passed
+
+    @pytest.mark.parametrize("eps", [F(1, 10), F(1, 100), F(1, 1000)])
+    def test_factor_two_is_tight_for_equal_costs(self, eps):
+        # Prophet-inequality example (Samuel-Cahn 1984): a sure 1 beside 1/eps
+        # with probability eps. Both means are 1, so the mechanism keeps the
+        # closed pick, while direct search opens the risky box first.
+        def pair(c):
+            return Instance((box([(1, 1)], c), box([(0, 1 - eps), (1 / eps, eps)], c)))
+
+        free = pair(0)
+        report = identical_cost_mechanism(free)
+        assert (report.branch, report.value) == ("SelectBestClosed", 1)
+        assert pandora.pnoi_value(free) == 2 - eps
+        result = audit(free, report, IDENTICAL)
+        assert result.passed
+        assert result.ratio == 2 - eps
+        want = {F(1, 10): F(189, 100), F(1, 100): F(19899, 10000), F(1, 1000): F(1998999, 10**6)}
+        assert pandora.pnoi_value(pair(eps * eps)) == want[eps]
 
     def test_regime_mismatches(self):
         costly_inst = Instance((box([(1, 1)]),), delegation_cost=1)
@@ -115,6 +134,29 @@ class TestAudit:
             audit(free, costly_mechanism(free), COSTLY, alpha=F(1, 4))
         with pytest.raises(RegimeMismatch):
             audit(free, costly_mechanism(free), COSTLY)
+
+    @pytest.mark.parametrize("e", range(13))
+    def test_float_costly_pin_is_checked_relative_to_its_size(self, e):
+        # The delegation cost is pinned exactly to S / 10 in the exact JSON;
+        # at values near 10^10 the float S / 10 is off by more than FLOAT_TOL
+        # in absolute terms (e = 8, 10 and 11 were rejected when the check
+        # was absolute), but never by a relative 1e-6.
+        s = 10**e
+        inst = Instance((
+            box([(1 * s, F(1, 3)), (5 * s, F(2, 3))], F(s, 2)),
+            box([(3 * s, F(1, 7)), (8 * s, F(6, 7))], s),
+            box([(2 * s, F(4, 9)), (7 * s, F(5, 9))]),
+        ))
+        target = expected_of_max(inst, "shifted_positive") / 10
+        for cdel, passes in ((target, True), (target * (1 + F(1, 10**6)), False)):
+            text = core.instance_to_json(inst.with_delegation_cost(cdel))
+            flt = core.instance_from_json(text, "float")
+            if passes:
+                result = audit(flt, costly_mechanism(flt), COSTLY, alpha=0.1)
+                assert result.tolerance == core.FLOAT_TOL
+            else:
+                with pytest.raises(RegimeMismatch, match="does not equal alpha"):
+                    audit(flt, costly_mechanism(flt), COSTLY, alpha=0.1)
 
     def test_alpha_outside_the_costly_regime_is_rejected(self):
         free = tightness(F(1, 10))
