@@ -4,11 +4,16 @@ Environment overrides use the DELEGATEBOX_ prefix (FORMAT, MODE, SEED) and are
 beaten by explicit flags. Errors, a bad override among them, print a
 machine-readable record and exit 2; once an instance is loaded, the record
 carries its ``instance_digest``. audit and repro exit 1 when a check fails.
+
+``main`` builds its argument parser on its first call and reuses it for the
+rest of the process. The build reads no environment and parsing changes
+nothing on the parser, so no flag carries over from one call to the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -88,6 +93,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", help="output path (default: stdout)")
 
     return parser
+
+
+# Filled on the first ``main`` call, not at import, so importers that never
+# parse do not pay for the build.
+_parser = functools.cache(_build_parser)
 
 
 def _env_choice(name: str, choices, default: str) -> str:
@@ -266,17 +276,19 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+# Each subcommand's handler, which returns the exit code.
+COMMANDS = {
+    "eval": _cmd_eval,
+    "audit": _cmd_audit,
+    "repro": _cmd_repro,
+    "gen": _cmd_gen,
+}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "eval": _cmd_eval,
-        "audit": _cmd_audit,
-        "repro": _cmd_repro,
-        "gen": _cmd_gen,
-    }
+    args = _parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return COMMANDS[args.command](args)
     except DelegateboxError as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
         digest = getattr(args, "instance_digest", None)

@@ -20,6 +20,7 @@ from delegatebox.delegation import (
     cost_ordered_adversary,
     costly_mechanism,
     deterministic_agent,
+    evaluate_signaling,
     evaluate_spmi,
     identical_cost_mechanism,
     maximal_mechanism_costless,
@@ -34,7 +35,7 @@ from delegatebox.instances import (
     random_instance,
     tightness,
 )
-from delegatebox.core import Alternative
+from delegatebox.core import Alternative, CostModel, instance_digest
 from delegatebox.pandora import pnoi_optimal, reservation_cap, weitzman_value
 
 from conftest import record_criterion
@@ -44,6 +45,7 @@ from oracles import (
     full_history_optimal,
     inspection_only_best,
     random_signaling_mechanism,
+    with_monotone_costs,
 )
 
 
@@ -215,6 +217,35 @@ def test_criterion_12_repro_determinism(capsys):
     second = capsys.readouterr().out
     ok = code_a == 0 and code_b == 0 and first == second and len(first) > 0
     check("12. repeated repro --seed 7 runs emit byte-identical JSON", ok)
+
+
+def test_criterion_13_monotone_cost_signaling_bound():
+    # The bound reads singleton costs only, while the signaling sweep charges
+    # the table entry of the opened set, so these mechanisms pay set costs.
+    rng = random.Random(1313)
+    violations, triples = [], 0
+    for base in random_corpus(5, 200, max_n=4):
+        own = [alt.inspect_cost for alt in base.alternatives]
+        subsets = (
+            frozenset(j for j in range(base.n) if mask >> j & 1) for mask in range(1 << base.n)
+        )
+        subadditive = {s: max((own[j] for j in s), default=F(0)) for s in subsets}
+        tables = (
+            Instance(base.alternatives, CostModel.monotone(subadditive), base.delegation_cost),
+            with_monotone_costs(rng, base),
+        )
+        for inst in tables:
+            bound = upper_bound_costless(inst)
+            for _ in range(3):
+                mech = random_signaling_mechanism(rng, inst)
+                agent = deterministic_agent([rng.randint(0, 9) for _ in range(inst.n)])
+                triples += 1
+                if evaluate_signaling(inst, mech, agent) > bound:
+                    violations.append(instance_digest(inst))
+    check(
+        "13. monotone costs: signaling value <= costless bound over 1200 triples",
+        triples == 1200 and not violations,
+    )
 
 
 # sha256 of `repro --seed 7 --format json` stdout. Criterion 12 only checks

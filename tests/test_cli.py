@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import io
 import json
@@ -434,6 +435,38 @@ def test_family_registry_binds_to_builders_and_flags(family):
         args = vars(_build_parser().parse_args([*argv, "--family", family]))
         # every parameter has a flag, and an absent flag leaves the registry default
         assert {name: args.get(name, "no flag") for name in defaults} == dict.fromkeys(defaults)
+
+
+def test_shared_parser_leaks_nothing_between_calls(capsys, monkeypatch):
+    parse = argparse.ArgumentParser.parse_args
+    seen = []  # (parser, argv, namespace as parsed) per main call
+
+    def recording(self, args=None, namespace=None):
+        parsed = parse(self, args, namespace)
+        seen.append((self, list(args), dict(vars(parsed))))
+        return parsed
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    first = ["eval", "--family", "random", "--mechanism", "maximal", "--float", "--format", "json"]
+    code, seeded, _ = run_cli(capsys, *first, "--seed", "3")
+    assert code == 0
+    bad = [*first[:-3], "--exact", "--float"]
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    assert exc.value.code == 2
+    usage = capsys.readouterr()
+    monkeypatch.setenv("DELEGATEBOX_SEED", "3")
+    assert run_cli(capsys, *first) == (0, seeded, "")
+    monkeypatch.delenv("DELEGATEBOX_SEED")
+    assert run_cli(capsys, *first, "--seed", "3") == (0, seeded, "")
+
+    with pytest.raises(SystemExit):
+        parse(_build_parser(), bad)
+    assert capsys.readouterr() == usage
+    assert len(seen) == 3
+    for _, argv, parsed in seen:
+        assert parsed == vars(parse(_build_parser(), argv))
+    assert all(parser is seen[0][0] for parser, _, _ in seen), "main rebuilt its parser"
 
 
 NUMBER_STRINGS = ("", "0", "1", "2", "1/3", "0.5", "-1", "abc", "1/0", "1e400", "1e-400")
