@@ -506,10 +506,11 @@ def expected_max_of_dists(
     on the Python ints of ``_scaled_atoms``: values go over one common
     denominator D, box j's probabilities become integer weights over its
     denominator q_j, and one Fraction(total, D * prod q_j) is built at the
-    end. Float mode runs the
-    same code with unit scales, adding each CDF in atom order. A box whose
-    atoms carry total mass below 1 works too: the sum is then the integral
-    of the max over the product of those measures, which the SPMI sweeps use.
+    end. Float mode runs the same code with unit scales, adding each CDF in
+    atom order. The sweep itself is ``_max_sweep``, which the SPMI calls on
+    its own triples: a box whose weights total less than its scale works
+    too, and the sum is then the integral of the max over the product of
+    those sub-probability measures.
 
     With ``costs`` (one per box), box j's atoms enter the sweep as
     (v - c_j)+: the costs join D, and the clip is max(v*D - c_j*D, 0) on
@@ -527,17 +528,25 @@ def expected_max_of_dists(
     if costs is not None:
         clipped = 0 if exact else 0.0
         merged = [(v - charges[j] if v > charges[j] else clipped, j, w) for v, j, w in merged]
-    merged.sort(key=itemgetter(0))
-    cdf = [0] * len(dists)
+    total = _max_sweep(merged, len(dists))
+    return Fraction(total, unit * prod(box_units)) if exact else total
+
+
+def _max_sweep(triples: list, boxes: int) -> Number:
+    """sum_t t * (F(t) - F(t-)) over (value, box, weight) triples, which it
+    sorts in place; F is the product of the ``boxes`` running CDFs. On the
+    ints of ``_scaled_atoms`` that is D * prod q_j times E[max]."""
+    triples.sort(key=itemgetter(0))
+    cdf = [0] * boxes
     total = 0
     f_prev = 0
-    for t, run in groupby(merged, itemgetter(0)):
+    for t, run in groupby(triples, itemgetter(0)):
         for _, j, w in run:
             cdf[j] += w
         f_t = prod(cdf, start=1)
         total += t * (f_t - f_prev)
         f_prev = f_t
-    return Fraction(total, unit * prod(box_units)) if exact else total
+    return total
 
 
 IDENTITY = "identity"

@@ -9,7 +9,8 @@ best-responds given fixed, privately known utilities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from fractions import Fraction
+from math import isfinite, lcm, prod
 from typing import Optional, Sequence, Union
 
 from .core import (
@@ -21,7 +22,8 @@ from .core import (
     NotCostless,
     CostsNotIdentical,
     Number,
-    expected_max_of_dists,
+    _max_sweep,
+    _scaled_atoms,
     expected_of_max,
     to_json,
 )
@@ -54,12 +56,14 @@ class AgentProfile:
         return self.utilities is not None
 
 
-def _check_agent_size(instance: Instance, agent: AgentProfile) -> None:
+def _check_agent(instance: Instance, agent: AgentProfile) -> None:
     size = len(agent.utilities if agent.deterministic else agent.dists)
     if size != instance.n:
         raise InvalidParameters(
             f"agent has {size} entries for {instance.n} alternatives"
         )
+    if not agent.deterministic and any(d.mode != instance.mode for d in agent.dists):
+        raise InvalidParameters(f"agent dists are not all in the instance's {instance.mode} mode")
 
 
 def deterministic_agent(values: Sequence) -> AgentProfile:
@@ -91,6 +95,9 @@ class Spmi:
     threshold: Number
 
     def __post_init__(self):
+        # The exact cut rounds D * threshold up, so it needs a finite number.
+        if isinstance(self.threshold, float) and not isfinite(self.threshold):
+            raise InvalidParameters(f"SPMI threshold must be finite, not {self.threshold!r}")
         if self.threshold < 0:
             raise NegativeValue("SPMI threshold must be nonnegative")
 
@@ -148,17 +155,24 @@ def build_spmi(instance: Instance) -> Spmi:
     return Spmi(expected_of_max(instance, "shifted_positive") / 2)
 
 
-def _eligible_nets(instance: Instance, threshold: Number) -> list[list[tuple]]:
-    # Per box, the (net value x - c, probability) atoms whose net clears the
-    # threshold; in float mode within FLOAT_TOL, so that a net tied with the
+def _eligible_nets(instance: Instance, threshold: Number) -> tuple:
+    # (D, the q_j, nets) on the ints of _scaled_atoms: nets[j] holds the
+    # (D * (x - c), q_j * p) atoms of box j with D * (x - c) >= ceil(D * t).
+    # Float mode keeps x - c >= t - FLOAT_TOL, so that a net tied with the
     # threshold in exact arithmetic does not round out of the eligible set.
-    costs = instance.singleton_costs()
-    if instance.mode == "float":
-        threshold = threshold - FLOAT_TOL
-    return [
-        [(v - c, p) for v, p in alt.dist.atoms if v - c >= threshold]
-        for alt, c in zip(instance.alternatives, costs)
-    ]
+    unit, box_units, atoms, charges = _scaled_atoms(
+        [alt.dist for alt in instance.alternatives], instance.singleton_costs()
+    )
+    if instance.mode == "exact":
+        t = Fraction(threshold)
+        cut = -(-unit * t.numerator // t.denominator)
+    else:
+        cut = threshold - FLOAT_TOL
+    nets: list = [[] for _ in box_units]
+    for v, j, w in atoms:
+        if (net := v - charges[j]) >= cut:
+            nets[j].append((net, w))
+    return unit, box_units, nets
 
 
 def _spmi_worst_case_value(instance: Instance, threshold: Number) -> Number:
@@ -166,18 +180,25 @@ def _spmi_worst_case_value(instance: Instance, threshold: Number) -> Number:
     # eligible atoms and 0 on the rest of its mass. Whenever something is
     # eligible, max_i Y_i = m - W for W the smallest eligible net, so
     # E[W; something eligible] = m (1 - P(nothing eligible)) - E[max_i Y_i].
-    z = instance.zero()
-    boxes = [atoms for atoms in _eligible_nets(instance, threshold) if atoms]
+    # On ints, P(nothing eligible) = p_none / scale for scale = prod q_j, and
+    # the sweep is D * scale * E[max_i Y_i].
+    unit, box_units, nets = _eligible_nets(instance, threshold)
+    boxes = [(atoms, q) for atoms, q in zip(nets, box_units) if atoms]
     if not boxes:
-        return z
-    m = max(net for atoms in boxes for net, _ in atoms)
-    dists = []
-    p_none = z + 1
-    for atoms in boxes:
-        rest = 1 - sum(p for _, p in atoms)
+        return instance.zero()
+    exact = instance.mode == "exact"
+    zero = 0 if exact else 0.0
+    m = max(net for atoms, _ in boxes for net, _ in atoms)
+    triples = []
+    p_none = scale = 1
+    for k, (atoms, q) in enumerate(boxes):
+        rest = q - sum(w for _, w in atoms)
         p_none = p_none * rest
-        dists.append(DiscreteDistribution((*((m - net, p) for net, p in atoms), (z, rest))))
-    return m * (1 - p_none) - expected_max_of_dists(dists)
+        scale *= q
+        triples += [(m - net, k, w) for net, w in atoms]
+        triples.append((zero, k, rest))
+    gross = m * (scale - p_none) - _max_sweep(triples, len(boxes))
+    return Fraction(gross, unit * scale) if exact else gross
 
 
 def _spmi_agent_value(instance: Instance, threshold: Number, agent: AgentProfile) -> Number:
@@ -187,36 +208,44 @@ def _spmi_agent_value(instance: Instance, threshold: Number, agent: AgentProfile
     # enters level u as the sub-probability measure with atoms (net, q_j(u) p)
     # on its eligible atoms and 0 on the mass where it is not eligible at u or
     # above, 1 - e_j Q_j(>=u); its total mass is 1 - e_j Q_j(>u), its share of
-    # reaching level u. One kernel call per level over its own boxes, times
-    # the other boxes' share of reaching it, gives the level's contribution.
-    z = instance.zero()
-    nets = _eligible_nets(instance, threshold)
+    # reaching level u. One sweep per level over its own boxes, times the
+    # other boxes' share of reaching it, gives the level's contribution.
+    # On ints, box j has scale s_j = q_j r_j, r_j the lcm of the agent's
+    # probability denominators for box j; reach = prod_j reach_box[j] is over
+    # S = prod s_j, so each level adds others * sweep over D * S.
+    unit, box_units, nets = _eligible_nets(instance, threshold)
+    exact = instance.mode == "exact"
+    zero = 0 if exact else 0.0
     if agent.deterministic:
         prefs = [((u, 1),) for u in agent.utilities]
     else:
         prefs = [d.atoms for d in agent.dists]
     levels: dict = {}
-    for j, atoms in enumerate(nets):
+    reach_box = []  # s_j (1 - e_j Q_j(>u))
+    for j, (atoms, pref) in enumerate(zip(nets, prefs)):
+        r = lcm(*(q.denominator for _, q in pref)) if exact else 1
+        reach_box.append(box_units[j] * r)
         if atoms:
-            for u, q in prefs[j]:
+            for u, q in pref:
+                q = q.numerator * (r // q.denominator) if exact else q
                 levels.setdefault(u, []).append((j, q))
-    eligible_mass = [sum((p for _, p in atoms), start=z) for atoms in nets]
-    reach_box = [z + 1] * instance.n  # 1 - e_j Q_j(>u)
-    reach = z + 1  # P(no box is eligible at a higher level)
-    total = z
+    eligible_mass = [sum(w for _, w in atoms) for atoms in nets]
+    reach = scale = prod(reach_box)  # reach: P(no box is eligible at a higher level)
+    total = zero
     for u in sorted(levels, reverse=True):
         level = levels[u]
-        others = reach / prod((reach_box[j] for j, _ in level), start=1)
-        dists = []
-        for j, q in level:
+        held = prod((reach_box[j] for j, _ in level), start=1)
+        others = reach // held if exact else reach / held
+        triples = []
+        for k, (j, q) in enumerate(level):
             reach_box[j] = reach_box[j] - q * eligible_mass[j]
-            atoms = (*((net, q * p) for net, p in nets[j]), (z, reach_box[j]))
-            dists.append(DiscreteDistribution(atoms))
-        total = total + others * expected_max_of_dists(dists)
+            triples += [(net, k, q * w) for net, w in nets[j]]
+            triples.append((zero, k, reach_box[j]))
+        total = total + others * _max_sweep(triples, len(level))
         reach = others * prod((reach_box[j] for j, _ in level), start=1)
         if reach == 0:
             break
-    return total
+    return Fraction(total, unit * scale) if exact else total
 
 
 def evaluate_spmi(
@@ -231,13 +260,15 @@ def evaluate_spmi(
     smallest net value; ties in utility go to the larger net), the principal
     inspects it, pays its cost, and accepts. An empty eligible set means the
     agent signals nothing and no inspection happens. The delegation cost is
-    paid either way. Every agent model is priced in closed form through
-    ``expected_max_of_dists``; the product support is never enumerated.
+    paid either way. Every agent model is priced in closed form through the
+    kernel's ``core._max_sweep``, on the integer form of ``_scaled_atoms`` in
+    exact mode, with one Fraction built at the end; the product support is
+    never enumerated.
     """
     if agent is WORST_CASE:
         gross = _spmi_worst_case_value(instance, spmi.threshold)
     else:
-        _check_agent_size(instance, agent)
+        _check_agent(instance, agent)
         gross = _spmi_agent_value(instance, spmi.threshold, agent)
     return gross - instance.delegation_cost
 
@@ -327,7 +358,7 @@ def _signaling_sweep(
 ) -> tuple[Number, Number, Number]:
     if not agent.deterministic:
         raise InvalidParameters("best response needs deterministic agent utilities")
-    _check_agent_size(instance, agent)
+    _check_agent(instance, agent)
     policies = [mech.policies[sig] for sig in mech.signals]
     return _policy_sweep(instance, policies, agent.utilities, limit)
 

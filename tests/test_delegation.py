@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -174,6 +175,21 @@ class TestEvaluateSpmi:
         assert evaluate_spmi(inst, build_spmi(inst)) == F(1, 15)
         assert abs(evaluate_spmi(fl, build_spmi(fl)) - 1 / 15) <= 1e-9
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_threshold_is_rejected(self, bad):
+        # nan < 0 is False, so only a finiteness check stops a NaN threshold.
+        with pytest.raises(InvalidParameters, match="finite"):
+            Spmi(bad)
+
+    def test_agent_dists_in_another_mode_are_rejected(self):
+        inst = identical_binary(4, F(1, 4), 1, F(1, 8))
+        fl = inst.to_float()
+        y = third_agent_dist(random.Random(5))
+        for instance, agent_dist in ((inst, y.to_float()), (fl, y)):
+            agent = distributional_agent([agent_dist] * 4)
+            with pytest.raises(InvalidParameters, match="mode"):
+                evaluate_spmi(instance, build_spmi(instance), agent)
+
     def test_agent_ties_resolved_for_the_principal(self):
         inst = Instance((box([(2, 1)]), box([(1, 1)])))
         agent = deterministic_agent([3, 3])  # indifferent between both boxes
@@ -194,6 +210,35 @@ def random_agent_dists(rng, n):
         dist([(rng.randint(0, 2), F(k, 4)), (rng.randint(0, 2), F(4 - k, 4))])
         for k in (rng.randint(1, 3) for _ in range(n))
     )
+
+
+def third_agent_dist(rng):
+    """An agent utility of 0..2 with probability 1/3 and another with 2/3."""
+    return dist([(rng.randint(0, 2), F(1, 3)), (rng.randint(0, 2), F(2, 3))])
+
+
+def float_spmi_reprs():
+    """The repr of float ``evaluate_spmi`` values: the worst case, a
+    deterministic agent and a float distributional agent, at the mean split
+    and at one off-grid threshold, over ``random_corpus`` seeds 0-3 and
+    ``identical_binary(n, 1/n, 1, 2/n)`` for n = 3..20."""
+    rng = random.Random(2323)
+    instances = [inst for seed in range(4) for inst in random_corpus(seed, 100, cdel_max=1)]
+    instances += [identical_binary(n, F(1, n), 1, F(2, n)) for n in range(3, 21)]
+    out = []
+    for inst in instances:
+        fl = inst.to_float()
+        ys = [rng.randint(0, 2) for _ in range(fl.n)]
+        y_dists = [third_agent_dist(rng).to_float() for _ in range(fl.n)]
+        for t in (build_spmi(fl).threshold, rng.randint(0, 32) / 12):
+            for agent in (WORST_CASE, deterministic_agent(ys), distributional_agent(y_dists)):
+                out.append(repr(evaluate_spmi(fl, Spmi(t), agent)))
+    return out
+
+
+# sha256 of the newline-joined float_spmi_reprs(), recorded when the SPMI
+# still ran on Fractions: the integer form keeps every float bit.
+SPMI_FLOAT_SHA256 = "2b79674c7a64edbcd39ace1430efd947fa76c97a188f2b818a6c85b8fc1f608a"
 
 
 class TestClosedFormSpmi:
@@ -243,6 +288,33 @@ class TestClosedFormSpmi:
             exact = evaluate_spmi(inst, build_spmi(inst), exact_agent)
             approx = evaluate_spmi(fl, build_spmi(fl), float_agent)
             assert abs(float(exact) - approx) <= 1e-9
+
+    def test_cut_off_the_grid_matches_enumeration(self):
+        # The corpus nets lie on a grid of 1/4. Thresholds k/12 fall between
+        # them, so the exact cut D * net >= ceil(D * t) rounds up.
+        rng = random.Random(21)
+        for inst in random_corpus(seed=22, count=30, max_n=3, cdel_max=1):
+            nets = {
+                v - alt.inspect_cost for alt in inst.alternatives for v in alt.dist.values
+            }
+            thresholds = {F(k, 12) for k in range(33)} | {t for t in nets if t >= 0}
+            thresholds.add(build_spmi(inst).threshold)
+            ys = tuple(rng.randint(0, 2) for _ in range(inst.n))
+            y_dists = tuple(third_agent_dist(rng) for _ in range(inst.n))
+            agents = [
+                (WORST_CASE, "worst"),
+                (deterministic_agent(ys), ys),
+                (distributional_agent(y_dists), y_dists),
+            ]
+            for t in sorted(thresholds):
+                for agent, oracle in agents:
+                    assert evaluate_spmi(inst, Spmi(t), agent) == brute_evaluate_spmi(
+                        inst, t, oracle
+                    )
+
+    def test_float_bits_are_pinned(self):
+        digest = hashlib.sha256("\n".join(float_spmi_reprs()).encode()).hexdigest()
+        assert digest == SPMI_FLOAT_SHA256
 
     def test_no_enumeration_on_a_huge_product_space(self):
         # 2^24 points, above DEFAULT_ENUMERATION_LIMIT.
