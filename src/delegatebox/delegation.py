@@ -50,6 +50,9 @@ class AgentProfile:
     def __post_init__(self):
         if (self.utilities is None) == (self.dists is None):
             raise InvalidParameters("supply exactly one of utilities or dists")
+        for i, u in enumerate(self.utilities or ()):
+            if u != u:  # NaN: no order to rank the boxes by
+                raise InvalidParameters(f"agent utility {i} is NaN")
 
     @property
     def deterministic(self) -> bool:

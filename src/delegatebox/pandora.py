@@ -97,10 +97,10 @@ class PnoiPolicy:
 
     Each inspect action shrinks the unopened set, so every policy terminates.
     ``PnoiPolicy(table)`` wraps a ready dict. ``pnoi_optimal`` instead hands
-    over its step codes, and the dict is built from them the first time
-    ``table`` or ``action`` is read, once even when threads race, so callers
-    that keep only the value never pay for it. Pickling and copying carry
-    the built table.
+    over its per-mask lists of actions, and the dict is keyed from them the
+    first time ``table`` or ``action`` is read, once even when threads race,
+    so callers that keep only the value never pay for it. Pickling and
+    copying carry the built table.
     """
 
     __slots__ = ("_table", "_build", "_lock")
@@ -139,7 +139,7 @@ class PnoiPolicy:
 def evaluate_policy(instance: Instance, policy: PnoiPolicy) -> Number:
     """Exact expected payoff of running a policy directly (no delegation).
 
-    One forward pass over the states (unopened mask, best value index) that
+    One forward pass over the states (unopened set, best value index) that
     the table reaches from the root, one layer per number of opened boxes,
     so nothing recurses or enumerates the product support. Each reached
     state is stepped once and passes its probability mass on to the states
@@ -149,28 +149,21 @@ def evaluate_policy(instance: Instance, policy: PnoiPolicy) -> Number:
     PolicyIncomplete is raised, layer by layer, at the first reached state
     that the table leaves undefined or breaks.
     """
-    n, full = instance.n, (1 << instance.n) - 1
+    n = instance.n
     bests = [None, *sorted({v for alt in instance.alternatives for v in alt.dist.values})]
     index = {v: k for k, v in enumerate(bests)}
     atoms = [[(index[v], p) for v, p in alt.dist.atoms] for alt in instance.alternatives]
     means = instance.expected_values()
 
     total = instance.zero()
-    layer = {(full, 0): 1}
-    # The unopened set of each mask in the layer, made once per mask from
-    # the set of a mask one layer up, as pnoi_optimal's states_at does.
     boxes = frozenset(range(n))
-    unopened_at = {full: boxes}
+    layer = {(boxes, 0): 1}
     while layer:
         reached: dict = {}
-        unopened_next: dict = {}
-        for (mask, best), mass in layer.items():
-            unopened = unopened_at[mask]
+        for (unopened, best), mass in layer.items():
             step = _step(policy, n, bests, unopened, best)
             if step >= 0:
-                rest = mask ^ (1 << step)
-                if rest not in unopened_next:
-                    unopened_next[rest] = unopened - {step}
+                rest = unopened - {step}
                 for k, p in atoms[step]:
                     key = rest, max(best, k)
                     reached[key] = reached.get(key, 0) + mass * p
@@ -180,7 +173,7 @@ def evaluate_policy(instance: Instance, policy: PnoiPolicy) -> Number:
             else:
                 gain = bests[best] if step == _TAKE_BEST else means[_CLOSED - step]
             total = total + mass * (gain - instance.inspection_cost(boxes - unopened))
-        layer, unopened_at = reached, unopened_next
+        layer = reached
     return total
 
 
@@ -213,8 +206,9 @@ def _box_set(mask: int) -> frozenset:
     return frozenset(j for j in range(mask.bit_length()) if mask >> j & 1)
 
 
-# Steps of a compiled decision table: j >= 0 inspects box j; the negative
-# codes end the run, _CLOSED - j selecting box j closed.
+# Int step codes of a decision table's actions, for ``_step`` and the loops
+# that read it, the signaling sweep and the replay: j >= 0 inspects box j;
+# the negative codes end the run, _CLOSED - j selecting box j closed.
 _STOP = -1
 _TAKE_BEST = -2
 _CLOSED = -3
@@ -240,17 +234,6 @@ def _step(policy: PnoiPolicy, n: int, bests: Sequence, unopened: frozenset, best
             raise PolicyIncomplete(f"inspect on {what} box {index}")
         return index
     raise PolicyIncomplete(f"unknown action kind {kind!r}")
-
-
-def _action(code: int) -> Action:
-    """The table action of a step code: the inverse of ``_step``."""
-    if code >= 0:
-        return INSPECT, code
-    if code == _STOP:
-        return STOP, None
-    if code == _TAKE_BEST:
-        return SELECT_OPENED_BEST, None
-    return SELECT_CLOSED, _CLOSED - code
 
 
 def _cut(box: Sequence, unit: Number, cost: Number, values: Sequence, exact: bool) -> int:
@@ -405,9 +388,10 @@ def pnoi_optimal(
     unopened set S is scaled by D * prod_{j in S} q_j; every candidate at a
     state has that scale, so comparisons stay exact, and only the root is
     turned back into a Fraction. Beside its row, each mask keeps one list of
-    ``_step`` codes by best index, and an improving candidate overwrites one
-    slot. The returned policy turns those codes into the public table, keyed
-    (frozenset, value or None), the first time its table is read.
+    table actions by best index, and an improving candidate overwrites one
+    slot with a tuple shared by the whole call. The returned policy keys
+    those actions by (frozenset, value or None), the public table, the first
+    time its table is read.
 
     Weitzman's rule prunes the scan. V(S - {j}, .) is nondecreasing and
     1-Lipschitz in b, so inspecting box j at an opened best b is worth at
@@ -435,25 +419,27 @@ def pnoi_optimal(
     means = [sum(w * scaled_values[k] for k, w in box) for box in atoms]
     cuts = [_cut(*kind, scaled_values, exact) for kind in kinds]
     # reach[mask] = (prod of q_j over mask, the boxes of mask that may be
-    # opened, the best select-closed candidate as (scaled value, step code))
+    # opened, the best select-closed candidate as (scaled value, action))
     # for the masks the DP can reach, built from the highest box down. Box j
     # joins only with its next higher twin `up`, which it then shadows; as
     # the lowest box of mask | bit it wins select ties.
-    reach = {0: (1, 0, 0, _STOP)}
+    stop, take_best = (STOP, None), (SELECT_OPENED_BEST, None)
+    inspects = [(INSPECT, j) for j in range(n)]
+    reach = {0: (1, 0, 0, stop)}
     # kind -> (bit of its lowest box so far, position in reach where the
     # masks holding that box begin); no earlier mask can hold it.
     twin_above: dict = {}
     for j in range(n - 1, -1, -1):
-        bit, q, select = 1 << j, box_units[j], _CLOSED - j
+        bit, q, select = 1 << j, box_units[j], (SELECT_CLOSED, j)
         up, first = twin_above.get(kinds[j], (0, 0))
         twin_above[kinds[j]] = bit, len(reach)
-        for mask, (s, free, picked, step) in list(islice(reach.items(), first, None)):
+        for mask, (s, free, picked, action) in list(islice(reach.items(), first, None)):
             if not up or mask & up:
                 if means[j] * s >= picked * q:
-                    picked, step = means[j] * s, select
+                    picked, action = means[j] * s, select
                 else:
                     picked = picked * q
-                reach[mask | bit] = (s * q, free & ~up | bit, picked, step)
+                reach[mask | bit] = (s * q, free & ~up | bit, picked, action)
 
     width = len(bests)
     full = (1 << n) - 1
@@ -470,25 +456,25 @@ def pnoi_optimal(
             held_at[mask] = (up | spans[j]) & -floor
 
     rows: dict = {}
-    steps: dict = {}  # mask -> step code by best index, read at the held ones
+    actions: dict = {}  # mask -> action by best index, read at the held ones
     for mask, (s, free, picked, select) in reach.items():
         held = held_at[mask]
         fill = [k for k in range(width) if held >> k & 1]
         row = [0] * width
-        step = [_STOP] * width
+        action = [stop] * width
         for best in fill:
             top = 0
             if scaled_values[best] * s > top:
-                top, step[best] = scaled_values[best] * s, _TAKE_BEST
+                top, action[best] = scaled_values[best] * s, take_best
             if picked > top:
-                top, step[best] = picked, select
+                top, action[best] = picked, select
             row[best] = top
         while free:
             bit = free & -free
             free ^= bit
             j = bit.bit_length() - 1
             sub = rows[mask ^ bit]
-            box, base, cut = atoms[j], -scaled_costs[j] * s, cuts[j]
+            box, base, cut, inspect = atoms[j], -scaled_costs[j] * s, cuts[j], inspects[j]
             for best in fill:
                 if best >= cut:
                     break
@@ -496,24 +482,23 @@ def pnoi_optimal(
                 for k, w in box:
                     cont = cont + w * sub[k if k > best else best]
                 if cont > row[best]:
-                    row[best], step[best] = cont, j
+                    row[best], action[best] = cont, inspect
         rows[mask] = row
-        steps[mask] = step
+        actions[mask] = action
 
     def table() -> dict:
         # Each mask's unopened set is made from that of a mask one box up.
-        actions = {code: _action(code) for code in range(_CLOSED - n + 1, n)}
         unopened_at = {full: frozenset(range(n))}
-        for mask in reversed(steps):
+        for mask in reversed(actions):
             if mask != full:
                 j = (full ^ mask).bit_length() - 1
                 unopened_at[mask] = unopened_at[mask | 1 << j] - {j}
         out = {}
-        for mask, step in steps.items():
+        for mask, action in actions.items():
             unopened, held = unopened_at[mask], held_at[mask]
             for best in range(width):
                 if held >> best & 1:
-                    out[unopened, bests[best]] = actions[step[best]]
+                    out[unopened, bests[best]] = action[best]
         return out
 
     root = rows[full][0]

@@ -25,6 +25,13 @@ def _row(name: str, passed: bool, **details) -> dict:
     return {"name": name, "pass": bool(passed), "details": to_json(details)}
 
 
+def _bound_row(name: str, slacks: list, **details) -> dict:
+    """A row that passes when no slack is negative, with their count and the least slack."""
+    violations = sum(slack < 0 for slack in slacks)
+    worst = min(slacks, default=None)
+    return _row(name, violations == 0, violations=str(violations), worst_slack=worst, **details)
+
+
 def tightness_rows() -> list[dict]:
     rows = []
     ratios = []
@@ -136,30 +143,18 @@ def spmi_fail_row() -> dict:
 
 
 def spmi_half_bound_row(seed: int, count: int = CORPUS_SIZE) -> dict:
-    violations = 0
-    worst_slack = None
+    slacks = []
     for inst in instances.random_corpus(seed, count, cdel_max=2):
-        spmi = delegation.build_spmi(inst)
-        value = delegation.evaluate_spmi(inst, spmi)
+        value = delegation.evaluate_spmi(inst, delegation.build_spmi(inst))
         target = expected_of_max(inst, "shifted_positive") / 2
-        slack = value + inst.delegation_cost - target
-        if slack < 0:
-            violations += 1
-        if worst_slack is None or slack < worst_slack:
-            worst_slack = slack
-    return _row(
-        f"SPMI half-of-surplus bound over {count} seeded instances",
-        violations == 0,
-        violations=str(violations),
-        worst_slack=worst_slack,
-    )
+        slacks.append(value + inst.delegation_cost - target)
+    return _bound_row(f"SPMI half-of-surplus bound over {count} seeded instances", slacks)
 
 
 def costly_case1_rows(seed: int, count: int = CORPUS_SIZE) -> list[dict]:
     _, factor, bound = bounds.REGIMES[bounds.COSTLY]  # not audit(), which digests each instance
     factors = [1 / factor(Fraction(1), alpha) for alpha in COSTLY_ALPHAS]
-    violations = [0] * len(COSTLY_ALPHAS)
-    worst_slack = [None] * len(COSTLY_ALPHAS)
+    slacks: list = [[] for _ in COSTLY_ALPHAS]
     for base in instances.random_corpus(seed, count):
         # Neither the search DP nor the moments read the delegation cost,
         # which is all that alpha changes: the base's DP value and moments,
@@ -167,24 +162,12 @@ def costly_case1_rows(seed: int, count: int = CORPUS_SIZE) -> list[dict]:
         surplus = expected_of_max(base, "shifted_positive")
         base.expected_values()
         pandora.pnoi_value(base)
-        for a, alpha in enumerate(COSTLY_ALPHAS):
+        for alpha, f, s in zip(COSTLY_ALPHAS, factors, slacks):
             inst = base.with_delegation_cost(alpha * surplus)
-            report = delegation.costly_mechanism(inst)
-            ub = bound(inst)
-            slack = report.value - factors[a] * ub
-            if slack < 0:
-                violations[a] += 1
-            if worst_slack[a] is None or slack < worst_slack[a]:
-                worst_slack[a] = slack
+            s.append(delegation.costly_mechanism(inst).value - f * bound(inst))
     return [
-        _row(
-            f"costly delegation alpha={alpha} over {count} seeded instances",
-            violations[a] == 0,
-            violations=str(violations[a]),
-            worst_slack=worst_slack[a],
-            factor=factors[a],
-        )
-        for a, alpha in enumerate(COSTLY_ALPHAS)
+        _bound_row(f"costly delegation alpha={alpha} over {count} seeded instances", s, factor=f)
+        for alpha, f, s in zip(COSTLY_ALPHAS, factors, slacks)
     ]
 
 

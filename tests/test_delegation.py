@@ -569,6 +569,27 @@ class TestAgentSize:
                 evaluate_spmi(self.inst, spmi, agent)
 
 
+class TestAgentUtilities:
+    """A NaN utility ranks no box against another, so nothing may be evaluated on it."""
+
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_spmi_rejects_a_nan_utility(self, at):
+        # Both boxes are eligible at threshold 1; a NaN used to pick one arbitrarily.
+        inst = Instance((box([(0, "0.5"), (3, "0.5")]), box([(1, "0.5"), (2, "0.5")])))
+        ys = [1, 1]
+        ys[at] = float("nan")
+        with pytest.raises(InvalidParameters, match=f"agent utility {at} is NaN"):
+            evaluate_spmi(inst, Spmi(1), deterministic_agent(ys))
+
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_signaling_rejects_a_nan_utility(self, at):
+        inst, mech = info_value(3, F(1, 10))
+        ys = [1, 2, 3]
+        ys[at] = float("nan")
+        with pytest.raises(InvalidParameters, match=f"agent utility {at} is NaN"):
+            evaluate_signaling(inst, mech, deterministic_agent(ys))
+
+
 def inspect_all_then_take_best(n, supports):
     table = {}
 

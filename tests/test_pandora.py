@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import pickle
 import random
 import sys
@@ -467,6 +468,35 @@ def test_first_table_read_is_safe_across_threads():
     # One build: every reader holds the same dict, equal to a fresh solve's.
     assert all(table is tables[0] for table in tables)
     assert tables[0] == want
+
+
+def dp_tables_reprs():
+    """The DP value, table in insertion order and replayed value, per instance.
+
+    Exact and float, on random_corpus seeds 0-1, identical_binary n = 1..12
+    (twins), tightness, inapprox_first_best and spmi_fail.
+    """
+    instances = [*random_corpus(seed=0, count=150), *random_corpus(seed=1, count=150)]
+    instances += [identical_binary(n, F(1, n), 1, F(1, 4 * n)) for n in range(1, 13)]
+    instances += [tightness(F(1, 10)), inapprox_first_best(6), spmi_fail(3)]
+    out = []
+    for inst in instances:
+        for run in (inst, inst.to_float()):
+            value, policy = pnoi_optimal(run)
+            out.append(repr(value))
+            out += [repr((sorted(s), best, action)) for (s, best), action in policy.table.items()]
+            out.append(repr(evaluate_policy(run, policy)))
+    return out
+
+
+# sha256 of the newline-joined dp_tables_reprs(), recorded while the DP still
+# stored int step codes and the replay keyed its layers by bit mask.
+DP_TABLES_SHA256 = "a9606c053d0764cd7e1cabaa0802bf3032d2639805e23f180c874bfe40621ad0"
+
+
+def test_dp_values_tables_and_replay_are_pinned():
+    digest = hashlib.sha256("\n".join(dp_tables_reprs()).encode()).hexdigest()
+    assert digest == DP_TABLES_SHA256
 
 
 def test_walk_table_policy_reports_outcome():
