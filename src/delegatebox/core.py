@@ -16,9 +16,10 @@ import json
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from functools import reduce
 from itertools import groupby
 from math import isfinite, lcm, log10, prod
-from operator import itemgetter
+from operator import add, itemgetter
 from types import MappingProxyType
 from typing import Callable, Literal, Mapping, Optional, Sequence, Union
 
@@ -206,7 +207,7 @@ class DiscreteDistribution:
         # An exact type test: isinstance(v, Fraction) on a float goes through
         # the slow abstract-base-class check.
         if type(atoms[0][0]) is not Fraction:
-            return sum(v * p for v, p in atoms)
+            return _sum(v * p for v, p in atoms)
         vu = lcm(*(v.denominator for v, _ in atoms))
         pu = lcm(*(p.denominator for _, p in atoms))
         total = sum(
@@ -239,6 +240,11 @@ def _float(x: Number) -> float:
     # the Python-level numbers.Rational.__float__ (Python 3.10 to 3.13): the
     # same bits, without that call. It raises OverflowError past the range.
     return x.numerator / x.denominator if type(x) is Fraction else float(x)
+
+
+def _sum(terms, start=0):
+    # Left to right: from Python 3.12 on, sum() compensates float rounding.
+    return reduce(add, terms, start)
 
 
 def _merge_atoms(pairs) -> tuple[tuple[Number, Number], ...]:
@@ -280,7 +286,7 @@ def make_distribution(pairs: Sequence[tuple], mode: Mode = "exact") -> DiscreteD
     atoms = _merge_atoms(converted)
     if not atoms:
         raise EmptySupport("all atoms had zero probability")
-    total = sum(p for _, p in atoms)
+    total = _sum(p for _, p in atoms)
     if mode == "exact":
         if total != 1:
             raise ProbabilitySumMismatch(f"probabilities sum to {total}, not 1")
@@ -417,10 +423,7 @@ class Instance:
         subset = frozenset(inspected)
         if self.cost_model.kind == "additive":
             # Summed in index order, so a set costs one float however it was built.
-            return sum(
-                (self.alternatives[i].inspect_cost for i in sorted(subset)),
-                start=self.zero(),
-            )
+            return _sum((self.alternatives[i].inspect_cost for i in sorted(subset)), self.zero())
         return self.cost_model.table[subset]
 
     def _fill(self, slot: str, value):

@@ -24,6 +24,7 @@ from .core import (
     Number,
     _max_sweep,
     _scaled_atoms,
+    _sum,
     expected_of_max,
     to_json,
 )
@@ -195,7 +196,7 @@ def _spmi_worst_case_value(instance: Instance, threshold: Number) -> Number:
     triples = []
     p_none = scale = 1
     for k, (atoms, q) in enumerate(boxes):
-        rest = q - sum(w for _, w in atoms)
+        rest = q - _sum(w for _, w in atoms)
         p_none = p_none * rest
         scale *= q
         triples += [(m - net, k, w) for net, w in atoms]
@@ -232,7 +233,7 @@ def _spmi_agent_value(instance: Instance, threshold: Number, agent: AgentProfile
             for u, q in pref:
                 q = q.numerator * (r // q.denominator) if exact else q
                 levels.setdefault(u, []).append((j, q))
-    eligible_mass = [sum(w for _, w in atoms) for atoms in nets]
+    eligible_mass = [_sum(w for _, w in atoms) for atoms in nets]
     reach = scale = prod(reach_box)  # reach: P(no box is eligible at a higher level)
     total = zero
     for u in sorted(levels, reverse=True):
@@ -377,17 +378,16 @@ def evaluate_signaling(
 
     At each point of the product support the agent sends the signal whose
     outcome it values most; ties go first to the outcome better for the
-    principal, then to the lowest signal index. One pass enumerates the
-    support. In exact mode it runs on Python ints: values, the delegation
-    cost and every cost it can charge (each table entry under a monotone
-    cost model) go over one denominator D, box j's probabilities become
-    integer weights over q_j, and one Fraction over D * prod q_j comes out.
-    Each signal's policy runs through a decision table compiled lazily for
-    this call; a state it lacks raises PolicyIncomplete at the point where
-    the policy needs it. Raises EnumerationLimitExceeded before any policy
-    runs if the product support has more than ``limit`` points (default
-    10^7). ``uninspected_selection_mass`` and ``overinspection_utility`` run
-    the same pass.
+    principal, then to the lowest signal index. Each signal's table is
+    walked once per state it reaches, over the product of that state's
+    unopened boxes, so the cost is those sub-products plus one step per
+    point, and at most 2^16 points are held at once. Exact mode runs on
+    Python ints over one denominator. A state the table lacks or breaks
+    raises PolicyIncomplete; when several do, the one named need not be the
+    first that a point in support order reaches. EnumerationLimitExceeded is
+    raised before any policy runs if the product support has more than
+    ``limit`` points (default 10^7). ``uninspected_selection_mass`` and
+    ``overinspection_utility`` run the same sweep.
     """
     return _signaling_sweep(instance, mech, agent, limit)[0]
 

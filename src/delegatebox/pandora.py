@@ -27,6 +27,7 @@ from .core import (
     PolicyIncomplete,
     StateLimitExceeded,
     _scaled_atoms,
+    _sum,
     expected_max_of_dists,
     to_json,
 )
@@ -264,6 +265,24 @@ def _cut(box: Sequence, unit: Number, cost: Number, values: Sequence, exact: boo
     return bisect_right(values, gap // tail_prob if exact else gap / tail_prob, lower, upper + 1)
 
 
+# The most points of the product support whose outcomes the sweep holds at once.
+_BLOCK = 1 << 16
+
+
+def _interleave(parts: list, before: int) -> list:
+    """Lists over A x B, one per atom of a box, as one over A x atoms x B; |A| = ``before``."""
+    m, after = len(parts), len(parts[0]) // before
+    out = [None] * (m * len(parts[0]))
+    for k, part in enumerate(parts):
+        if before <= after:
+            for a in range(0, len(part), after):
+                out[a * m + k * after : a * m + (k + 1) * after] = part[a : a + after]
+        else:
+            for b in range(after):
+                out[k * after + b :: m * after] = part[b::after]
+    return out
+
+
 def _policy_sweep(
     instance: Instance,
     policies: Sequence[PnoiPolicy],
@@ -272,83 +291,81 @@ def _policy_sweep(
 ) -> tuple[Number, Number, Number]:
     """(principal utility, uninspected mass, clean mass) of best responses.
 
-    The signaling sweep: at each point of the product support every signal's
-    policy runs, and the outcome maximizing (utilities[selected], principal
-    utility net of the delegation cost, -position) counts. Exact mode runs on
-    the ints of ``_scaled_boxes``; D > 0 keeps the order of utilities. Each
-    policy is compiled lazily into a dict keyed mask * width + best index,
-    filled through ``_step`` on a miss, so PolicyIncomplete is raised at the
-    first state a run reaches that the table leaves undefined or breaks.
+    At each point of the product support the signal whose outcome record
+    (utilities[selected], principal utility, -position, uninspected gain,
+    clean gain) is largest counts. Each table is walked depth first, once per
+    state (unopened mask, best index, holder); a state returns the records
+    over its unopened boxes' product in lexicographic order, so the signals'
+    lists merge pointwise and one loop adds the sums in point order. Exact
+    mode runs on the ints of ``_scaled_boxes``. Leading boxes are enumerated
+    outside, as one atom each, to hold at most ``_BLOCK`` points. ``_step``
+    raises PolicyIncomplete at the first broken state the walk reaches.
     """
     cap = DEFAULT_ENUMERATION_LIMIT if limit is None else limit
     size = instance.support_product_size()
     if size > cap:
-        raise EnumerationLimitExceeded(
-            f"product support has {size} points, limit is {cap}"
-        )
+        raise EnumerationLimitExceeded(f"product support has {size} points, limit is {cap}")
     n = instance.n
-    if instance.cost_model.kind == "monotone":
-        masks, charges = zip(
-            *((sum(1 << j for j in s), c) for s, c in instance.cost_model.table.items())
-        )
-    else:
-        masks, charges = (), [alt.inspect_cost for alt in instance.alternatives]
+    table = instance.cost_model.table or {}  # a monotone model's costs, by opened set
+    charges = [*table.values()] if table else [alt.inspect_cost for alt in instance.alternatives]
     bests, unit, box_units, scaled_values, atoms, scaled = _scaled_boxes(
         instance, (*charges, instance.delegation_cost)
     )
     cdel = scaled.pop()
     singleton = instance.singleton_costs()
-    width = len(bests)
     full = (1 << n) - 1
+    costs = {sum(1 << j for j in s): c for s, c in zip(table, scaled)}
 
-    tables = [(policy, {}) for policy in policies]
-    # opened mask -> D * inspection cost: the whole table under a monotone
-    # cost model; additive costs are summed in index order on a miss.
-    costs = dict(zip(masks, scaled))
-    clean: dict = {}  # (selected, opened mask) -> no opened box costs as much
+    def record(mask: int, sel: Optional[int], k: int) -> tuple:
+        opened = full ^ mask
+        cost = costs[opened] if costs else _sum(c for j, c in enumerate(scaled) if opened >> j & 1)
+        if sel is None:
+            return 0, 0 - cost - cdel, -pos, 0, 0
+        gain, clean = scaled_values[k], all(singleton[j] < singleton[sel] for j in _box_set(opened))
+        return utilities[sel], gain - cost - cdel, -pos, (not opened >> sel & 1) * gain, clean * gain
+
+    def points(mask: int) -> int:
+        return prod(len(boxes[j]) for j in range(n) if mask >> j & 1)
+
+    def walk(mask: int, best: int, holder: Optional[int]) -> list:
+        # Signal ``pos``'s records at a state, over the block's ``boxes``.
+        key = mask, best, holder
+        if key in memo:
+            return memo[key]
+        step = _step(policy, n, bests, _box_set(mask), best)
+        while step >= 0 and len(boxes[step]) == 1:  # one atom: open it in place
+            ((k, _),) = boxes[step]
+            best, holder = (k, step) if k > best else (best, holder)
+            mask ^= 1 << step
+            step = _step(policy, n, bests, _box_set(mask), best)
+        size, j = points(mask), step if step >= 0 else _CLOSED - step
+        if step >= 0:
+            rest = mask ^ 1 << j
+            parts = [walk(rest, max(best, k), j if k > best else holder) for k, _ in boxes[j]]
+        elif step < _TAKE_BEST:
+            parts = [[record(mask, j, k)] * (size // len(boxes[j])) for k, _ in boxes[j]]
+        else:
+            j, parts = 0, [[record(mask, None if step == _STOP else holder, best)] * size]
+        memo[key] = _interleave(parts, points(mask & (1 << j) - 1))
+        return memo[key]
+
+    # Boxes lead, ..., n - 1 make one block; the outer loop fixes the others.
+    lead = next(i for i in range(n + 1) if prod(map(len, atoms[i:])) <= _BLOCK)
     total = uninspected = clean_mass = 0
-    for combo in product(*atoms):
-        point = [k for k, _ in combo]
+    for fixed in product(*atoms[:lead]):
+        boxes = [[atom] for atom in fixed] + atoms[lead:]
         top = None
-        for pos, (policy, table) in enumerate(tables):
-            mask, best, holder = full, 0, None
-            while True:
-                key = mask * width + best
-                step = table.get(key)
-                if step is None:
-                    step = table[key] = _step(policy, n, bests, _box_set(mask), best)
-                if step < 0:
-                    break
-                mask ^= 1 << step
-                if point[step] > best:
-                    best, holder = point[step], step
-            if step == _STOP:
-                sel = None
-            else:
-                sel = holder if step == _TAKE_BEST else _CLOSED - step
-            opened = full ^ mask
-            cost = costs.get(opened)
-            if cost is None:
-                cost = costs[opened] = sum(scaled[j] for j in range(n) if opened >> j & 1)
-            gain = 0 if sel is None else scaled_values[point[sel]]
-            utility = gain - cost - cdel
-            rank = (0 if sel is None else utilities[sel], utility, -pos)
-            if top is None or rank > top:
-                top = rank
-                chosen = sel, opened, gain
-        weight = prod(w for _, w in combo)
-        total += weight * top[1]
-        sel, opened, gain = chosen
-        if sel is not None:
-            if not opened >> sel & 1:
-                uninspected += weight * gain
-            ok = clean.get((sel, opened))
-            if ok is None:
-                ok = clean[sel, opened] = not any(
-                    singleton[j] >= singleton[sel] for j in _box_set(opened)
-                )
-            if ok:
-                clean_mass += weight * gain
+        for pos, policy in enumerate(policies):
+            memo: dict = {}
+            outcomes = walk(full, 0, None)
+            top = outcomes if top is None else [t if t > o else o for t, o in zip(top, outcomes)]
+        weights = [prod(w for _, w in fixed)]
+        for box in atoms[lead:]:
+            weights = [x * w for x in weights for _, w in box]
+        for x, (_, utility, _, lost, kept) in zip(weights, top):
+            total += x * utility
+            uninspected += x * lost
+            clean_mass += x * kept
     if instance.mode == "exact":
         scale = unit * prod(box_units)
         return tuple(Fraction(x, scale) for x in (total, uninspected, clean_mass))
@@ -416,7 +433,7 @@ def pnoi_optimal(
 
     exact = instance.mode == "exact"
     # q_j * D * E[X_j] for box j.
-    means = [sum(w * scaled_values[k] for k, w in box) for box in atoms]
+    means = [_sum(w * scaled_values[k] for k, w in box) for box in atoms]
     cuts = [_cut(*kind, scaled_values, exact) for kind in kinds]
     # reach[mask] = (prod of q_j over mask, the boxes of mask that may be
     # opened, the best select-closed candidate as (scaled value, action))

@@ -463,6 +463,26 @@ def walk_table_policy(policy: PnoiPolicy, realization):
             best_index = index
 
 
+def broken_two_box_tables() -> list[dict]:
+    """Decision tables over two boxes with support {0, 1}, each broken at a
+    state every run reaches: ``walk_table_policy`` raises PolicyIncomplete on
+    every realization."""
+    full, rest = frozenset({0, 1}), frozenset({1})
+
+    def after_opening_0(action):
+        return {(rest, v): action for v in (Fraction(0), Fraction(1))}
+
+    return [
+        {(full, None): (SELECT_OPENED_BEST, None)},
+        {(full, None): (INSPECT, 0), **after_opening_0((INSPECT, 0))},
+        {(full, None): (INSPECT, 0), **after_opening_0((SELECT_CLOSED, 0))},
+        {(full, None): (SELECT_CLOSED, 2)},
+        {(full, None): (INSPECT, 5)},
+        {(full, None): ("peek", 0)},
+        {(full, None): (INSPECT, 0)},
+    ]
+
+
 def brute_policy_value(instance: Instance, policy: PnoiPolicy) -> Number:
     """Expected payoff of running ``policy`` directly, by enumeration."""
     total = instance.zero()

@@ -30,6 +30,7 @@ from delegatebox.core import (
     as_number,
     expected_max_of_dists,
     format_number,
+    instance_from_obj,
 )
 from delegatebox import instances
 from delegatebox.instances import identical_binary, random_corpus
@@ -112,6 +113,15 @@ def test_mean_is_the_atom_order_sum_on_non_dyadic_boxes():
     for dist in dists:
         assert_mean_is_the_atom_order_sum(dist)
         assert_mean_is_the_atom_order_sum(dist.to_float())
+
+
+def test_float_mean_keeps_its_bits_on_every_python():
+    # sum() compensates float rounding from Python 3.12 on: there it gave
+    # 2.4555555555555553 for this box, against ...57 on 3.10 and 3.11.
+    support = [["1/2", "1/9"], ["17/10", "4/9"], ["37/10", "4/9"]]
+    obj = {"alternatives": [{"support": support, "cost": 1}]}
+    for inst in (instance_from_obj(obj, "float"), instance_from_obj(obj).to_float()):
+        assert inst.alternatives[0].dist.mean() == 2.4555555555555557
 
 
 def test_expected_of_max_single_alternative_is_mean():

@@ -19,7 +19,7 @@ from delegatebox import (
     upper_bound_costless,
     upper_bound_costly,
 )
-from delegatebox.core import DEFAULT_ENUMERATION_LIMIT, instance_from_obj
+from delegatebox.core import DEFAULT_ENUMERATION_LIMIT, PolicyIncomplete, instance_from_obj
 from delegatebox.delegation import (
     WORST_CASE,
     Spmi,
@@ -60,6 +60,7 @@ from oracles import (
     agent_best_response,
     brute_evaluate_signaling,
     brute_evaluate_spmi,
+    broken_two_box_tables,
     enumerate_realizations,
     fixed_order_spmi,
     random_signaling_mechanism,
@@ -542,6 +543,74 @@ class TestEvaluateSignaling:
     def test_empty_signal_set_is_rejected(self):
         with pytest.raises(InvalidParameters):
             SignalingMechanism((), {})
+
+    def test_raises_the_errors_of_walk_table_policy(self):
+        # Each broken table, as the one signal of a mechanism, fails as the
+        # reference executor does.
+        inst = Instance((box(half_coin), box(half_coin)))
+        for table in broken_two_box_tables():
+            policy = PnoiPolicy(table)
+            with pytest.raises(PolicyIncomplete) as direct:
+                walk_table_policy(policy, (F(0), F(0)))
+            mech = SignalingMechanism((0,), {0: policy})
+            with pytest.raises(PolicyIncomplete) as swept:
+                evaluate_signaling(inst, mech, deterministic_agent([1, 2]))
+            assert str(swept.value) == str(direct.value)
+
+    def test_a_signal_broken_below_its_root_still_raises(self):
+        inst = Instance((box(half_coin), box(half_coin)))
+        full = frozenset({0, 1})
+        take_0 = PnoiPolicy({(full, None): (SELECT_CLOSED, 0)})
+        open_0 = PnoiPolicy({(full, None): (INSPECT, 0)})
+        mech = SignalingMechanism((0, 1), {0: take_0, 1: open_0})
+        with pytest.raises(PolicyIncomplete, match=r"unopened=\[1\], best=0"):
+            evaluate_signaling(inst, mech, deterministic_agent([2, 1]))
+
+
+def signaling_sweep_reprs(max_info_n=12):
+    """The repr of the three sweep sums, exact and float: random mechanisms
+    on ``random_corpus(34, 120, cdel_max=2)``, every other instance under
+    monotone costs, and ``info_value(n, 1/10)`` for n = 2..max_info_n, each
+    against a tied and a distinct agent."""
+    rng = random.Random(2525)
+    cases = []
+    for k, inst in enumerate(random_corpus(seed=34, count=120, cdel_max=2)):
+        if k % 2:
+            inst = with_monotone_costs(rng, inst)
+        mech_seed = rng.random()
+        agents = (
+            tuple(rng.randint(0, 2) for _ in range(inst.n)),
+            tuple(rng.sample(range(1, 1 + 2 * inst.n), inst.n)),
+        )
+        for case in (inst, inst.to_float()):
+            cases.append((case, random_signaling_mechanism(random.Random(mech_seed), case), agents))
+    for n in range(2, max_info_n + 1):
+        inst, mech = info_value(n, F(1, 10))
+        agents = (tuple(range(n, 0, -1)), tuple(k // 2 for k in range(n)))
+        cases += [(inst, mech, agents), (inst.to_float(), mech, agents)]
+    sweeps = (evaluate_signaling, uninspected_selection_mass, overinspection_utility)
+    return [
+        repr(tuple(fn(case, mech, deterministic_agent(ys)) for fn in sweeps))
+        for case, mech, agents in cases
+        for ys in agents
+    ]
+
+
+# sha256 of the newline-joined signaling_sweep_reprs(), recorded when the
+# sweep still walked every signal's table from the root at every point.
+SIGNALING_SWEEP_SHA256 = "92daf670aeb013878d62939ec0ed29754b64a328d6c1108e854db3c3142755c8"
+
+
+class TestSignalingSweepPin:
+    def test_sums_are_pinned(self):
+        digest = hashlib.sha256("\n".join(signaling_sweep_reprs()).encode()).hexdigest()
+        assert digest == SIGNALING_SWEEP_SHA256
+
+    @pytest.mark.parametrize("block", [1, 2, 5])
+    def test_block_size_changes_no_bit(self, monkeypatch, block):
+        want = signaling_sweep_reprs(max_info_n=6)
+        monkeypatch.setattr(pandora, "_BLOCK", block)
+        assert signaling_sweep_reprs(max_info_n=6) == want
 
 
 class TestAgentSize:

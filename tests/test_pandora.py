@@ -44,6 +44,7 @@ from delegatebox.pandora import (
 )
 
 from oracles import (
+    broken_two_box_tables,
     brute_policy_value,
     capped_dist,
     descending_cap_simulation,
@@ -507,22 +508,8 @@ def test_walk_table_policy_reports_outcome():
 
 def test_evaluate_policy_raises_the_errors_of_walk_table_policy():
     inst = Instance((box(half_coin), box(half_coin)))
-    full, rest = frozenset({0, 1}), frozenset({1})
-
-    def after_opening_0(action):
-        return {(rest, v): action for v in (F(0), F(1))}
-
-    broken = [
-        {(full, None): (SELECT_OPENED_BEST, None)},
-        {(full, None): (INSPECT, 0), **after_opening_0((INSPECT, 0))},
-        {(full, None): (INSPECT, 0), **after_opening_0((SELECT_CLOSED, 0))},
-        {(full, None): (SELECT_CLOSED, 2)},
-        {(full, None): (INSPECT, 5)},
-        {(full, None): ("peek", 0)},
-        {(full, None): (INSPECT, 0)},
-    ]
     messages = set()
-    for table in broken:
+    for table in broken_two_box_tables():
         policy = PnoiPolicy(table)
         with pytest.raises(PolicyIncomplete) as direct:
             walk_table_policy(policy, (F(0), F(0)))
