@@ -28,7 +28,7 @@ from .core import (
     expected_of_max,
     to_json,
 )
-from .pandora import _policy_sweep, pnoi_value, policy_to_rows
+from .pandora import PnoiPolicy, _policy_sweep, pnoi_value
 
 
 class _WorstCase:
@@ -414,6 +414,28 @@ def overinspection_utility(
     c_i (in particular i itself was not inspected).
     """
     return _signaling_sweep(instance, mech, agent, limit)[2]
+
+
+def _best_sort_key(best):
+    return (0, 0) if best is None else (1, best)
+
+
+def policy_to_rows(policy: PnoiPolicy) -> list[dict]:
+    """Serialize a policy as (state, action) rows for audit logs."""
+    rows = []
+    for (unopened, best), (kind, index) in sorted(
+        policy.table.items(),
+        key=lambda kv: (len(kv[0][0]), sorted(kv[0][0]), _best_sort_key(kv[0][1])),
+    ):
+        state = {
+            "unopened": sorted(unopened),
+            "best": "none" if best is None else best,
+        }
+        action = {"kind": kind}
+        if index is not None:
+            action["index"] = index
+        rows.append({"state": state, "action": action})
+    return to_json(rows)
 
 
 def mechanism_to_obj(mech: SignalingMechanism) -> dict:

@@ -7,13 +7,14 @@ inspection is optional (select-a-closed-box allowed).
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import islice, product
 from math import prod
 from threading import Lock
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 from .core import (
     DEFAULT_ENUMERATION_LIMIT,
@@ -29,7 +30,6 @@ from .core import (
     _scaled_atoms,
     _sum,
     expected_max_of_dists,
-    to_json,
 )
 
 # Policy action kinds.
@@ -97,56 +97,100 @@ class PnoiPolicy:
     """Decision table over states (unopened set, best observed value or None).
 
     Each inspect action shrinks the unopened set, so every policy terminates.
-    ``PnoiPolicy(table)`` wraps a ready dict. ``pnoi_optimal`` instead hands
-    over its per-mask lists of actions, and the dict is keyed from them the
-    first time ``table`` or ``action`` is read, once even when threads race,
-    so callers that keep only the value never pay for it. Pickling and
-    copying carry the built table.
+    Runs read int step codes (``_STOP`` and the others below) for n boxes and
+    a value list ``bests`` (None, then the sorted distinct values): one list
+    per unopened bit mask, by index into ``bests``, holding None where the
+    table has no action and a broken action's PolicyIncomplete message.
+    ``pnoi_optimal`` writes the codes, and ``table`` is keyed from them on
+    first read, once even when threads race. ``PnoiPolicy(table)`` copies a
+    table read-only and keeps its codes for the last (n, bests) it ran on.
+    Pickling and copying carry a plain dict.
     """
 
-    __slots__ = ("_table", "_build", "_lock")
+    __slots__ = ("_table", "_codes", "_lock")
 
-    def __init__(self, table: dict) -> None:
-        self._table, self._build, self._lock = table, None, None
-
-    @classmethod
-    def _deferred(cls, build) -> PnoiPolicy:
-        """A policy whose table is ``build()``, called on the first read."""
-        policy = cls(None)
-        policy._build, policy._lock = build, Lock()
-        return policy
+    def __init__(self, table: Mapping) -> None:
+        self._table, self._codes, self._lock = MappingProxyType(dict(table)), None, Lock()
 
     @property
-    def table(self) -> dict:
+    def table(self) -> Mapping:
         if self._table is None:
             with self._lock:
                 if self._table is None:
-                    self._table = self._build()
-                    self._build = None
+                    self._table = MappingProxyType(_dp_table(*self._codes))
         return self._table
 
     def __reduce__(self):
-        return PnoiPolicy, (self.table,)
+        return PnoiPolicy, (dict(self.table),)
 
-    def action(self, unopened: frozenset, best) -> Action:
-        try:
-            return self.table[(unopened, best)]
-        except KeyError:
-            raise PolicyIncomplete(
-                f"no action for state (unopened={sorted(unopened)}, best={best})"
-            ) from None
+    def _codes_for(self, n: int, bests: list) -> dict:
+        """The step codes by unopened mask for ``n`` boxes and ``bests``."""
+        held = self._codes
+        if held is None or held[0] != n or held[1] != bests:
+            held = self._codes = n, bests, _compile(self.table, n, bests)
+        return held[2]
+
+
+# Int step codes of a decision table's actions, as ``PnoiPolicy`` holds them
+# for the DP, the signaling sweep and the replay: j >= 0 inspects box j; the
+# negative codes end the run, _CLOSED - j selecting box j closed.
+_STOP = -1
+_TAKE_BEST = -2
+_CLOSED = -3
+
+
+def _compile(table: Mapping, n: int, bests: Sequence) -> dict:
+    """The step codes of ``table`` for ``n`` boxes and ``bests`` (``PnoiPolicy``).
+
+    Only the unopened sets that the table's inspections lead to from the
+    root are compiled, each mask made from the one it was reached from. An
+    index that is not an int, a bool included, names an unknown box.
+    """
+    full = (1 << n) - 1
+    todo, codes = {full: frozenset(range(n))}, {}  # mask -> unopened set, to compile
+    while todo:
+        mask, unopened = todo.popitem()
+        row = codes[mask] = [table.get((unopened, best)) for best in bests]
+        for k, action in enumerate(row):
+            if action is None:
+                continue
+            kind, j = action
+            if kind == STOP:
+                row[k] = _STOP
+            elif kind == SELECT_OPENED_BEST:
+                row[k] = _TAKE_BEST if k else "select_opened_best before any inspection"
+            elif kind != INSPECT and kind != SELECT_CLOSED:
+                row[k] = f"unknown action kind {kind!r}"
+            elif type(j) is not int or j not in unopened:
+                what = "opened" if type(j) is int and 0 <= j < n else "unknown"
+                row[k] = f"{kind} on {what} box {j}"
+            elif kind == SELECT_CLOSED:
+                row[k] = _CLOSED - j
+            else:
+                row[k], rest = j, mask ^ 1 << j
+                if rest not in codes and rest not in todo:
+                    todo[rest] = unopened - {j}
+    return codes
+
+
+def _fault(code, mask: int, best: int, bests: Sequence) -> PolicyIncomplete:
+    """The error of a run reaching a state whose slot holds ``code``, not a step."""
+    if code is None:
+        unopened = [j for j in range(mask.bit_length()) if mask >> j & 1]
+        code = f"no action for state (unopened={unopened}, best={bests[best]})"
+    return PolicyIncomplete(code)
 
 
 def evaluate_policy(instance: Instance, policy: PnoiPolicy) -> Number:
     """Exact expected payoff of running a policy directly (no delegation).
 
-    One forward pass over the states (unopened set, best value index) that
-    the table reaches from the root, one layer per number of opened boxes,
-    so nothing recurses or enumerates the product support. Each reached
-    state is stepped once and passes its probability mass on to the states
-    its inspection leads to; a run ending with opened set O adds mass *
-    (gain - ``instance.inspection_cost(O)``), so monotone cost tables work.
-    Returns a Fraction in exact mode and a float in float mode.
+    One forward pass over the states (unopened mask, best value index) that
+    the table's step codes reach from the root, one layer per number of
+    opened boxes, so nothing recurses or enumerates the product support.
+    Each reached state is stepped once and passes its probability mass on to
+    the states its inspection leads to; a run ending with opened set O adds
+    mass * (gain - ``instance.inspection_cost(O)``), so monotone cost tables
+    work. Returns a Fraction in exact mode and a float in float mode.
     PolicyIncomplete is raised, layer by layer, at the first reached state
     that the table leaves undefined or breaks.
     """
@@ -155,16 +199,19 @@ def evaluate_policy(instance: Instance, policy: PnoiPolicy) -> Number:
     index = {v: k for k, v in enumerate(bests)}
     atoms = [[(index[v], p) for v, p in alt.dist.atoms] for alt in instance.alternatives]
     means = instance.expected_values()
+    codes = policy._codes_for(n, bests)
 
     total = instance.zero()
-    boxes = frozenset(range(n))
-    layer = {(boxes, 0): 1}
+    full = (1 << n) - 1
+    layer = {(full, 0): 1}
     while layer:
         reached: dict = {}
-        for (unopened, best), mass in layer.items():
-            step = _step(policy, n, bests, unopened, best)
+        for (mask, best), mass in layer.items():
+            step = codes[mask][best]
+            if type(step) is not int:
+                raise _fault(step, mask, best, bests)
             if step >= 0:
-                rest = unopened - {step}
+                rest = mask ^ 1 << step
                 for k, p in atoms[step]:
                     key = rest, max(best, k)
                     reached[key] = reached.get(key, 0) + mass * p
@@ -173,7 +220,8 @@ def evaluate_policy(instance: Instance, policy: PnoiPolicy) -> Number:
                 gain = instance.zero()
             else:
                 gain = bests[best] if step == _TAKE_BEST else means[_CLOSED - step]
-            total = total + mass * (gain - instance.inspection_cost(boxes - unopened))
+            cost = instance.inspection_cost(j for j in range(n) if not mask >> j & 1)
+            total = total + mass * (gain - cost)
         layer = reached
     return total
 
@@ -200,41 +248,6 @@ def _scaled_boxes(instance: Instance, charges) -> tuple:
     exact = instance.mode == "exact"
     bests = [None, *(Fraction(s, unit) if exact else s for s in distinct)]
     return bests, unit, box_units, [0, *distinct], atoms, scaled_charges
-
-
-def _box_set(mask: int) -> frozenset:
-    """The boxes whose bits are set in ``mask``."""
-    return frozenset(j for j in range(mask.bit_length()) if mask >> j & 1)
-
-
-# Int step codes of a decision table's actions, for ``_step`` and the loops
-# that read it, the signaling sweep and the replay: j >= 0 inspects box j;
-# the negative codes end the run, _CLOSED - j selecting box j closed.
-_STOP = -1
-_TAKE_BEST = -2
-_CLOSED = -3
-
-
-def _step(policy: PnoiPolicy, n: int, bests: Sequence, unopened: frozenset, best: int) -> int:
-    """The step code of ``policy`` at a state, or the table's PolicyIncomplete."""
-    kind, index = policy.action(unopened, bests[best])
-    if kind == STOP:
-        return _STOP
-    if kind == SELECT_OPENED_BEST:
-        if not best:
-            raise PolicyIncomplete("select_opened_best before any inspection")
-        return _TAKE_BEST
-    if kind == SELECT_CLOSED:
-        if index not in unopened:
-            what = "opened" if index in range(n) else "unknown"
-            raise PolicyIncomplete(f"select_closed on {what} box {index}")
-        return _CLOSED - index
-    if kind == INSPECT:
-        if index not in unopened:
-            what = "opened" if index in range(n) else "unknown"
-            raise PolicyIncomplete(f"inspect on {what} box {index}")
-        return index
-    raise PolicyIncomplete(f"unknown action kind {kind!r}")
 
 
 def _cut(box: Sequence, unit: Number, cost: Number, values: Sequence, exact: bool) -> int:
@@ -298,8 +311,9 @@ def _policy_sweep(
     over its unopened boxes' product in lexicographic order, so the signals'
     lists merge pointwise and one loop adds the sums in point order. Exact
     mode runs on the ints of ``_scaled_boxes``. Leading boxes are enumerated
-    outside, as one atom each, to hold at most ``_BLOCK`` points. ``_step``
-    raises PolicyIncomplete at the first broken state the walk reaches.
+    outside, as one atom each, to hold at most ``_BLOCK`` points. The walk
+    reads each table's step codes for ``bests`` (``PnoiPolicy``) and raises
+    PolicyIncomplete at the first broken state it reaches.
     """
     cap = DEFAULT_ENUMERATION_LIMIT if limit is None else limit
     size = instance.support_product_size()
@@ -313,6 +327,8 @@ def _policy_sweep(
     )
     cdel = scaled.pop()
     singleton = instance.singleton_costs()
+    # Box i's selection is clean unless a box in dearer[i] was opened.
+    dearer = [sum(1 << j for j, c in enumerate(singleton) if c >= mine) for mine in singleton]
     full = (1 << n) - 1
     costs = {sum(1 << j for j in s): c for s, c in zip(table, scaled)}
 
@@ -321,7 +337,7 @@ def _policy_sweep(
         cost = costs[opened] if costs else _sum(c for j, c in enumerate(scaled) if opened >> j & 1)
         if sel is None:
             return 0, 0 - cost - cdel, -pos, 0, 0
-        gain, clean = scaled_values[k], all(singleton[j] < singleton[sel] for j in _box_set(opened))
+        gain, clean = scaled_values[k], not opened & dearer[sel]
         return utilities[sel], gain - cost - cdel, -pos, (not opened >> sel & 1) * gain, clean * gain
 
     def points(mask: int) -> int:
@@ -332,12 +348,15 @@ def _policy_sweep(
         key = mask, best, holder
         if key in memo:
             return memo[key]
-        step = _step(policy, n, bests, _box_set(mask), best)
-        while step >= 0 and len(boxes[step]) == 1:  # one atom: open it in place
-            ((k, _),) = boxes[step]
+        while True:
+            step = codes[mask][best]
+            if type(step) is not int:
+                raise _fault(step, mask, best, bests)
+            if step < 0 or len(boxes[step]) > 1:
+                break
+            ((k, _),) = boxes[step]  # one atom: open it in place
             best, holder = (k, step) if k > best else (best, holder)
             mask ^= 1 << step
-            step = _step(policy, n, bests, _box_set(mask), best)
         size, j = points(mask), step if step >= 0 else _CLOSED - step
         if step >= 0:
             rest = mask ^ 1 << j
@@ -351,11 +370,12 @@ def _policy_sweep(
 
     # Boxes lead, ..., n - 1 make one block; the outer loop fixes the others.
     lead = next(i for i in range(n + 1) if prod(map(len, atoms[i:])) <= _BLOCK)
+    tables = [policy._codes_for(n, bests) for policy in policies]
     total = uninspected = clean_mass = 0
     for fixed in product(*atoms[:lead]):
         boxes = [[atom] for atom in fixed] + atoms[lead:]
         top = None
-        for pos, policy in enumerate(policies):
+        for pos, codes in enumerate(tables):
             memo: dict = {}
             outcomes = walk(full, 0, None)
             top = outcomes if top is None else [t if t > o else o for t, o in zip(top, outcomes)]
@@ -401,14 +421,15 @@ def pnoi_optimal(
     distinct values, 0 for nothing opened). Each reachable mask, taken after
     its submasks, gets one row of values by best index, filled at the
     indices a run can hold: 0 at the full mask, else the atoms of the opened
-    boxes at or above the largest lowest atom among them. A state with
-    unopened set S is scaled by D * prod_{j in S} q_j; every candidate at a
-    state has that scale, so comparisons stay exact, and only the root is
-    turned back into a Fraction. Beside its row, each mask keeps one list of
-    table actions by best index, and an improving candidate overwrites one
-    slot with a tuple shared by the whole call. The returned policy keys
-    those actions by (frozenset, value or None), the public table, the first
-    time its table is read.
+    boxes at or above the largest lowest atom among them, a sorted list made
+    from that of the mask one box up. A state with unopened set S is scaled
+    by D * prod_{j in S} q_j; every candidate at a state has that scale, so
+    comparisons stay exact, and only the root is turned back into a
+    Fraction. Beside its row, each mask keeps one list of step codes by best
+    index, None where no run holds it, and an improving candidate overwrites
+    one slot. The returned policy holds these codes, which the replay and
+    the signaling sweep read on this value list, and builds the public
+    table, keyed by (frozenset, value or None), the first time it is read.
 
     Weitzman's rule prunes the scan. V(S - {j}, .) is nondecreasing and
     1-Lipschitz in b, so inspecting box j at an opened best b is worth at
@@ -440,14 +461,12 @@ def pnoi_optimal(
     # for the masks the DP can reach, built from the highest box down. Box j
     # joins only with its next higher twin `up`, which it then shadows; as
     # the lowest box of mask | bit it wins select ties.
-    stop, take_best = (STOP, None), (SELECT_OPENED_BEST, None)
-    inspects = [(INSPECT, j) for j in range(n)]
-    reach = {0: (1, 0, 0, stop)}
+    reach = {0: (1, 0, 0, _STOP)}
     # kind -> (bit of its lowest box so far, position in reach where the
     # masks holding that box begin); no earlier mask can hold it.
     twin_above: dict = {}
     for j in range(n - 1, -1, -1):
-        bit, q, select = 1 << j, box_units[j], (SELECT_CLOSED, j)
+        bit, q, select = 1 << j, box_units[j], _CLOSED - j
         up, first = twin_above.get(kinds[j], (0, 0))
         twin_above[kinds[j]] = bit, len(reach)
         for mask, (s, free, picked, action) in list(islice(reach.items(), first, None)):
@@ -460,38 +479,37 @@ def pnoi_optimal(
 
     width = len(bests)
     full = (1 << n) - 1
-    # Bitset of the best indices to fill, per mask. Reversed, reach runs down
-    # from the full mask, and holds mask | 1 << j for the highest opened box
-    # j; in order, it puts every mask after its submasks.
-    spans = [sum(1 << k for k, _ in box) for box in atoms]
-    held_at = {full: 1}
+    # The best indices to fill, per mask, in increasing order. Reversed,
+    # reach runs down from the full mask, and holds mask | 1 << j for the
+    # highest opened box j; in order, it puts every mask after its submasks.
+    spans = [sorted({k for k, _ in box}) for box in atoms]
+    held_at = {full: [0]}
     for mask in reversed(reach):
         if mask != full:
             j = (full ^ mask).bit_length() - 1
             up = held_at[mask | 1 << j]
-            floor = max(up & -up, spans[j] & -spans[j])
-            held_at[mask] = (up | spans[j]) & -floor
+            merged = sorted({*up, *spans[j]})
+            held_at[mask] = merged[bisect_left(merged, max(up[0], spans[j][0])) :]
 
     rows: dict = {}
-    actions: dict = {}  # mask -> action by best index, read at the held ones
+    codes: dict = {}  # mask -> step code by best index, None where no run holds it
     for mask, (s, free, picked, select) in reach.items():
-        held = held_at[mask]
-        fill = [k for k in range(width) if held >> k & 1]
+        fill = held_at.pop(mask)
         row = [0] * width
-        action = [stop] * width
+        code = [None] * width
         for best in fill:
-            top = 0
+            top, code[best] = 0, _STOP
             if scaled_values[best] * s > top:
-                top, action[best] = scaled_values[best] * s, take_best
+                top, code[best] = scaled_values[best] * s, _TAKE_BEST
             if picked > top:
-                top, action[best] = picked, select
+                top, code[best] = picked, select
             row[best] = top
         while free:
             bit = free & -free
             free ^= bit
             j = bit.bit_length() - 1
             sub = rows[mask ^ bit]
-            box, base, cut, inspect = atoms[j], -scaled_costs[j] * s, cuts[j], inspects[j]
+            box, base, cut = atoms[j], -scaled_costs[j] * s, cuts[j]
             for best in fill:
                 if best >= cut:
                     break
@@ -499,28 +517,35 @@ def pnoi_optimal(
                 for k, w in box:
                     cont = cont + w * sub[k if k > best else best]
                 if cont > row[best]:
-                    row[best], action[best] = cont, inspect
+                    row[best], code[best] = cont, j
         rows[mask] = row
-        actions[mask] = action
-
-    def table() -> dict:
-        # Each mask's unopened set is made from that of a mask one box up.
-        unopened_at = {full: frozenset(range(n))}
-        for mask in reversed(actions):
-            if mask != full:
-                j = (full ^ mask).bit_length() - 1
-                unopened_at[mask] = unopened_at[mask | 1 << j] - {j}
-        out = {}
-        for mask, action in actions.items():
-            unopened, held = unopened_at[mask], held_at[mask]
-            for best in range(width):
-                if held >> best & 1:
-                    out[unopened, bests[best]] = action[best]
-        return out
+        codes[mask] = code
 
     root = rows[full][0]
     root = Fraction(root, unit * reach[full][0]) if exact else float(root)
-    return root, PnoiPolicy._deferred(table)
+    policy = PnoiPolicy({})
+    policy._table, policy._codes = None, (n, bests, codes)  # the table is built on first read
+    return root, policy
+
+
+def _dp_table(n: int, bests: Sequence, codes: dict) -> dict:
+    """The public table of the step codes ``pnoi_optimal`` wrote, in its order."""
+    actions = {_STOP: (STOP, None), _TAKE_BEST: (SELECT_OPENED_BEST, None)}
+    for j in range(n):
+        actions[j], actions[_CLOSED - j] = (INSPECT, j), (SELECT_CLOSED, j)
+    # Each mask's unopened set is made from that of a mask one box up.
+    full = (1 << n) - 1
+    unopened_at = {full: frozenset(range(n))}
+    for mask in reversed(codes):
+        if mask != full:
+            j = (full ^ mask).bit_length() - 1
+            unopened_at[mask] = unopened_at[mask | 1 << j] - {j}
+    return {
+        (unopened_at[mask], bests[best]): actions[step]
+        for mask, code in codes.items()
+        for best, step in enumerate(code)
+        if step is not None
+    }
 
 
 def pnoi_value(instance: Instance) -> Number:
@@ -539,28 +564,3 @@ def pnoi_value_upper_bound(instance: Instance) -> Number:
     """
     _require_additive(instance, "pnoi_value_upper_bound")
     return weitzman_value(instance) + max(instance.expected_values())
-
-
-# --- policy serialization ---------------------------------------------------
-
-
-def _best_sort_key(best):
-    return (0, 0) if best is None else (1, best)
-
-
-def policy_to_rows(policy: PnoiPolicy) -> list[dict]:
-    """Serialize a policy as (state, action) rows for audit logs."""
-    rows = []
-    for (unopened, best), (kind, index) in sorted(
-        policy.table.items(),
-        key=lambda kv: (len(kv[0][0]), sorted(kv[0][0]), _best_sort_key(kv[0][1])),
-    ):
-        state = {
-            "unopened": sorted(unopened),
-            "best": "none" if best is None else best,
-        }
-        action = {"kind": kind}
-        if index is not None:
-            action["index"] = index
-        rows.append({"state": state, "action": action})
-    return to_json(rows)

@@ -431,7 +431,8 @@ def walk_table_policy(policy: PnoiPolicy, realization):
 
     The reference executor for ``PnoiPolicy`` tables: it follows the table
     state by state on one realization and raises the PolicyIncomplete errors
-    of the library's compiled sweep, with the same messages.
+    of the library's compiled sweep, with the same messages. A box index
+    that is not an int, a bool included, names an unknown box.
     """
     n = len(realization)
     unopened = frozenset(range(n))
@@ -439,23 +440,24 @@ def walk_table_policy(policy: PnoiPolicy, realization):
     best_index = None
     inspected = set()
     while True:
-        kind, index = policy.action(unopened, best)
+        try:
+            kind, index = policy.table[unopened, best]
+        except KeyError:
+            state = f"unopened={sorted(unopened)}, best={best}"
+            raise PolicyIncomplete(f"no action for state ({state})") from None
         if kind == STOP:
             return None, frozenset(inspected)
         if kind == SELECT_OPENED_BEST:
             if best_index is None:
                 raise PolicyIncomplete("select_opened_best before any inspection")
             return best_index, frozenset(inspected)
-        if kind == SELECT_CLOSED:
-            if index not in unopened:
-                what = "opened" if index in inspected else "unknown"
-                raise PolicyIncomplete(f"select_closed on {what} box {index}")
-            return index, frozenset(inspected)
-        if kind != INSPECT:
+        if kind != SELECT_CLOSED and kind != INSPECT:
             raise PolicyIncomplete(f"unknown action kind {kind!r}")
-        if index not in unopened:
-            what = "opened" if index in inspected else "unknown"
-            raise PolicyIncomplete(f"inspect on {what} box {index}")
+        if type(index) is not int or index not in unopened:
+            what = "opened" if type(index) is int and index in inspected else "unknown"
+            raise PolicyIncomplete(f"{kind} on {what} box {index}")
+        if kind == SELECT_CLOSED:
+            return index, frozenset(inspected)
         inspected.add(index)
         unopened = unopened - {index}
         if best is None or realization[index] > best:
@@ -478,6 +480,9 @@ def broken_two_box_tables() -> list[dict]:
         {(full, None): (INSPECT, 0), **after_opening_0((SELECT_CLOSED, 0))},
         {(full, None): (SELECT_CLOSED, 2)},
         {(full, None): (INSPECT, 5)},
+        {(full, None): (INSPECT, 1.0)},
+        {(full, None): (SELECT_CLOSED, 1.0)},
+        {(full, None): (INSPECT, True)},
         {(full, None): ("peek", 0)},
         {(full, None): (INSPECT, 0)},
     ]

@@ -557,6 +557,24 @@ class TestEvaluateSignaling:
                 evaluate_signaling(inst, mech, deterministic_agent([1, 2]))
             assert str(swept.value) == str(direct.value)
 
+    def test_broken_entries_no_run_reaches_raise_nothing(self):
+        # Each broken action sits below a root that selects box 0 closed, and
+        # one more entry names a box the instance lacks.
+        inst = Instance((box(half_coin), box(half_coin)))
+        full, rest = frozenset({0, 1}), frozenset({1})
+        for table in broken_two_box_tables():
+            for action in table.values():
+                policy = PnoiPolicy(
+                    {
+                        (full, None): (SELECT_CLOSED, 0),
+                        **{(rest, v): action for v in (F(0), F(1))},
+                        (frozenset({0, 1, 2}), None): action,
+                    }
+                )
+                assert evaluate_policy(inst, policy) == F(1, 2)
+                mech = SignalingMechanism((0,), {0: policy})
+                assert evaluate_signaling(inst, mech, deterministic_agent([1, 2])) == F(1, 2)
+
     def test_a_signal_broken_below_its_root_still_raises(self):
         inst = Instance((box(half_coin), box(half_coin)))
         full = frozenset({0, 1})

@@ -18,6 +18,13 @@ from delegatebox import (
     make_distribution,
 )
 from delegatebox.core import DEFAULT_ENUMERATION_LIMIT, FLOAT_TOL, expected_max_of_dists
+from delegatebox.delegation import (
+    SignalingMechanism,
+    deterministic_agent,
+    evaluate_signaling,
+    overinspection_utility,
+    policy_to_rows,
+)
 from delegatebox.instances import (
     identical_binary,
     inapprox_first_best,
@@ -38,13 +45,13 @@ from delegatebox.pandora import (
     pnoi_optimal,
     pnoi_value,
     pnoi_value_upper_bound,
-    policy_to_rows,
     reservation_cap,
     weitzman_value,
 )
 
 from oracles import (
     broken_two_box_tables,
+    brute_evaluate_signaling,
     brute_policy_value,
     capped_dist,
     descending_cap_simulation,
@@ -196,13 +203,13 @@ class TestOptimalSearch:
         value, policy = pnoi_optimal(tightness(eps))
         assert value == 3 - 3 * eps + eps * eps
         # opens a free box first
-        assert policy.action(frozenset({0, 1, 2}), None) == (INSPECT, 0)
+        assert policy.table[frozenset({0, 1, 2}), None] == (INSPECT, 0)
 
     def test_deterministic_box_is_selected_closed_despite_huge_cost(self):
         inst = Instance((box([(1, 1)], 5),))
         value, policy = pnoi_optimal(inst)
         assert value == 1
-        assert policy.action(frozenset({0}), None) == (SELECT_CLOSED, 0)
+        assert policy.table[frozenset({0}), None] == (SELECT_CLOSED, 0)
 
     def test_two_coins_match_exhaustive_tree_enumeration(self):
         inst = Instance(tuple(box([(0, "0.5"), (2, "0.5")], "0.1") for _ in range(2)))
@@ -271,7 +278,7 @@ class TestOptimalSearch:
             assert value == ref_value
             assert policy.table == twin_canonical(case, ref_policy.table)
             if inst is dear:
-                assert policy.action(frozenset({0, 1}), None) == (SELECT_CLOSED, 0)
+                assert policy.table[frozenset({0, 1}), None] == (SELECT_CLOSED, 0)
             cuts, bests = box_cuts(case)
             assert min(cuts) >= 1  # index 0, nothing opened, is never cut
             assert [bests[k] if k < len(bests) else None for k in cuts] == [
@@ -325,7 +332,7 @@ class TestOptimalSearch:
         inst = Instance((box([(0, 1)]),))
         value, policy = pnoi_optimal(inst)
         assert value == 0
-        assert policy.action(frozenset({0}), None) == (STOP, None)
+        assert policy.table[frozenset({0}), None] == (STOP, None)
 
     def test_state_limit(self):
         inst = Instance(tuple(box(half_coin, "0.25") for _ in range(3)))
@@ -345,16 +352,16 @@ class TestOptimalSearch:
         inst = identical_binary(2000, F(1, 2000), 1, F(1, 1000))
         value, policy = pnoi_optimal(inst)
         assert value == F(1, 2000)
-        assert policy.action(frozenset(range(2000)), None) == (SELECT_CLOSED, 0)
+        assert policy.table[frozenset(range(2000)), None] == (SELECT_CLOSED, 0)
 
     def test_deep_search_where_inspection_pays(self):
         # Opening pays: a run that sees only zeros opens 1,199 boxes and
         # selects the last one closed.
         inst = identical_binary(1200, F(1, 1200), 1, F(1, 120000)).to_float()
         value, policy = pnoi_optimal(inst)
-        assert policy.action(frozenset(range(1200)), None) == (INSPECT, 0)
-        assert policy.action(frozenset({1198, 1199}), 0.0) == (INSPECT, 1198)
-        assert policy.action(frozenset({1199}), 0.0) == (SELECT_CLOSED, 1199)
+        assert policy.table[frozenset(range(1200)), None] == (INSPECT, 0)
+        assert policy.table[frozenset({1198, 1199}), 0.0] == (INSPECT, 1198)
+        assert policy.table[frozenset({1199}), 0.0] == (SELECT_CLOSED, 1199)
         assert abs(value - inspection_only_best(inst)) <= FLOAT_TOL
 
     def test_deep_replay_needs_no_recursion(self):
@@ -520,3 +527,43 @@ def test_evaluate_policy_raises_the_errors_of_walk_table_policy():
     assert "select_closed on unknown box 2" in messages
     assert "inspect on unknown box 5" in messages
     assert "inspect on opened box 0" in messages
+    # A box index that is not an int names no box, even one equal to a box.
+    assert "inspect on unknown box 1.0" in messages
+    assert "select_closed on unknown box 1.0" in messages
+    assert "inspect on unknown box True" in messages
+
+
+def test_a_dp_policy_runs_on_an_instance_with_another_value_list():
+    # A's policy opens the free box 0 and takes a 10, else selects box 1
+    # closed. B drops box 0's 1, so every state a run on B reaches is in A's
+    # table, but a value index of A names another value on B.
+    a = Instance((box([(0, "1/3"), (1, "1/3"), (10, "1/3")]), box([(0, "1/2"), (6, "1/2")], 1)))
+    b = Instance((box([(0, "1/2"), (10, "1/2")]), a.alternatives[1]))
+    value, policy = pnoi_optimal(a)
+    assert evaluate_policy(b, policy) == brute_policy_value(b, policy) == F(13, 2)
+    mech = SignalingMechanism((0, 1), {0: policy, 1: pnoi_optimal(b)[1]})
+    for ys in ([2, 1], [1, 1]):
+        want = brute_evaluate_signaling(b, mech, ys)
+        agent = deterministic_agent(ys)
+        assert evaluate_signaling(b, mech, agent) == want[0]
+        assert overinspection_utility(b, mech, agent) == want[2]
+    # Run back on A, it reads A's values again.
+    assert evaluate_policy(a, policy) == value
+
+
+def test_a_table_is_copied_read_only():
+    inst = Instance((box(half_coin), box(half_coin)))
+    full = frozenset({0, 1})
+    source = {(full, None): (SELECT_CLOSED, 0)}
+    policy = PnoiPolicy(source)
+    assert evaluate_policy(inst, policy) == F(1, 2)
+    # The compiled codes are the copy's: editing the caller's dict changes no run.
+    source[full, None] = (STOP, None)
+    assert evaluate_policy(inst, policy) == F(1, 2)
+    assert policy.table == {(full, None): (SELECT_CLOSED, 0)}
+    for table in (policy.table, pnoi_optimal(inst)[1].table):
+        with pytest.raises(TypeError):
+            table[full, None] = (STOP, None)
+    back = pickle.loads(pickle.dumps(policy))
+    assert type(back.__reduce__()[1][0]) is dict
+    assert evaluate_policy(inst, back) == F(1, 2)
