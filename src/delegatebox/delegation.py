@@ -11,17 +11,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite, lcm, prod
-from typing import Optional, Sequence, Union
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence, Union
 
 from .core import (
+    DEFAULT_ENUMERATION_LIMIT,
     FLOAT_TOL,
     DiscreteDistribution,
+    EnumerationLimitExceeded,
     Instance,
     InvalidParameters,
     NegativeValue,
     NotCostless,
     CostsNotIdentical,
     Number,
+    _derived,
     _max_sweep,
     _scaled_atoms,
     _sum,
@@ -43,7 +47,8 @@ WORST_CASE = _WorstCase()
 
 @dataclass(frozen=True, slots=True)
 class AgentProfile:
-    """The agent's utilities: one fixed value per alternative, or a distribution each."""
+    """The agent's utilities: one fixed value per alternative, or a distribution
+    each, copied into a tuple."""
 
     utilities: Optional[tuple] = None
     dists: Optional[tuple] = None
@@ -51,6 +56,10 @@ class AgentProfile:
     def __post_init__(self):
         if (self.utilities is None) == (self.dists is None):
             raise InvalidParameters("supply exactly one of utilities or dists")
+        if self.deterministic:
+            object.__setattr__(self, "utilities", tuple(self.utilities))
+        else:
+            object.__setattr__(self, "dists", tuple(self.dists))
         for i, u in enumerate(self.utilities or ()):
             if u != u:  # NaN: no order to rank the boxes by
                 raise InvalidParameters(f"agent utility {i} is NaN")
@@ -71,11 +80,11 @@ def _check_agent(instance: Instance, agent: AgentProfile) -> None:
 
 
 def deterministic_agent(values: Sequence) -> AgentProfile:
-    return AgentProfile(utilities=tuple(values))
+    return AgentProfile(utilities=values)
 
 
 def distributional_agent(dists: Sequence[DiscreteDistribution]) -> AgentProfile:
-    return AgentProfile(dists=tuple(dists))
+    return AgentProfile(dists=dists)
 
 
 def cost_ordered_adversary(instance: Instance) -> AgentProfile:
@@ -108,18 +117,32 @@ class Spmi:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class SignalingMechanism:
-    """Finite signal set, each signal mapped to a terminating inspection policy."""
+    """Finite signal set, each signal mapped to a terminating inspection policy.
+
+    ``policies`` is copied into a read-only mapping; pickling carries a
+    plain dict. The mechanism holds the three sums of its last signaling
+    sweep, keyed by the instance (by identity) and the agent's utilities,
+    so ``evaluate_signaling``, ``uninspected_selection_mass`` and
+    ``overinspection_utility`` share one sweep per (instance, agent). It
+    keeps a reference to that last instance.
+    """
 
     signals: tuple
-    policies: dict
+    policies: Mapping
+    _held: Optional[tuple] = _derived()  # (instance, utilities, the three sums)
 
     def __post_init__(self):
         object.__setattr__(self, "signals", tuple(self.signals))
+        object.__setattr__(self, "policies", MappingProxyType(dict(self.policies)))
         if not self.signals:
             raise InvalidParameters("a signaling mechanism needs at least one signal")
         for sig in self.signals:
             if sig not in self.policies:
                 raise InvalidParameters(f"signal {sig!r} has no policy")
+
+    def __reduce__(self):
+        # A mappingproxy does not pickle; the copy starts with nothing held.
+        return SignalingMechanism, (self.signals, dict(self.policies))
 
 
 @dataclass(frozen=True, slots=True)
@@ -363,8 +386,16 @@ def _signaling_sweep(
     if not agent.deterministic:
         raise InvalidParameters("best response needs deterministic agent utilities")
     _check_agent(instance, agent)
-    policies = [mech.policies[sig] for sig in mech.signals]
-    return _policy_sweep(instance, policies, agent.utilities, limit)
+    cap = DEFAULT_ENUMERATION_LIMIT if limit is None else limit
+    size = instance.support_product_size()
+    if size > cap:
+        raise EnumerationLimitExceeded(f"product support has {size} points, limit is {cap}")
+    held = mech._held
+    if held is None or held[0] is not instance or held[1] != agent.utilities:
+        policies = [mech.policies[sig] for sig in mech.signals]
+        held = instance, agent.utilities, _policy_sweep(instance, policies, agent.utilities)
+        object.__setattr__(mech, "_held", held)
+    return held[2]
 
 
 def evaluate_signaling(
@@ -386,8 +417,12 @@ def evaluate_signaling(
     raises PolicyIncomplete; when several do, the one named need not be the
     first that a point in support order reaches. EnumerationLimitExceeded is
     raised before any policy runs if the product support has more than
-    ``limit`` points (default 10^7). ``uninspected_selection_mass`` and
-    ``overinspection_utility`` run the same sweep.
+    ``limit`` points (default 10^7), on every call. This function,
+    ``uninspected_selection_mass`` and ``overinspection_utility`` share one
+    sweep per (instance, agent): the mechanism holds the three sums of its
+    last sweep, and a reference to its instance, so asking the other two
+    questions of the same instance and utilities sweeps nothing. A sweep
+    that raises holds nothing.
     """
     return _signaling_sweep(instance, mech, agent, limit)[0]
 

@@ -17,11 +17,9 @@ from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .core import (
-    DEFAULT_ENUMERATION_LIMIT,
     DEFAULT_STATE_LIMIT,
     FLOAT_TOL,
     Alternative,
-    EnumerationLimitExceeded,
     Instance,
     InvalidParameters,
     Number,
@@ -103,14 +101,18 @@ class PnoiPolicy:
     table has no action and a broken action's PolicyIncomplete message.
     ``pnoi_optimal`` writes the codes, and ``table`` is keyed from them on
     first read, once even when threads race. ``PnoiPolicy(table)`` copies a
-    table read-only and keeps its codes for the last (n, bests) it ran on.
-    Pickling and copying carry a plain dict.
+    table read-only. A policy keeps the DP's codes, if it has them, and
+    beside them the codes for the last other (n, bests) it ran on: compiled
+    from the table, or for a DP policy read off the DP's codes by value, so
+    the table is never built for a run. Pickling and copying carry a plain
+    dict.
     """
 
-    __slots__ = ("_table", "_codes", "_lock")
+    __slots__ = ("_table", "_codes", "_foreign", "_lock")
 
     def __init__(self, table: Mapping) -> None:
-        self._table, self._codes, self._lock = MappingProxyType(dict(table)), None, Lock()
+        self._table, self._codes, self._foreign = MappingProxyType(dict(table)), None, None
+        self._lock = Lock()
 
     @property
     def table(self) -> Mapping:
@@ -125,10 +127,19 @@ class PnoiPolicy:
 
     def _codes_for(self, n: int, bests: list) -> dict:
         """The step codes by unopened mask for ``n`` boxes and ``bests``."""
-        held = self._codes
-        if held is None or held[0] != n or held[1] != bests:
-            held = self._codes = n, bests, _compile(self.table, n, bests)
-        return held[2]
+        for held in self._codes, self._foreign:
+            if held and held[:2] == (n, bests):
+                return held[2]
+        if self._codes is None:
+            codes = _compile(self.table, n, bests)
+        else:  # the DP's codes read by value; a root the DP never held has no action
+            own = {v: k for k, v in enumerate(self._codes[1])}
+            picks = [own.get(v) for v in bests]
+            codes = {(1 << n) - 1: [None] * len(bests)}
+            for mask, row in self._codes[2].items():
+                codes[mask] = [None if k is None else row[k] for k in picks]
+        self._foreign = n, bests, codes
+        return codes
 
 
 # Int step codes of a decision table's actions, as ``PnoiPolicy`` holds them
@@ -300,7 +311,6 @@ def _policy_sweep(
     instance: Instance,
     policies: Sequence[PnoiPolicy],
     utilities: Sequence,
-    limit: Optional[int],
 ) -> tuple[Number, Number, Number]:
     """(principal utility, uninspected mass, clean mass) of best responses.
 
@@ -313,12 +323,9 @@ def _policy_sweep(
     mode runs on the ints of ``_scaled_boxes``. Leading boxes are enumerated
     outside, as one atom each, to hold at most ``_BLOCK`` points. The walk
     reads each table's step codes for ``bests`` (``PnoiPolicy``) and raises
-    PolicyIncomplete at the first broken state it reaches.
+    PolicyIncomplete at the first broken state it reaches. The one caller,
+    ``delegation._signaling_sweep``, checks the product size first.
     """
-    cap = DEFAULT_ENUMERATION_LIMIT if limit is None else limit
-    size = instance.support_product_size()
-    if size > cap:
-        raise EnumerationLimitExceeded(f"product support has {size} points, limit is {cap}")
     n = instance.n
     table = instance.cost_model.table or {}  # a monotone model's costs, by opened set
     charges = [*table.values()] if table else [alt.inspect_cost for alt in instance.alternatives]

@@ -1,5 +1,8 @@
 import hashlib
+import pickle
 import random
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -22,6 +25,7 @@ from delegatebox import (
 from delegatebox.core import DEFAULT_ENUMERATION_LIMIT, PolicyIncomplete, instance_from_obj
 from delegatebox.delegation import (
     WORST_CASE,
+    AgentProfile,
     Spmi,
     best_closed_selection,
     build_spmi,
@@ -53,7 +57,7 @@ from delegatebox.pandora import (
     pnoi_optimal,
     weitzman_value,
 )
-from delegatebox import SignalingMechanism, pandora
+from delegatebox import SignalingMechanism, delegation, pandora
 from delegatebox.bounds import COSTLY, audit
 
 from oracles import (
@@ -585,6 +589,185 @@ class TestEvaluateSignaling:
             evaluate_signaling(inst, mech, deterministic_agent([2, 1]))
 
 
+SWEEPS = (evaluate_signaling, uninspected_selection_mass, overinspection_utility)
+
+
+def count_sweeps(monkeypatch) -> list:
+    """Patch ``delegation._policy_sweep`` to record the instance of each sweep."""
+    calls = []
+    sweep = delegation._policy_sweep
+
+    def counted(instance, *args):
+        calls.append(instance)
+        return sweep(instance, *args)
+
+    monkeypatch.setattr(delegation, "_policy_sweep", counted)
+    return calls
+
+
+def as_mode(instance, mode):
+    return instance if mode == "exact" else instance.to_float()
+
+
+class TestOneSweepPerTriple:
+    """The three sweep questions on one (instance, mechanism, agent) share one
+    sweep, held on the mechanism."""
+
+    def setup_method(self):
+        first, last = box([(0, "1/3"), (2, "1/3"), (5, "1/3")], F(1, 2)), box(half_coin, F(1, 4))
+        self.inst = Instance((first, box([(1, "1/4"), (4, "3/4")], 1), last), delegation_cost=F(1, 5))
+        # The same values, so the mechanism's tables cover it, on other weights.
+        self.other = Instance((first, box([(1, "1/2"), (4, "1/2")], 1), last))
+        self.mech_seed = 7
+
+    def mech_for(self, inst):
+        return random_signaling_mechanism(random.Random(self.mech_seed), inst)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_three_questions_run_one_sweep(self, monkeypatch, mode):
+        calls = count_sweeps(monkeypatch)
+        inst = as_mode(self.inst, mode)
+        mech = self.mech_for(inst)
+        for ys in ((3, 1, 2), (1, 1, 0)):
+            want = brute_evaluate_signaling(inst, mech, ys)
+            got = tuple(fn(inst, mech, deterministic_agent(ys)) for fn in SWEEPS)
+            assert [type(x) for x in got] == [type(x) for x in want]
+            assert got == want
+            # Asked again, by a new agent with equal utilities, nothing sweeps.
+            assert tuple(fn(inst, mech, deterministic_agent(list(ys))) for fn in SWEEPS) == want
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_another_agent_or_instance_sweeps_again(self, monkeypatch, mode):
+        calls = count_sweeps(monkeypatch)
+        inst = as_mode(self.inst, mode)
+        mech = self.mech_for(inst)
+        # An equal copy is another instance: the held result is keyed by identity.
+        copy = Instance(inst.alternatives, inst.cost_model, inst.delegation_cost)
+        cases = (inst, inst, as_mode(self.other, mode), inst, copy, inst.with_delegation_cost(1))
+        steps = list(zip(cases, [(3, 1, 2), *[(1, 2, 3)] * 5]))
+        for k, (case, ys) in enumerate(steps, 1):
+            got = tuple(fn(case, mech, deterministic_agent(ys)) for fn in SWEEPS)
+            assert got == brute_evaluate_signaling(case, mech, ys)
+            assert calls == [case for case, _ in steps[:k]]
+
+    def test_a_float_copy_starts_with_nothing_held(self, monkeypatch):
+        calls = count_sweeps(monkeypatch)
+        mech = self.mech_for(self.inst)
+        agent = deterministic_agent((3, 1, 2))
+        evaluate_signaling(self.inst, mech, agent)
+        flt = self.inst.to_float()
+        got = tuple(fn(flt, mech, agent) for fn in SWEEPS)
+        assert got == brute_evaluate_signaling(flt, mech, agent.utilities)
+        assert all(type(x) is float for x in got)
+        assert calls == [self.inst, flt]
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_a_smaller_limit_raises_after_a_held_sweep(self, monkeypatch, mode):
+        calls = count_sweeps(monkeypatch)
+        inst = as_mode(Instance(tuple(box(half_coin) for _ in range(4))), mode)  # 16 points
+        take_0 = PnoiPolicy({(frozenset(range(4)), None): (SELECT_CLOSED, 0)})
+        mech = SignalingMechanism((0,), {0: take_0})
+        agent = deterministic_agent([1, 2, 3, 4])
+        assert evaluate_signaling(inst, mech, agent) == 0.5
+        for fn in SWEEPS:
+            with pytest.raises(EnumerationLimitExceeded):
+                fn(inst, mech, agent, limit=15)
+        assert uninspected_selection_mass(inst, mech, agent, limit=16) == 0.5
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_an_error_is_never_held(self, monkeypatch, mode):
+        calls = count_sweeps(monkeypatch)
+        inst = as_mode(Instance((box(half_coin), box(half_coin))), mode)
+        full = frozenset({0, 1})
+        open_0 = PnoiPolicy({(full, None): (INSPECT, 0)})  # no action after it
+        mech = SignalingMechanism((0,), {0: open_0})
+        agent = deterministic_agent([1, 2])
+        for fn in SWEEPS:
+            with pytest.raises(PolicyIncomplete, match=r"unopened=\[1\]"):
+                fn(inst, mech, agent)
+        assert len(calls) == 3
+        assert mech._held is None
+
+    def test_threads_sharing_a_mechanism_get_their_own_sums(self):
+        # Threads asking for different agents and instances replace the held
+        # result under each other; every answer must still be its own triple's.
+        mech = self.mech_for(self.inst)
+        cases = [(inst, ys) for inst in (self.inst, self.other) for ys in ((3, 1, 2), (1, 2, 3))]
+        want = {k: brute_evaluate_signaling(inst, mech, ys) for k, (inst, ys) in enumerate(cases)}
+        start = threading.Barrier(8)
+        wrong, errors = [], []
+
+        def ask(k):
+            inst, ys = cases[k % len(cases)]
+            try:
+                start.wait(timeout=10)
+                for _ in range(20):
+                    got = tuple(fn(inst, mech, deterministic_agent(ys)) for fn in SWEEPS)
+                    if got != want[k % len(cases)]:
+                        wrong.append((k, got))
+            except Exception as exc:  # recorded, then asserted on below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and wrong == []
+
+
+class TestMechanismInputsAreReadOnly:
+    def setup_method(self):
+        self.inst = Instance((box(half_coin), box(half_coin)))
+        full = frozenset({0, 1})
+        self.take_0 = PnoiPolicy({(full, None): (SELECT_CLOSED, 0)})
+        self.stop = PnoiPolicy({(full, None): (STOP, None)})
+
+    def test_policies_cannot_be_reassigned(self):
+        mech = SignalingMechanism((0,), {0: self.take_0})
+        with pytest.raises(TypeError):
+            mech.policies[0] = self.stop
+
+    def test_editing_the_callers_dict_changes_no_result(self):
+        source = {0: self.take_0}
+        mech = SignalingMechanism((0,), source)
+        agent = deterministic_agent([1, 2])
+        assert evaluate_signaling(self.inst, mech, agent) == F(1, 2)
+        source[0] = self.stop
+        assert mech.policies[0] is self.take_0
+        again = Instance(self.inst.alternatives)  # another instance, so it sweeps again
+        assert evaluate_signaling(again, mech, agent) == F(1, 2)
+
+    def test_a_mechanism_pickles(self):
+        inst, mech = info_value(4, F(1, 10))
+        agent = deterministic_agent([4, 3, 2, 1])
+        want = tuple(fn(inst, mech, agent) for fn in SWEEPS)
+        back = pickle.loads(pickle.dumps(mech))
+        assert back._held is None
+        assert back.signals == mech.signals
+        assert {s: p.table for s, p in back.policies.items()} == {
+            s: p.table for s, p in mech.policies.items()
+        }
+        assert tuple(fn(inst, back, agent) for fn in SWEEPS) == want
+
+    def test_agent_utilities_and_dists_are_tuples(self):
+        assert AgentProfile(utilities=[2, 1]).utilities == (2, 1)
+        ys = [2, 1]
+        agent = deterministic_agent(ys)
+        ys[0] = 0
+        assert agent.utilities == (2, 1)
+        assert AgentProfile(dists=[dist(half_coin)]).dists == (dist(half_coin),)
+        assert hash(agent) == hash(deterministic_agent((2, 1)))
+
+
 def signaling_sweep_reprs(max_info_n=12):
     """The repr of the three sweep sums, exact and float: random mechanisms
     on ``random_corpus(34, 120, cdel_max=2)``, every other instance under
@@ -606,9 +789,8 @@ def signaling_sweep_reprs(max_info_n=12):
         inst, mech = info_value(n, F(1, 10))
         agents = (tuple(range(n, 0, -1)), tuple(k // 2 for k in range(n)))
         cases += [(inst, mech, agents), (inst.to_float(), mech, agents)]
-    sweeps = (evaluate_signaling, uninspected_selection_mass, overinspection_utility)
     return [
-        repr(tuple(fn(case, mech, deterministic_agent(ys)) for fn in sweeps))
+        repr(tuple(fn(case, mech, deterministic_agent(ys)) for fn in SWEEPS))
         for case, mech, agents in cases
         for ys in agents
     ]
