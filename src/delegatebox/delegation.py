@@ -119,12 +119,7 @@ class Spmi:
 class SignalingMechanism:
     """Finite signal set, each signal mapped to a terminating inspection policy.
 
-    ``policies`` is copied into a read-only mapping; pickling carries a
-    plain dict. The mechanism holds the three sums of its last signaling
-    sweep, keyed by the instance (by identity) and the agent's utilities,
-    so ``evaluate_signaling``, ``uninspected_selection_mass`` and
-    ``overinspection_utility`` share one sweep per (instance, agent). It
-    keeps a reference to that last instance.
+    ``policies`` is a read-only copy; pickling carries a plain dict.
     """
 
     signals: tuple
@@ -420,9 +415,8 @@ def evaluate_signaling(
     ``limit`` points (default 10^7), on every call. This function,
     ``uninspected_selection_mass`` and ``overinspection_utility`` share one
     sweep per (instance, agent): the mechanism holds the three sums of its
-    last sweep, and a reference to its instance, so asking the other two
-    questions of the same instance and utilities sweeps nothing. A sweep
-    that raises holds nothing.
+    last sweep, keyed by the instance (by identity, so it keeps a reference
+    to it) and the agent's utilities. A sweep that raises holds nothing.
     """
     return _signaling_sweep(instance, mech, agent, limit)[0]
 

@@ -102,10 +102,8 @@ class PnoiPolicy:
     ``pnoi_optimal`` writes the codes, and ``table`` is keyed from them on
     first read, once even when threads race. ``PnoiPolicy(table)`` copies a
     table read-only. A policy keeps the DP's codes, if it has them, and
-    beside them the codes for the last other (n, bests) it ran on: compiled
-    from the table, or for a DP policy read off the DP's codes by value, so
-    the table is never built for a run. Pickling and copying carry a plain
-    dict.
+    beside them the codes compiled for the last other (n, bests) it ran on.
+    Pickling and copying carry a plain dict.
     """
 
     __slots__ = ("_table", "_codes", "_foreign", "_lock")
@@ -130,16 +128,8 @@ class PnoiPolicy:
         for held in self._codes, self._foreign:
             if held and held[:2] == (n, bests):
                 return held[2]
-        if self._codes is None:
-            codes = _compile(self.table, n, bests)
-        else:  # the DP's codes read by value; a root the DP never held has no action
-            own = {v: k for k, v in enumerate(self._codes[1])}
-            picks = [own.get(v) for v in bests]
-            codes = {(1 << n) - 1: [None] * len(bests)}
-            for mask, row in self._codes[2].items():
-                codes[mask] = [None if k is None else row[k] for k in picks]
-        self._foreign = n, bests, codes
-        return codes
+        held = self._foreign = n, bests, _compile(self.table, n, bests)
+        return held[2]
 
 
 # Int step codes of a decision table's actions, as ``PnoiPolicy`` holds them
