@@ -40,7 +40,12 @@ COMPOSED = {
 }
 MECHANISMS = ("pnoi", "spmi", *COMPOSED, "weitzman")
 REGIMES = tuple(bounds.REGIMES)
-FAMILY_FLAGS = sorted({name for _, defaults in instances.FAMILIES.values() for name in defaults})
+# Each family parameter, in first-seen order, and whether its default is an int.
+FAMILY_FLAGS = {
+    name: type(default) is int
+    for _, defaults in instances.FAMILIES.values()
+    for name, default in defaults.items()
+}
 FORMATS = ("table", "json")
 MODES = ("exact", "float")
 
@@ -59,15 +64,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--instance", help="path to an instance JSON file")
         p.add_argument("--family", choices=instances.FAMILIES, help="generate instead of reading")
-        p.add_argument("--n", type=int)
-        p.add_argument("--p")
-        p.add_argument("--v")
-        p.add_argument("--c")
-        p.add_argument("--eps")
-        p.add_argument("--support-size", type=int)
-        p.add_argument("--value-max", type=int)
-        p.add_argument("--cost-max", type=int)
-        p.add_argument("--cdel-max", type=int)
+        for name, is_int in FAMILY_FLAGS.items():
+            if name != "seed":  # --seed is shared with repro, below
+                p.add_argument("--" + name.replace("_", "-"), type=int if is_int else None)
         mode = p.add_mutually_exclusive_group()
         mode.add_argument("--exact", action="store_true")
         mode.add_argument("--float", dest="float_mode", action="store_true")
@@ -135,7 +134,7 @@ def _resolve_seed(args) -> Optional[int]:
 
 def _reject_flags(args, taken, source: str) -> None:
     """Raise on a family flag given to a source that does not take it."""
-    for name in FAMILY_FLAGS:
+    for name in sorted(FAMILY_FLAGS):
         if name not in taken and getattr(args, name) is not None:
             flag = "--" + name.replace("_", "-")
             raise InvalidParameters(f"{flag} does not apply to {source}")
@@ -256,6 +255,10 @@ def _cmd_repro(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    flags = {"--exact": args.exact, "--float": args.float_mode, "--format": args.format}
+    for flag, given in flags.items():
+        if given:
+            raise InvalidParameters(f"{flag} does not apply to gen")
     if not args.family:
         raise InvalidParameters("gen needs --family")
     inst, mechanism, meta = _generate(args)

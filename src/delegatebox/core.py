@@ -552,11 +552,7 @@ def _max_sweep(triples: list, boxes: int) -> Number:
     return total
 
 
-IDENTITY = "identity"
-SHIFTED_POSITIVE = "shifted_positive"
-
-
-def expected_of_max(instance: Instance, transform=IDENTITY) -> Number:
+def expected_of_max(instance: Instance, transform="identity") -> Number:
     """Exact E[max_i f_i(X_i)] over independent alternatives.
 
     ``transform`` is "identity" (f_i(x) = x) or "shifted_positive"
@@ -564,15 +560,15 @@ def expected_of_max(instance: Instance, transform=IDENTITY) -> Number:
     The first call per transform runs ``expected_max_of_dists`` and stores
     its result on the instance; later calls return the stored value.
     """
-    if transform == IDENTITY:
+    if transform == "identity":
         slot = "_max"
-    elif transform == SHIFTED_POSITIVE:
+    elif transform == "shifted_positive":
         slot = "_surplus"
     else:
         raise InvalidParameters(f"unknown transform: {transform!r}")
     value = getattr(instance, slot)
     if value is None:
-        costs = instance.singleton_costs() if transform == SHIFTED_POSITIVE else None
+        costs = instance.singleton_costs() if transform == "shifted_positive" else None
         value = expected_max_of_dists([alt.dist for alt in instance.alternatives], costs)
         instance._fill(slot, value)
     return value

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite, lcm, prod
+from math import isfinite, prod
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence, Union
 
@@ -224,33 +224,34 @@ def _spmi_worst_case_value(instance: Instance, threshold: Number) -> Number:
 
 
 def _spmi_agent_value(instance: Instance, threshold: Number, agent: AgentProfile) -> Number:
-    # Sweep the agent's utility levels from the top. The agent proposes at
-    # level u iff no box is eligible at a higher level; then it proposes the
-    # level-u box with the largest net (ties go to the principal). Box j
-    # enters level u as the sub-probability measure with atoms (net, q_j(u) p)
-    # on its eligible atoms and 0 on the mass where it is not eligible at u or
-    # above, 1 - e_j Q_j(>=u); its total mass is 1 - e_j Q_j(>u), its share of
-    # reaching level u. One sweep per level over its own boxes, times the
-    # other boxes' share of reaching it, gives the level's contribution.
-    # On ints, box j has scale s_j = q_j r_j, r_j the lcm of the agent's
-    # probability denominators for box j; reach = prod_j reach_box[j] is over
-    # S = prod s_j, so each level adds others * sweep over D * S.
+    """The agent's SPMI value, before the delegation cost, by one sweep per level.
+
+    The agent's utility levels are swept from the top. The agent proposes at
+    level u iff no box is eligible at a higher level; then it proposes the
+    level-u box with the largest net (ties go to the principal). Box j
+    enters level u as the sub-probability measure with atoms (net, q_j(u) p)
+    on its eligible atoms and 0 on the mass where it is not eligible at u or
+    above, 1 - e_j Q_j(>=u); its total mass is 1 - e_j Q_j(>u), its share of
+    reaching level u. One sweep per level over its own boxes, times the
+    other boxes' share of reaching it, gives the level's contribution.
+    On ints, box j has scale s_j = q_j r_j. A distributional agent's r_j and
+    integer odds are those of ``_scaled_atoms(agent.dists)``, and its levels
+    are keyed by the scaled utilities, which keep their order; a
+    deterministic agent has r_j = 1 and odds 1. reach = prod_j reach_box[j]
+    is over S = prod s_j, so each level adds others * sweep over D * S.
+    """
     unit, box_units, nets = _eligible_nets(instance, threshold)
     exact = instance.mode == "exact"
     zero = 0 if exact else 0.0
     if agent.deterministic:
-        prefs = [((u, 1),) for u in agent.utilities]
+        agent_units, prefs = [1] * instance.n, [(u, j, 1) for j, u in enumerate(agent.utilities)]
     else:
-        prefs = [d.atoms for d in agent.dists]
+        _, agent_units, prefs, _ = _scaled_atoms(agent.dists)
     levels: dict = {}
-    reach_box = []  # s_j (1 - e_j Q_j(>u))
-    for j, (atoms, pref) in enumerate(zip(nets, prefs)):
-        r = lcm(*(q.denominator for _, q in pref)) if exact else 1
-        reach_box.append(box_units[j] * r)
-        if atoms:
-            for u, q in pref:
-                q = q.numerator * (r // q.denominator) if exact else q
-                levels.setdefault(u, []).append((j, q))
+    for u, j, q in prefs:
+        if nets[j]:
+            levels.setdefault(u, []).append((j, q))
+    reach_box = [q * r for q, r in zip(box_units, agent_units)]  # s_j (1 - e_j Q_j(>u))
     eligible_mass = [_sum(w for _, w in atoms) for atoms in nets]
     reach = scale = prod(reach_box)  # reach: P(no box is eligible at a higher level)
     total = zero

@@ -24,14 +24,10 @@ from .delegation import SignalingMechanism
 from .pandora import INSPECT, PnoiPolicy, SELECT_CLOSED, STOP
 
 
-def _frac(x) -> Fraction:
-    return as_number(x, "exact")
-
-
 def identical_binary(n: int, p, v=1, c=0) -> Instance:
     """n copies of {v w.p. p, 0 otherwise}, each costing c to inspect."""
     n = int(n)
-    p, v, c = _frac(p), _frac(v), _frac(c)
+    p, v, c = as_number(p), as_number(v), as_number(c)
     if n < 1 or not 0 < p <= 1 or v <= 0:
         raise InvalidParameters("need n >= 1, 0 < p <= 1, v > 0")
     if p == 1:
@@ -49,7 +45,7 @@ def tightness(eps) -> Instance:
     (unopened) otherwise, worth 3 - 3 eps + eps^2, while the composed
     costless mechanism only extracts 1: the family pins the factor 3.
     """
-    eps = _frac(eps)
+    eps = as_number(eps)
     if not 0 < eps < 1:
         raise InvalidParameters("need 0 < eps < 1")
     rare = make_distribution([(0, 1 - eps), (1 / eps, eps)])
@@ -113,7 +109,7 @@ def info_value(n: int, eps) -> tuple[Instance, SignalingMechanism]:
     before any table is built.
     """
     n = int(n)
-    eps = _frac(eps)
+    eps = as_number(eps)
     if n < 2 or not 0 < eps < 1:
         raise InvalidParameters("need n >= 2 and 0 < eps < 1")
     if n**3 > DEFAULT_STATE_LIMIT:
@@ -206,9 +202,10 @@ def _seeded_random(seed, n, support_size, value_max, cost_max, cdel_max) -> Inst
 
 
 # Family name -> (builder, {parameter: default}); a default of None marks a
-# required parameter. The CLI reads each parameter from the flag of that name.
+# required parameter. The CLI reads each parameter from the flag of that name,
+# an int flag where the default is an int.
 FAMILIES = {
-    "identical_binary": (identical_binary, {"n": 6, "p": "1/6", "v": 1, "c": "1/3"}),
+    "identical_binary": (identical_binary, {"n": 6, "p": "1/6", "v": "1", "c": "1/3"}),
     "tightness": (tightness, {"eps": "1/100"}),
     "inapprox_first_best": (inapprox_first_best, {"n": 10}),
     "info_value": (info_value, {"n": 5, "eps": "1/100"}),

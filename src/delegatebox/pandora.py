@@ -12,6 +12,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import islice, product
 from math import prod
+from operator import floordiv, truediv
 from threading import Lock
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
@@ -40,32 +41,41 @@ Action = tuple  # (kind, index or None)
 
 
 def reservation_cap(alt: Alternative) -> Number:
-    """The cap solving E[(X - cap)+] = c exactly, by piecewise-linear inversion.
+    """The cap b solving E[(X - b)+] = c exactly: Weitzman's reservation value.
 
     A Fraction in exact mode and a float in float mode. A zero cost saturates
     the cap at the top of the support. When the cost exceeds E[X] no
     nonnegative cap exists and the cap is clamped to 0: such a box is never
-    worth opening, but may still be selected closed.
+    worth opening, but may still be selected closed. Otherwise the cap is
+    the crossing of ``_crossing``.
     """
     dist, cost = alt.dist, alt.inspect_cost
-    mode_zero = Fraction(0) if dist.mode == "exact" else 0.0
     if cost == 0:
         return dist.max_value()
+    zero = Fraction(0) if dist.mode == "exact" else 0.0
     if cost > dist.mean():
-        return mode_zero
-    # Walk segments from the top of the support down; on the segment below
-    # value v_k the shortfall is tail_sum - tail_prob * s.
-    atoms = dist.atoms
-    tail_prob = tail_sum = mode_zero
-    for k in range(len(atoms) - 1, -1, -1):
-        v_k, p_k = atoms[k]
-        tail_prob = tail_prob + p_k
-        tail_sum = tail_sum + v_k * p_k
-        lower = atoms[k - 1][0] if k > 0 else mode_zero
-        candidate = (tail_sum - cost) / tail_prob
-        if candidate >= lower:
-            return candidate
-    return mode_zero  # cost == mean lands here in float mode
+        return zero
+    box = list(enumerate(p for _, p in dist.atoms))
+    return max(_crossing(box, dist.values, cost, truediv), zero)  # < 0 only by rounding
+
+
+def _crossing(box: Sequence, values: Sequence, target: Number, div) -> Number:
+    """The b at which a box's shortfall sum w (v - b)+ falls to ``target`` > 0.
+
+    ``box`` holds the atoms as (index into the increasing ``values``,
+    weight). Above the atoms still to walk, the shortfall is S - P * b for
+    the sums S = sum w * v and P = sum w over the atoms walked; the walk
+    goes down from the top and stops at the first atom at or below
+    b = div(S - target, P), which it returns. If there is none, S and P
+    cover the whole box. ``div`` is truediv, or floordiv on the DP's ints:
+    floor(b) >= v iff b >= v for an int v, so the walk stops at the same atom.
+    """
+    total = mass = 0
+    for k, w in reversed(box):
+        if mass and (crossing := div(total - target, mass)) >= values[k]:
+            return crossing
+        total, mass = total + w * values[k], mass + w
+    return div(total - target, mass)
 
 
 def _require_additive(instance: Instance, what: str) -> None:
@@ -258,25 +268,15 @@ def _cut(box: Sequence, unit: Number, cost: Number, values: Sequence, exact: boo
     weight), ``unit`` their total weight and ``cost`` the inspection cost on
     the scale of ``values``, as ``pnoi_optimal`` holds them. Inspecting at
     best value b is cut where the box's shortfall sum w (values[k] - b)+
-    is below unit * cost, by more than FLOAT_TOL in float mode. The
-    shortfall falls as b rises, so those indices form a tail: a walk down
-    the box's atoms finds the segment where the shortfall crosses, and one
-    bisection of ``values`` places the cut there. Index 0 (nothing opened)
-    is never cut, nor is any index of a box that costs nothing.
+    is below unit * cost, by more than FLOAT_TOL in float mode: the values
+    above the crossing of ``_crossing``, found by one bisection. Index 0
+    (nothing opened) is never cut, nor is any index of a box that costs
+    nothing.
     """
     target = unit * cost - (0 if exact else FLOAT_TOL)
     if target <= 0:
         return len(values)
-    lower, upper, tail_prob, tail_sum = 1, 0, 0, 0
-    for k, w in reversed(box):
-        if tail_sum - tail_prob * values[k] >= target:
-            lower = k
-            break
-        upper, tail_prob, tail_sum = k, tail_prob + w, tail_sum + w * values[k]
-    # From values[lower] to values[upper] the shortfall is tail_sum -
-    # tail_prob * b; it is below target at values[upper].
-    gap = tail_sum - target
-    return bisect_right(values, gap // tail_prob if exact else gap / tail_prob, lower, upper + 1)
+    return bisect_right(values, _crossing(box, values, target, floordiv if exact else truediv), 1)
 
 
 # The most points of the product support whose outcomes the sweep holds at once.

@@ -437,6 +437,25 @@ def test_family_registry_binds_to_builders_and_flags(family):
         assert {name: args.get(name, "no flag") for name in defaults} == dict.fromkeys(defaults)
 
 
+@pytest.mark.parametrize("family", instances.FAMILIES)
+def test_each_family_flag_at_its_default_prints_the_same_bytes(capsys, family):
+    base = ["gen", "--family", family, *(["--seed", "3"] if family == "random" else [])]
+    want = run_cli(capsys, *base)
+    assert want[0] == 0
+    for name, default in instances.FAMILIES[family][1].items():
+        if default is not None:
+            assert run_cli(capsys, *base, flag(name), str(default)) == want, name
+
+
+@pytest.mark.parametrize("flags", [["--exact"], ["--float"], ["--format", "table"]])
+def test_gen_rejects_mode_and_format_flags(capsys, flags):
+    code, stdout, stderr = run_cli(capsys, "gen", "--family", "spmi_fail", *flags)
+    assert (code, stdout) == (2, "")
+    assert json.loads(stderr) == {
+        "error": {"type": "InvalidParameters", "message": f"{flags[0]} does not apply to gen"}
+    }
+
+
 def test_shared_parser_leaks_nothing_between_calls(capsys, monkeypatch):
     parse = argparse.ArgumentParser.parse_args
     seen = []  # (parser, argv, namespace as parsed) per main call

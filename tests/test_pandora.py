@@ -27,6 +27,8 @@ from delegatebox.delegation import (
     policy_to_rows,
 )
 from delegatebox.instances import (
+    FAMILIES,
+    gen,
     identical_binary,
     inapprox_first_best,
     info_value,
@@ -140,6 +142,13 @@ class TestReservationCap:
             cap = reservation_cap(alt)
             assert type(cap) is float and cap == want
 
+    def test_a_float_cap_at_an_atom_keeps_its_bits(self):
+        # On these floats E[(X - 7)+] equals the cost exactly. Testing the
+        # shortfall at 7 as S - P * 7 >= c instead of (S - c) / P >= 7 rounds
+        # below the cost and walks one segment too far, to 6.999999999999999.
+        dist = make_distribution([(F(3, 2), F(3, 7)), (7, F(2, 7)), (13, F(2, 7))])
+        assert reservation_cap(Alternative(dist.to_float(), F(12, 7))) == 7.0
+
     @given(st.integers(0, 16), st.integers(1, 16))
     @settings(max_examples=80, deadline=None)
     def test_cap_equation_residual_is_zero(self, num, den):
@@ -157,6 +166,32 @@ class TestReservationCap:
         dist = make_distribution([(0, "0.25"), (2, "0.25"), (4, "0.5")])
         lo, hi = sorted((F(a, 8), F(b, 8)))
         assert reservation_cap(Alternative(dist, lo)) >= reservation_cap(Alternative(dist, hi))
+
+
+def caps_reprs():
+    """The repr of ``reservation_cap``, exact and float, for every box of
+    ``random_corpus`` seeds 0-3 (supports up to 6) and of the named families
+    at their defaults: at the box's own cost and at 0, E[X], E[X]/3 and
+    E[X] + 1."""
+    insts = [inst for seed in range(4) for inst in random_corpus(seed, 150, support_size=6)]
+    insts += [gen(family, {})[0] for family in FAMILIES if family != "random"]
+    out = []
+    for alt in (alt for inst in insts for alt in inst.alternatives):
+        for dist in (alt.dist, alt.dist.to_float()):
+            mean = dist.mean()
+            for cost in (alt.inspect_cost, 0, mean, mean / 3, mean + 1):
+                out.append(repr(reservation_cap(Alternative(dist, cost))))
+    return out
+
+
+# sha256 of the newline-joined caps_reprs(), recorded while reservation_cap
+# still walked its own segments on the distribution's atoms.
+CAPS_SHA256 = "53c20d990a286ba79e7e2b5a4ca633a3ba62d460d14311cb64529039fcacd3eb"
+
+
+def test_reservation_caps_are_pinned():
+    digest = hashlib.sha256("\n".join(caps_reprs()).encode()).hexdigest()
+    assert digest == CAPS_SHA256
 
 
 class TestCappedValue:
