@@ -12,9 +12,9 @@ from .core import (
     InvalidParameters,
     Number,
     RegimeMismatch,
+    _record,
     expected_of_max,
     instance_digest,
-    to_json,
 )
 from .delegation import MechanismReport
 from .pandora import pnoi_value
@@ -102,22 +102,8 @@ class AuditReport:
     tolerance: Number
 
     def to_obj(self) -> dict:
-        return to_json(
-            {
-                "instance_digest": self.instance_digest,
-                "regime": self.regime,
-                "alpha": self.alpha,
-                "ub_costless": self.ub_costless,
-                "ub_costly": self.ub_costly,
-                "ub_used": self.ub_used,
-                "mechanism_value": self.mechanism_value,
-                "ratio": self.ratio,
-                "claimed_bound": self.claimed_bound,
-                "pass": self.passed,
-                "mode": self.mode,
-                "tolerance": self.tolerance,
-            }
-        )
+        """The report's record: each field, in order, ``passed`` under "pass"."""
+        return _record(self, passed="pass")
 
 
 def audit(

@@ -1,7 +1,7 @@
 """Command-line front end: eval | audit | repro | gen.
 
-Environment overrides use the DELEGATEBOX_ prefix (FORMAT, MODE, SEED) and are
-beaten by explicit flags. Errors, a bad override among them, print a
+Environment overrides (DELEGATEBOX_FORMAT, _MODE, _SEED) are read only where
+used and beaten by explicit flags. Errors, a bad override among them, print a
 machine-readable record and exit 2; once an instance is loaded, the record
 carries its ``instance_digest``. audit and repro exit 1 when a check fails.
 
@@ -292,16 +292,19 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except DelegateboxError as exc:
-        error = {"type": type(exc).__name__, "message": str(exc)}
+    except BrokenPipeError:
+        # No record for a reader that left; on the null device stdout's exit flush is quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    except (DelegateboxError, OSError) as exc:
+        kind = "IOError" if isinstance(exc, OSError) else type(exc).__name__
+        error = {"type": kind, "message": str(exc)}
         digest = getattr(args, "instance_digest", None)
         if digest is not None:
             error["instance_digest"] = digest
         print(json.dumps({"error": error}, sort_keys=True), file=sys.stderr)
-        return 2
-    except OSError as exc:
-        record = {"error": {"type": "IOError", "message": str(exc)}}
-        print(json.dumps(record, sort_keys=True), file=sys.stderr)
         return 2
 
 

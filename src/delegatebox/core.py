@@ -186,6 +186,16 @@ def _to_json(x):
     return x
 
 
+def _record(report, **keys) -> dict:
+    """A frozen report's JSON record: each dataclass field, in declaration
+    order, through ``_to_json``, keyed by its name or by its entry in ``keys``
+    (for a name that cannot be the key, such as ``passed`` for "pass")."""
+    return {
+        keys.get(name, name): _to_json(getattr(report, name))
+        for name in type(report).__dataclass_fields__
+    }
+
+
 @dataclass(frozen=True, slots=True)
 class DiscreteDistribution:
     """Finite support of nonnegative values; atoms sorted by increasing value."""
@@ -315,13 +325,18 @@ class CostModel:
 
     A monotone table is copied once into a read-only mapping keyed by
     frozensets, so the caller's dict is never touched and the model hashes.
+    An unknown kind, or a table on an additive model, raises InvalidParameters.
     """
 
     kind: Literal["additive", "monotone"]
     table: Optional[Mapping] = None
 
     def __post_init__(self):
+        if self.kind not in ("additive", "monotone"):
+            raise InvalidParameters(f"unknown cost_model type: {self.kind!r}")
         if self.table is not None:
+            if self.kind == "additive":
+                raise InvalidParameters("an additive cost model takes no table")
             frozen = MappingProxyType({frozenset(k): v for k, v in self.table.items()})
             object.__setattr__(self, "table", frozen)
 
@@ -459,12 +474,8 @@ class Instance:
                 Alternative(alt.dist.to_float(), _float(alt.inspect_cost))
                 for alt in self.alternatives
             )
-            if self.cost_model.kind == "monotone":
-                cm = CostModel.monotone(
-                    {k: _float(v) for k, v in self.cost_model.table.items()}
-                )
-            else:
-                cm = CostModel.additive()
+            kind, table = self.cost_model.kind, self.cost_model.table
+            cm = CostModel(kind, table and {k: _float(v) for k, v in table.items()})
             cdel = _float(self.delegation_cost)
         except OverflowError:
             raise InvalidParameters("a number is outside the float range") from None
@@ -632,18 +643,10 @@ def instance_from_obj(obj: dict, mode: Mode = "exact") -> Instance:
             for alt in obj["alternatives"]
         )
         cm_obj = obj.get("cost_model", {"type": "additive"})
-        kind = cm_obj["type"]
+        kind, table = cm_obj["type"], None
         if kind == "monotone":
-            cm = CostModel.monotone(
-                {
-                    _subset_from_key(k): as_number(v, mode)
-                    for k, v in cm_obj["table"].items()
-                }
-            )
-        elif kind == "additive":
-            cm = CostModel.additive()
-        else:
-            raise InvalidParameters(f"unknown cost_model type: {kind!r}")
+            table = {_subset_from_key(k): as_number(v, mode) for k, v in cm_obj["table"].items()}
+        cm = CostModel(kind, table)
         return Instance(alts, cm, as_number(obj.get("delegation_cost", 0), mode))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         # AttributeError: a JSON array where an object belongs; ValueError: a

@@ -27,6 +27,7 @@ from .core import (
     Number,
     _derived,
     _max_sweep,
+    _record,
     _scaled_atoms,
     _sum,
     expected_of_max,
@@ -152,16 +153,8 @@ class MechanismReport:
     agent_model: str  # evaluation is vs. this agent; the inf over all agents is not searched
 
     def to_obj(self) -> dict:
-        return to_json(
-            {
-                "branch": self.branch,
-                "value": self.value,
-                "components": self.components,
-                "delegated": self.delegated,
-                "mode": self.mode,
-                "agent_model": self.agent_model,
-            }
-        )
+        """The report's record: each field, in order, under its own name."""
+        return _record(self)
 
 
 def build_spmi(instance: Instance) -> Spmi:

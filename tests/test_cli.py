@@ -1,4 +1,5 @@
 import argparse
+import errno
 import inspect
 import io
 import json
@@ -350,6 +351,51 @@ def test_errors_after_the_load_name_the_instance(capsys, command):
     code, _, stderr = run_cli(capsys, command, *family, "0", *AFTER_LOAD_ERRORS[command])
     assert code == 2
     assert set(json.loads(stderr)["error"]) == {"type", "message"}
+
+
+def test_an_io_error_after_the_load_names_the_instance(capsys, monkeypatch):
+    argv = ["eval", "--family", "spmi_fail", "--mechanism", "spmi", "--format", "json"]
+    code, stdout, _ = run_cli(capsys, *argv)
+    assert code == 0
+    digest = json.loads(stdout)["instance_digest"]
+
+    class FailingStdout(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.EIO, "Input/output error")
+
+    monkeypatch.setattr(sys, "stdout", FailingStdout())
+    code, _, stderr = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(stderr) == {
+        "error": {"type": "IOError", "message": "[Errno 5] Input/output error",
+                  "instance_digest": digest}
+    }
+
+
+def test_a_closed_stdout_ends_quietly_with_141():
+    # gen's output (about 300 kB) is more than a pipe holds, so the writer
+    # is still writing when its reader has left.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = [sys.executable, "-m", "delegatebox", "gen", "--family", "info_value", "--n", "20"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert (proc.wait(), stderr) == (141, b"")
+
+
+def test_each_command_reads_only_the_overrides_it_uses(capsys, monkeypatch):
+    gen = ["gen", "--family", "spmi_fail"]
+    want = run_cli(capsys, *gen)
+    assert want[0] == 0
+    monkeypatch.setenv("DELEGATEBOX_MODE", "xyz")
+    monkeypatch.setenv("DELEGATEBOX_FORMAT", "xyz")
+    assert run_cli(capsys, *gen) == want
+    monkeypatch.delenv("DELEGATEBOX_FORMAT")
+    assert run_cli(capsys, "repro", "--format", "json")[0] == 0
+    monkeypatch.delenv("DELEGATEBOX_MODE")
+    monkeypatch.setenv("DELEGATEBOX_SEED", "x")
+    assert run_cli(capsys, "eval", "--family", "spmi_fail", "--mechanism", "spmi")[0] == 0
 
 
 def test_float_mode_flag(tmp_path, capsys):

@@ -524,6 +524,18 @@ def test_monotone_table_is_copied_and_hashable():
         inst.cost_model.table[frozenset()] = 1
 
 
+def test_cost_model_rejects_an_unknown_kind_and_a_table_on_additive_costs():
+    # Only the signaling sweep would charge a stray table, and an unknown kind
+    # would fail later with a bare TypeError.
+    with pytest.raises(InvalidParameters, match="unknown cost_model type: 'foo'"):
+        CostModel("foo")
+    with pytest.raises(InvalidParameters, match="an additive cost model takes no table"):
+        CostModel("additive", {(): 0, (0,): 5, (1,): 5, (0, 1): 9})
+    obj = {"alternatives": [{"support": [[1, 1]]}], "cost_model": {"type": "foo"}}
+    with pytest.raises(InvalidParameters, match="unknown cost_model type: 'foo'"):
+        instance_from_obj(obj)
+
+
 def test_mixed_modes_rejected():
     exact_alt = box([(1, 1)])
     float_alt = Alternative(make_distribution([(1, 1)], mode="float"))
