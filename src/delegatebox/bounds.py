@@ -58,6 +58,15 @@ REGIMES = {
              lambda i: upper_bound_costly(i)),
     IDENTICAL: ("identical", lambda one, a: 2 * one, lambda i: upper_bound_identical(i)),
 }
+# An audit's one and tolerance in each mode, and the factor of each regime
+# without alpha, built once rather than on every audit.
+_UNITS = {"exact": (Fraction(1), Fraction(0)), "float": (1.0, FLOAT_TOL)}
+_FIXED_FACTORS = {
+    (regime, mode): factor(one, None)
+    for regime, (_, factor, _) in REGIMES.items()
+    if regime != COSTLY
+    for mode, (one, _) in _UNITS.items()
+}
 
 
 def _check_regime(
@@ -121,11 +130,10 @@ def audit(
     2 against ``upper_bound_identical``. Only the costly regime takes alpha, and
     ``ub_costly`` is ``ub_costless`` outside it.
     """
-    one = Fraction(1) if instance.mode == "exact" else 1.0
-    tolerance = 0 * one if instance.mode == "exact" else FLOAT_TOL
+    one, tolerance = _UNITS[instance.mode]
     _check_regime(instance, regime, alpha, tolerance)
     _, factor, bound = REGIMES[regime]
-    claimed = factor(one, alpha)
+    claimed = factor(one, alpha) if regime == COSTLY else _FIXED_FACTORS[regime, instance.mode]
     ub_used = bound(instance)
     ub_free = ub_used if regime == COSTLESS else upper_bound_costless(instance)
     ub_costly = ub_used if regime == COSTLY else ub_free

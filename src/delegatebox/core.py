@@ -126,14 +126,39 @@ def _exact_number(value) -> Fraction:
     raise InvalidParameters(f"unsupported number type: {type(value).__name__}")
 
 
+# format_number's memo: the text of each exact number, keyed by (numerator,
+# denominator). A corpus writes a few distinct numbers many times, each
+# instance's digest and audit record among them. The dict is cleared when
+# full, and a text longer than _MEMO_TEXT is not kept, so big DP values are
+# never held. A racing thread at worst writes a text that is already right.
+_FORMATTED: dict = {}
+_MEMO_SIZE = 4096
+_MEMO_TEXT = 40
+
+
 def format_number(x: Number) -> str:
     """Render a number as a string that round-trips exactly.
 
     Exact values print as decimal strings when the denominator allows it
     ("0.75") and as "p/q" otherwise; floats print via repr. An exact value
     with more digits than Python converts (4300 by default) raises
-    InvalidParameters.
+    InvalidParameters. The text of a short exact value is kept in a bounded
+    memo, so a number written again is not formatted again.
     """
+    if type(x) is not Fraction:
+        return _format_number(x)
+    key = (x.numerator, x.denominator)
+    text = _FORMATTED.get(key)
+    if text is None:
+        text = _format_number(x)
+        if len(text) <= _MEMO_TEXT:
+            if len(_FORMATTED) >= _MEMO_SIZE:
+                _FORMATTED.clear()
+            _FORMATTED[key] = text
+    return text
+
+
+def _format_number(x: Number) -> str:
     try:
         if isinstance(x, int) and not isinstance(x, bool):
             return str(x)
@@ -371,6 +396,8 @@ class Instance:
     ``mode`` is set from the alternatives at construction. The means, E[max
     X], E[max (X - c)+] and direct-search value start as None and are filled
     on first use, by ``expected_values``, ``expected_of_max`` and ``pnoi_value``.
+    The means and E[max (X - c)+] are filled together, from one integer form
+    of the boxes (``_fill_moments``).
     """
 
     alternatives: tuple[Alternative, ...]
@@ -447,9 +474,10 @@ class Instance:
         return value
 
     def expected_values(self) -> tuple[Number, ...]:
+        """The means E[X_i], filled on first use together with E[max (X - c)+]."""
         means = self._means
         if means is None:
-            means = self._fill("_means", tuple(alt.dist.mean() for alt in self.alternatives))
+            means, _ = _fill_moments(self)
         return means
 
     def with_delegation_cost(self, cost: Number) -> "Instance":
@@ -539,11 +567,46 @@ def expected_max_of_dists(
     # An exact type test, as in DiscreteDistribution.mean.
     exact = type(dists[0].atoms[0][0]) is Fraction
     unit, box_units, merged, charges = _scaled_atoms(dists, costs or ())
-    if costs is not None:
-        clipped = 0 if exact else 0.0
-        merged = [(v - charges[j] if v > charges[j] else clipped, j, w) for v, j, w in merged]
-    total = _max_sweep(merged, len(dists))
+    if costs is None:
+        total = _max_sweep(merged, len(dists))
+    else:
+        total = _clipped_sweep(merged, charges, exact)
     return Fraction(total, unit * prod(box_units)) if exact else total
+
+
+def _clipped_sweep(triples: list, charges: list, exact: bool) -> Number:
+    """``_max_sweep`` over the triples with each value v of box j clipped to
+    (v - charges[j])+; ``triples`` itself is left as it was."""
+    zero = 0 if exact else 0.0
+    clipped = [(v - charges[j] if v > charges[j] else zero, j, w) for v, j, w in triples]
+    return _max_sweep(clipped, len(charges))
+
+
+def _fill_moments(instance: Instance) -> tuple:
+    """Fill the means and E[max (X - c)+] of ``instance`` from one
+    ``_scaled_atoms`` conversion, with c its singleton costs; returns both.
+
+    Box j's mean is sum D*v * q_j*p over its triples, divided by D * q_j; in
+    float mode (unit scales) that adds v * p left to right from 0, the bits of
+    ``DiscreteDistribution.mean``. The surplus is ``expected_max_of_dists``'s
+    clipped sweep on the same triples.
+    """
+    exact = instance.mode == "exact"
+    unit, box_units, triples, charges = _scaled_atoms(
+        [alt.dist for alt in instance.alternatives], instance.singleton_costs()
+    )
+    sums = [0] * len(box_units)
+    for v, j, w in triples:
+        sums[j] += v * w
+    surplus = _clipped_sweep(triples, charges, exact)
+    if exact:
+        means = tuple(Fraction(s, unit * q) for s, q in zip(sums, box_units))
+        surplus = Fraction(surplus, unit * prod(box_units))
+    else:
+        means = tuple(sums)
+    instance._fill("_means", means)
+    instance._fill("_surplus", surplus)
+    return means, surplus
 
 
 def _max_sweep(triples: list, boxes: int) -> Number:
@@ -568,20 +631,22 @@ def expected_of_max(instance: Instance, transform="identity") -> Number:
 
     ``transform`` is "identity" (f_i(x) = x) or "shifted_positive"
     (f_i(x) = (x - c_i)+ with c_i the singleton cost of alternative i).
-    The first call per transform runs ``expected_max_of_dists`` and stores
-    its result on the instance; later calls return the stored value.
+    The first "identity" call runs ``expected_max_of_dists``; the first
+    "shifted_positive" call (or ``Instance.expected_values``) fills the
+    surplus and the means together by ``_fill_moments``. Each result is
+    stored on the instance; later calls return the stored value.
     """
-    if transform == "identity":
-        slot = "_max"
-    elif transform == "shifted_positive":
-        slot = "_surplus"
-    else:
+    if transform == "shifted_positive":
+        value = instance._surplus
+        if value is None:
+            _, value = _fill_moments(instance)
+        return value
+    if transform != "identity":
         raise InvalidParameters(f"unknown transform: {transform!r}")
-    value = getattr(instance, slot)
+    value = instance._max
     if value is None:
-        costs = instance.singleton_costs() if transform == "shifted_positive" else None
-        value = expected_max_of_dists([alt.dist for alt in instance.alternatives], costs)
-        instance._fill(slot, value)
+        dists = [alt.dist for alt in instance.alternatives]
+        value = instance._fill("_max", expected_max_of_dists(dists))
     return value
 
 
@@ -643,8 +708,10 @@ def instance_from_obj(obj: dict, mode: Mode = "exact") -> Instance:
             for alt in obj["alternatives"]
         )
         cm_obj = obj.get("cost_model", {"type": "additive"})
-        kind, table = cm_obj["type"], None
-        if kind == "monotone":
+        # Every kind gets the table it was given: CostModel, not the loader,
+        # decides which kinds take one.
+        kind, table = cm_obj["type"], cm_obj.get("table")
+        if kind == "monotone" or table is not None:
             table = {_subset_from_key(k): as_number(v, mode) for k, v in cm_obj["table"].items()}
         cm = CostModel(kind, table)
         return Instance(alts, cm, as_number(obj.get("delegation_cost", 0), mode))

@@ -293,8 +293,7 @@ def best_closed_selection(instance: Instance) -> tuple[int, Number]:
     """Index (lowest on ties) and value of the alternative with the largest mean."""
     means = instance.expected_values()
     best = max(means)
-    index = min(i for i, m in enumerate(means) if m == best)
-    return index, best
+    return means.index(best), best
 
 
 def _better(

@@ -157,10 +157,10 @@ def costly_case1_rows(seed: int, count: int = CORPUS_SIZE) -> list[dict]:
     slacks: list = [[] for _ in COSTLY_ALPHAS]
     for base in instances.random_corpus(seed, count):
         # Neither the search DP nor the moments read the delegation cost,
-        # which is all that alpha changes: the base's DP value and moments,
-        # filled once here, carry over to each alpha's instance.
+        # which is all that alpha changes: the base's DP value and moments
+        # (the surplus fills the means with it), filled once here, carry over
+        # to each alpha's instance.
         surplus = expected_of_max(base, "shifted_positive")
-        base.expected_values()
         pandora.pnoi_value(base)
         for alpha, f, s in zip(COSTLY_ALPHAS, factors, slacks):
             inst = base.with_delegation_cost(alpha * surplus)

@@ -33,6 +33,10 @@ loop instead, and must give the same table as this walk under its rule.
 ``instance_json_reference`` is the canonical instance JSON built the way
 ``core.instance_to_json`` built it before it wrote the string directly: a
 dict tree through ``to_json``, encoded by ``json.dumps(sort_keys=True)``.
+``format_number_reference`` writes a number as ``core.format_number`` does,
+without its memo: it searches for the shortest power of ten that an exact
+value's denominator divides, where the library counts the denominator's
+factors of 2 and 5.
 
 ``random_signaling_mechanism`` draws random decision tables through
 ``_reachable_policy`` for the signaling property tests, and
@@ -555,6 +559,20 @@ def instance_json_reference(instance: Instance) -> str:
         cm = {"type": "additive"}
     obj = {"alternatives": alts, "cost_model": cm, "delegation_cost": instance.delegation_cost}
     return json.dumps(to_json(obj), sort_keys=True)
+
+
+def format_number_reference(x) -> str:
+    if isinstance(x, Fraction):
+        num, den = x.numerator, x.denominator
+        if den == 1:
+            return str(num)
+        # 10^k is a multiple of den for some k <= log2(den) iff den = 2^a 5^b.
+        for k in range(1, den.bit_length() + 1):
+            if 10**k % den == 0:
+                digits = str(abs(num) * 10**k // den).rjust(k + 1, "0")
+                return ("-" if num < 0 else "") + digits[:-k] + "." + digits[-k:]
+        return f"{num}/{den}"
+    return str(x) if isinstance(x, int) else repr(x)
 
 
 def _reachable_policy(supports, rule) -> PnoiPolicy:

@@ -184,48 +184,54 @@ class TestAudit:
             assert pnoi_optimal(inst)[0] <= result.ub_costless
 
 
-def test_mechanisms_and_audits_compute_each_moment_once(monkeypatch):
-    # Equal costs, so the identical regime applies and asks for E[max X] too.
-    inst = Instance((box([(0, "0.5"), (4, "0.5")], 1), box([(1, "0.5"), (3, "0.5")], 1)))
-    kernel = core.expected_max_of_dists
-    calls = Counter()
+def _count_moments(monkeypatch, calls: Counter) -> None:
+    # Counts each fill of the means and E[max (X - c)+] (one call fills both),
+    # each E[max] kernel call by transform, and each per-box mean: a moment
+    # computed twice shows as a second fill or as a kernel or mean call.
+    kernel, fill = core.expected_max_of_dists, core._fill_moments
+    mean = core.DiscreteDistribution.mean
 
-    def counting(dists, costs=None):
+    def counting_kernel(dists, costs=None):
         calls["identity" if costs is None else "shifted_positive"] += 1
         return kernel(dists, costs)
 
-    monkeypatch.setattr(core, "expected_max_of_dists", counting)
+    def counting_fill(instance):
+        calls["moments"] += 1
+        return fill(instance)
+
+    def counting_mean(dist):
+        calls["mean"] += 1
+        return mean(dist)
+
+    monkeypatch.setattr(core, "expected_max_of_dists", counting_kernel)
+    monkeypatch.setattr(core, "_fill_moments", counting_fill)
+    monkeypatch.setattr(core.DiscreteDistribution, "mean", counting_mean)
+
+
+def test_mechanisms_and_audits_compute_each_moment_once(monkeypatch):
+    # Equal costs, so the identical regime applies and asks for E[max X] too.
+    inst = Instance((box([(0, "0.5"), (4, "0.5")], 1), box([(1, "0.5"), (3, "0.5")], 1)))
+    calls = Counter()
+    _count_moments(monkeypatch, calls)
     assert audit(inst, maximal_mechanism_costless(inst), COSTLESS).passed
-    assert calls == {"shifted_positive": 1}
+    assert calls == {"moments": 1}
     assert audit(inst, identical_cost_mechanism(inst), IDENTICAL).passed
-    assert calls == {"identity": 1, "shifted_positive": 1}
+    assert calls == {"identity": 1, "moments": 1}
 
 
 def test_costly_repro_rows_compute_each_moment_once_per_base(monkeypatch):
     # Each alpha's instance differs from its base only in the delegation
     # cost, which neither a moment nor the DP reads, so the base's moments
     # and DP value carry over.
-    kernel, mean, solve = (
-        core.expected_max_of_dists, core.DiscreteDistribution.mean, pandora.pnoi_optimal
-    )
+    solve = pandora.pnoi_optimal
     calls = Counter()
-
-    def counting_kernel(dists, costs=None):
-        calls["identity" if costs is None else "shifted_positive"] += 1
-        return kernel(dists, costs)
-
-    def counting_mean(dist):
-        calls["mean"] += 1
-        return mean(dist)
+    _count_moments(monkeypatch, calls)
 
     def counting_solve(instance, *args, **kwargs):
         calls["pnoi_optimal"] += 1
         return solve(instance, *args, **kwargs)
 
-    monkeypatch.setattr(core, "expected_max_of_dists", counting_kernel)
-    monkeypatch.setattr(core.DiscreteDistribution, "mean", counting_mean)
     monkeypatch.setattr(pandora, "pnoi_optimal", counting_solve)
     rows = repro.costly_case1_rows(8, count=20)
     assert all(row["pass"] for row in rows)
-    boxes = sum(base.n for base in random_corpus(8, 20))
-    assert calls == {"shifted_positive": 20, "mean": boxes, "pnoi_optimal": 20}
+    assert calls == {"moments": 20, "pnoi_optimal": 20}

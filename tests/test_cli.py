@@ -61,6 +61,26 @@ def test_gen_then_eval_pnoi(tmp_path, capsys):
     assert report["arithmetic_mode"] == "exact"
 
 
+def test_a_cost_table_loads_on_a_monotone_model_only(tmp_path, capsys):
+    boxes = [{"support": [[0, "1/2"], [4, "1/2"]], "cost": 0}] * 2
+    table = {"": 0, "0": 1, "1": 1, "0,1": 1}
+
+    def run(cost_model):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"alternatives": boxes, "cost_model": cost_model}))
+        argv = ["eval", "--instance", str(path), "--mechanism", "spmi", "--format", "json"]
+        return run_cli(capsys, *argv)
+
+    code, stdout, stderr = run({"type": "additive", "table": table})
+    assert (code, stdout) == (2, "")
+    error = {"type": "InvalidParameters", "message": "an additive cost model takes no table"}
+    assert json.loads(stderr) == {"error": error}
+    code, stdout, _ = run({"type": "additive"})
+    assert code == 0 and json.loads(stdout)["value"] == "3"
+    code, stdout, _ = run({"type": "monotone", "table": table})
+    assert code == 0 and json.loads(stdout)["value"] == "2.25"
+
+
 def test_eval_single_deterministic_box(tmp_path, capsys):
     inst = Instance((Alternative(make_distribution([(7, 1)]), 2),))
     path = write_instance(tmp_path, inst)

@@ -2,6 +2,7 @@ import ast
 import pickle
 import random
 import sys
+import threading
 from itertools import combinations, permutations
 from fractions import Fraction as F
 from pathlib import Path
@@ -32,7 +33,7 @@ from delegatebox.core import (
     format_number,
     instance_from_obj,
 )
-from delegatebox import instances
+from delegatebox import core, instances
 from delegatebox.instances import identical_binary, random_corpus
 
 from oracles import (
@@ -40,8 +41,10 @@ from oracles import (
     capped_dist,
     cdf_product_expected_max,
     dict_merged_atoms,
+    format_number_reference,
     instance_json_reference,
     surplus_dists,
+    with_monotone_costs,
 )
 
 
@@ -182,6 +185,38 @@ def test_each_transform_fills_its_own_moment():
     assert expected_of_max(inst, "shifted_positive") == want_surplus
     assert expected_of_max(inst, "identity") == want_max
     assert inst.expected_values() == (F(3, 2), F(7, 4))
+
+
+def _moment_instances() -> list[Instance]:
+    insts = [inst for seed in range(4) for inst in random_corpus(seed, 30)]
+    insts += [
+        identical_binary(6, F(1, 6), 1, F(1, 3)),
+        identical_binary(7, F(2, 7), F(5, 3), F(1, 7)),
+        instances.tightness(F(1, 100)),
+        instances.inapprox_first_best(5),
+        instances.info_value(4, F(1, 100))[0],
+        instances.spmi_fail(3),
+    ]
+    insts.append(with_monotone_costs(random.Random(3), insts[0]))
+    return insts
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_filled_means_and_surplus_equal_each_kernel(mode):
+    for k, inst in enumerate(_moment_instances()):
+        inst = inst if mode == "exact" else inst.to_float()
+        dists = [alt.dist for alt in inst.alternatives]
+        want_means = [d.mean() for d in dists]
+        want_surplus = expected_max_of_dists(dists, inst.singleton_costs())
+        # Either moment may be asked for first; both are filled by then.
+        if k % 2:
+            surplus, means = expected_of_max(inst, "shifted_positive"), inst.expected_values()
+        else:
+            means, surplus = inst.expected_values(), expected_of_max(inst, "shifted_positive")
+        assert len(means) == inst.n
+        for got, want in zip(means, want_means):
+            assert_same_number(got, want)
+        assert_same_number(surplus, want_surplus)
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -546,6 +581,80 @@ def test_mixed_modes_rejected():
 def test_number_formatting_round_trips():
     for x in [F(3, 4), F(1, 3), F(-7, 20), F(5), F(1, 6)]:
         assert as_number(format_number(x)) == x
+
+
+# Negatives, integral Fractions, p/q values, 2^a 5^b denominators, ints and floats.
+FORMAT_CASES = [
+    F(0), F(5), F(-3), F(10**30), F(3, 4), F(-7, 20), F(1, 3), F(-2, 7), F(10**20 + 1, 3),
+    F(1, 1024), F(-3, 5**7), F(7, 2**5 * 5**9), F(-1, 2**12 * 5**3), F(123456789, 10**12),
+    0, 7, -12, 10**30, 0.1, -2.5, 1e300, 2.4555555555555557,
+]
+
+
+def _format_cases(seed: int, count: int) -> list:
+    rng = random.Random(seed)
+    cases = list(FORMAT_CASES)
+    for _ in range(count):
+        den = rng.choice((2**rng.randint(0, 20) * 5**rng.randint(0, 20), rng.randint(1, 10**6)))
+        cases.append(F(rng.randint(-(10**9), 10**9), den))
+    return cases
+
+
+def test_format_number_matches_the_unmemoized_reference_on_every_call():
+    core._FORMATTED.clear()
+    for x in _format_cases(0, 500):
+        want = format_number_reference(x)
+        assert format_number(x) == want
+        assert format_number(x) == want
+        assert as_number(want, "exact" if type(x) is not float else "float") == x
+
+
+def test_format_number_past_the_digit_limit_raises_and_is_never_stored():
+    x = F(10**5000 + 1, 3)
+    for _ in range(2):
+        with pytest.raises(InvalidParameters, match="digits, too many to print"):
+            format_number(x)
+        assert (x.numerator, x.denominator) not in core._FORMATTED
+    long = F(10**core._MEMO_TEXT + 1, 7)
+    assert format_number(long) == format_number_reference(long)
+    assert (long.numerator, long.denominator) not in core._FORMATTED
+
+
+def test_format_number_memo_stays_within_its_bound():
+    core._FORMATTED.clear()
+    largest = 0
+    for i in range(10 * core._MEMO_SIZE):
+        x = F(2 * i + 1, 14)
+        assert format_number(x) == format_number_reference(x)
+        largest = max(largest, len(core._FORMATTED))
+    assert 0 < largest <= core._MEMO_SIZE
+
+
+def test_format_number_is_right_in_racing_threads(monkeypatch):
+    # A small memo, so that threads clear it under each other too.
+    monkeypatch.setattr(core, "_MEMO_SIZE", 16)
+    cases = _format_cases(1, 300)
+    want = [format_number_reference(x) for x in cases]
+    wrong = []
+
+    def work(offset):
+        for _ in range(5):
+            got = [format_number(x) for x in cases[offset:] + cases[:offset]]
+            if got != want[offset:] + want[:offset]:
+                wrong.append(offset)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(37 * k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    core._FORMATTED.clear()
+    assert not wrong
 
 
 def test_float_decimal_reading():
