@@ -5,7 +5,7 @@ end to end, so equality checks are true equalities) or ``float`` (IEEE doubles
 with a 1e-9 comparison tolerance). The fields of every container are
 immutable after construction. An ``Instance`` also fills its means, E[max X],
 E[max (X - c)+] and its direct-search value once, on first use: the value
-written is always the one the same kernel call would return, so a fill is
+written is always the one the same computation would return, so a fill is
 idempotent, and sharing an instance across threads stays safe.
 """
 
@@ -233,23 +233,13 @@ class DiscreteDistribution:
 
     @property
     def mode(self) -> Mode:
-        # An exact type test, as in mean.
+        # An exact type test: isinstance(v, Fraction) on a float goes through
+        # the slow abstract-base-class check.
         return "exact" if type(self.atoms[0][0]) is Fraction else "float"
 
     def mean(self) -> Number:
-        """E[X]; in exact mode one integer sum over the two lcms of denominators."""
-        atoms = self.atoms
-        # An exact type test: isinstance(v, Fraction) on a float goes through
-        # the slow abstract-base-class check.
-        if type(atoms[0][0]) is not Fraction:
-            return _sum(v * p for v, p in atoms)
-        vu = lcm(*(v.denominator for v, _ in atoms))
-        pu = lcm(*(p.denominator for _, p in atoms))
-        total = sum(
-            v.numerator * (vu // v.denominator) * p.numerator * (pu // p.denominator)
-            for v, p in atoms
-        )
-        return Fraction(total, vu * pu)
+        """E[X], by ``_box_means`` on this box's ``_scaled_atoms``."""
+        return _box_means(_scaled_atoms([self]), self.mode == "exact")[0]
 
     def max_value(self) -> Number:
         return self.atoms[-1][0]
@@ -373,14 +363,6 @@ class CostModel:
         # A mappingproxy does not pickle; rebuild from a plain dict copy.
         table = None if self.table is None else dict(self.table)
         return CostModel, (self.kind, table)
-
-    @staticmethod
-    def additive() -> "CostModel":
-        return CostModel("additive")
-
-    @staticmethod
-    def monotone(table: Mapping) -> "CostModel":
-        return CostModel("monotone", table)
 
 
 def _derived():
@@ -535,10 +517,8 @@ def _scaled_atoms(dists: Sequence[DiscreteDistribution], charges: Sequence[Numbe
     return unit, box_units, atoms, [c.numerator * (unit // c.denominator) for c in charges]
 
 
-def expected_max_of_dists(
-    dists: Sequence[DiscreteDistribution], costs: Optional[Sequence[Number]] = None
-) -> Number:
-    """Exact E[max_i X_i] for independent distributions, or E[max_i (X_i - c_i)+].
+def expected_max_of_dists(dists: Sequence[DiscreteDistribution]) -> Number:
+    """Exact E[max_i X_i] for independent distributions.
 
     One merged sweep: all atoms go into one list, stably sorted by value.
     Each box keeps its CDF as a running sum, and the product F(t) of the CDFs
@@ -549,61 +529,52 @@ def expected_max_of_dists(
     denominator D, box j's probabilities become integer weights over its
     denominator q_j, and one Fraction(total, D * prod q_j) is built at the
     end. Float mode runs the same code with unit scales, adding each CDF in
-    atom order. The sweep itself is ``_max_sweep``, which the SPMI calls on
-    its own triples: a box whose weights total less than its scale works
-    too, and the sum is then the integral of the max over the product of
-    those sub-probability measures.
-
-    With ``costs`` (one per box), box j's atoms enter the sweep as
-    (v - c_j)+: the costs join D, and the clip is max(v*D - c_j*D, 0) on
-    ints. The atoms a box clips to 0 lead its CDF, so they are added in atom
-    order first, as if merged into one zero atom; above 0, v -> v - c_j is
-    injective, so no other atoms meet.
+    atom order. The sweep itself is ``_max_sweep``, which the SPMI and
+    ``_fill_moments`` call on their own triples: a box whose weights total
+    less than its scale works too, and the sum is then the integral of the
+    max over the product of those sub-probability measures.
     """
     if not dists:
         raise EmptySupport("need at least one distribution")
-    if costs is not None and len(costs) != len(dists):
-        raise InvalidParameters(f"{len(costs)} costs for {len(dists)} distributions")
-    # An exact type test, as in DiscreteDistribution.mean.
+    # An exact type test, as in DiscreteDistribution.mode.
     exact = type(dists[0].atoms[0][0]) is Fraction
-    unit, box_units, merged, charges = _scaled_atoms(dists, costs or ())
-    if costs is None:
-        total = _max_sweep(merged, len(dists))
-    else:
-        total = _clipped_sweep(merged, charges, exact)
+    unit, box_units, merged, _ = _scaled_atoms(dists)
+    total = _max_sweep(merged, len(dists))
     return Fraction(total, unit * prod(box_units)) if exact else total
 
 
-def _clipped_sweep(triples: list, charges: list, exact: bool) -> Number:
-    """``_max_sweep`` over the triples with each value v of box j clipped to
-    (v - charges[j])+; ``triples`` itself is left as it was."""
-    zero = 0 if exact else 0.0
-    clipped = [(v - charges[j] if v > charges[j] else zero, j, w) for v, j, w in triples]
-    return _max_sweep(clipped, len(charges))
+def _box_means(scaled: tuple, exact: bool) -> tuple:
+    """Each box's mean from the ``_scaled_atoms`` form ``scaled``: sum D*v *
+    q_j*p over box j's triples, divided by D * q_j. In float mode (unit
+    scales) that adds v * p left to right from 0, in atom order."""
+    unit, box_units, triples, _ = scaled
+    sums = [0] * len(box_units)
+    for v, j, w in triples:
+        sums[j] += v * w
+    if not exact:
+        return tuple(sums)
+    return tuple(Fraction(s, unit * q) for s, q in zip(sums, box_units))
 
 
 def _fill_moments(instance: Instance) -> tuple:
     """Fill the means and E[max (X - c)+] of ``instance`` from one
     ``_scaled_atoms`` conversion, with c its singleton costs; returns both.
 
-    Box j's mean is sum D*v * q_j*p over its triples, divided by D * q_j; in
-    float mode (unit scales) that adds v * p left to right from 0, the bits of
-    ``DiscreteDistribution.mean``. The surplus is ``expected_max_of_dists``'s
-    clipped sweep on the same triples.
+    The means are ``_box_means``. For the surplus, box j's atoms enter
+    ``_max_sweep`` as (v - c_j)+: the costs join D, and the clip is
+    max(v*D - c_j*D, 0) on ints. The atoms a box clips to 0 lead its CDF, so
+    they are added in atom order first, as if merged into one zero atom;
+    above 0, v -> v - c_j is injective, so no other atoms meet.
     """
     exact = instance.mode == "exact"
-    unit, box_units, triples, charges = _scaled_atoms(
-        [alt.dist for alt in instance.alternatives], instance.singleton_costs()
-    )
-    sums = [0] * len(box_units)
-    for v, j, w in triples:
-        sums[j] += v * w
-    surplus = _clipped_sweep(triples, charges, exact)
+    scaled = _scaled_atoms([alt.dist for alt in instance.alternatives], instance.singleton_costs())
+    unit, box_units, triples, charges = scaled
+    means = _box_means(scaled, exact)
+    zero = 0 if exact else 0.0
+    clipped = [(v - charges[j] if v > charges[j] else zero, j, w) for v, j, w in triples]
+    surplus = _max_sweep(clipped, len(charges))
     if exact:
-        means = tuple(Fraction(s, unit * q) for s, q in zip(sums, box_units))
         surplus = Fraction(surplus, unit * prod(box_units))
-    else:
-        means = tuple(sums)
     instance._fill("_means", means)
     instance._fill("_surplus", surplus)
     return means, surplus
@@ -633,8 +604,9 @@ def expected_of_max(instance: Instance, transform="identity") -> Number:
     (f_i(x) = (x - c_i)+ with c_i the singleton cost of alternative i).
     The first "identity" call runs ``expected_max_of_dists``; the first
     "shifted_positive" call (or ``Instance.expected_values``) fills the
-    surplus and the means together by ``_fill_moments``. Each result is
-    stored on the instance; later calls return the stored value.
+    surplus and the means together by ``_fill_moments``, the one place the
+    (x - c_i)+ clip is written. Each result is stored on the instance;
+    later calls return the stored value.
     """
     if transform == "shifted_positive":
         value = instance._surplus
@@ -699,6 +671,22 @@ def instance_to_json(instance: Instance) -> str:
 
 
 def instance_from_obj(obj: dict, mode: Mode = "exact") -> Instance:
+    """The instance of a JSON object in the schema above, or of the object
+    ``gen`` writes, which holds one under "instance". Such an instance is
+    read exactly and, if the object has an "instance_digest", checked
+    against it; float mode then takes its float copy."""
+    if isinstance(obj, dict) and "instance" in obj:
+        inst = _instance_of(obj["instance"], "exact")
+        digest, actual = obj.get("instance_digest"), instance_digest(inst)
+        if digest is not None and digest != actual:
+            raise InvalidParameters(
+                f"instance_digest {digest!r} does not match the instance's {actual!r}"
+            )
+        return inst if mode == "exact" else inst.to_float()
+    return _instance_of(obj, mode)
+
+
+def _instance_of(obj: dict, mode: Mode) -> Instance:
     try:
         alts = tuple(
             Alternative(

@@ -30,10 +30,7 @@ def identical_binary(n: int, p, v=1, c=0) -> Instance:
     p, v, c = as_number(p), as_number(v), as_number(c)
     if n < 1 or not 0 < p <= 1 or v <= 0:
         raise InvalidParameters("need n >= 1, 0 < p <= 1, v > 0")
-    if p == 1:
-        dist = make_distribution([(v, 1)])
-    else:
-        dist = make_distribution([(0, 1 - p), (v, p)])
+    dist = make_distribution([(0, 1 - p), (v, p)])
     alts = tuple(Alternative(dist, c) for _ in range(n))
     return Instance(alts)
 

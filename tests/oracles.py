@@ -8,12 +8,15 @@ with the kernel it checks; ``descending_cap_simulation`` and ``capped_dist``
 take their caps from ``pandora.reservation_cap``, whose residuals
 ``expected_shortfall`` checks on their own;
 ``cdf_product_expected_max`` is the expected-max formula with each CDF
-rescanned per support value, the form the merged sweep replaced;
-``surplus_dists`` builds the (X_i - c_i)+ distributions that the sweep now
-clips on its own;
+rescanned per support value, the form the merged sweep ``core._max_sweep``
+replaced; ``surplus_dists`` builds the (X_i - c_i)+ distributions whose
+atoms ``core._fill_moments`` now clips inside that sweep; ``mean_reference``
+is E[X] as a plain atom-order sum, where the library's one mean formula
+(``core._box_means``, behind ``DiscreteDistribution.mean`` and the fill)
+scales to ints first;
 ``survival_worst_case_spmi`` and ``fixed_order_spmi`` are the per-value
 survival rescan and the fixed-order sum that ``delegation.evaluate_spmi``
-replaced with sweeps through ``expected_max_of_dists``; ``agent_best_response``
+replaced with sweeps through ``core._max_sweep``; ``agent_best_response``
 is the per-realization best response that the signaling sweep replaced.
 
 ``inspection_only_best`` is the closed form for identical-binary instances
@@ -51,9 +54,10 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 from math import prod
+from operator import add
 
 from delegatebox.core import (
     DEFAULT_STATE_LIMIT,
@@ -105,7 +109,7 @@ def cdf_product_expected_max(dists):
     """E[max_i X_i] as sum_t t * (F(t) - F(t-)), with F(t) = prod_i P(X_i <= t).
 
     Every P(X_i <= t) is a fresh sum over box i's atoms in atom order, the
-    same order as the running sums of ``core.expected_max_of_dists``, so in
+    same order as the running sums of ``core._max_sweep``, so in
     float mode the two must agree bit for bit.
     """
     union = sorted({v for d in dists for v in d.values})
@@ -118,12 +122,21 @@ def cdf_product_expected_max(dists):
     return total
 
 
+def mean_reference(dist) -> Number:
+    """E[X] as the atom-order sum of v * p: ``sum`` of Fractions in exact
+    mode, and floats added left to right from 0 (``sum`` compensates float
+    rounding from Python 3.12 on), where the library scales to ints first."""
+    terms = [v * p for v, p in dist.atoms]
+    return sum(terms) if dist.mode == "exact" else reduce(add, terms, 0)
+
+
 def surplus_dists(instance: Instance):
     """Per-alternative distributions of (X_i - c_i)+, each built by ``transform``.
 
     The form ``expected_of_max(instance, "shifted_positive")`` replaced by
-    clipping inside the merged sweep: here every box's clipped atoms are
-    re-sorted and merged into a distribution of their own first.
+    clipping inside ``core._fill_moments``: here every box's clipped atoms
+    are re-sorted and merged into a distribution of their own first, and
+    ``expected_max_of_dists`` of them gives the fill's bits.
     """
     z = instance.zero()
     return [
@@ -267,7 +280,7 @@ def full_history_optimal(instance: Instance):
     """
     dists = [alt.dist for alt in instance.alternatives]
     costs = [alt.inspect_cost for alt in instance.alternatives]
-    means = [d.mean() for d in dists]
+    means = [mean_reference(d) for d in dists]
     n = instance.n
     zero = instance.zero()
 
@@ -306,7 +319,7 @@ def pnoi_reference(
     n = instance.n
     dists = [alt.dist for alt in instance.alternatives]
     costs = [alt.inspect_cost for alt in instance.alternatives]
-    means = [d.mean() for d in dists]
+    means = [mean_reference(d) for d in dists]
     distinct_values = {v for d in dists for v in d.values}
     states = (2**n) * (len(distinct_values) + 1)
     if states > state_limit:
@@ -626,7 +639,7 @@ def with_monotone_costs(rng: random.Random, inst: Instance) -> Instance:
         subset = frozenset(j for j in range(inst.n) if mask >> j & 1)
         extra = Fraction(max(len(subset) - 1, 0), 7)
         table[subset] = sum((own[j] for j in subset), start=extra)
-    return Instance(inst.alternatives, CostModel.monotone(table), inst.delegation_cost)
+    return Instance(inst.alternatives, CostModel("monotone", table), inst.delegation_cost)
 
 
 def random_corpus_reference(

@@ -231,7 +231,7 @@ def test_criterion_13_monotone_cost_signaling_bound():
         )
         subadditive = {s: max((own[j] for j in s), default=F(0)) for s in subsets}
         tables = (
-            Instance(base.alternatives, CostModel.monotone(subadditive), base.delegation_cost),
+            Instance(base.alternatives, CostModel("monotone", subadditive), base.delegation_cost),
             with_monotone_costs(rng, base),
         )
         for inst in tables:

@@ -186,14 +186,14 @@ class TestAudit:
 
 def _count_moments(monkeypatch, calls: Counter) -> None:
     # Counts each fill of the means and E[max (X - c)+] (one call fills both),
-    # each E[max] kernel call by transform, and each per-box mean: a moment
-    # computed twice shows as a second fill or as a kernel or mean call.
+    # each E[max X] kernel call, and each per-box mean: a moment computed
+    # twice shows as a second fill or as a kernel or mean call.
     kernel, fill = core.expected_max_of_dists, core._fill_moments
     mean = core.DiscreteDistribution.mean
 
-    def counting_kernel(dists, costs=None):
-        calls["identity" if costs is None else "shifted_positive"] += 1
-        return kernel(dists, costs)
+    def counting_kernel(dists):
+        calls["identity"] += 1
+        return kernel(dists)
 
     def counting_fill(instance):
         calls["moments"] += 1

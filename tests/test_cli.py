@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delegatebox import Alternative, Instance, instance_to_json, make_distribution
+from delegatebox import Alternative, Instance, instance_digest, instance_to_json, make_distribution
 from delegatebox import instances
 from delegatebox.cli import FORMATS, MECHANISMS, REGIMES, _build_parser, main
+from delegatebox.core import instance_from_obj
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -48,17 +49,56 @@ def test_gen_writes_a_loadable_instance(tmp_path, capsys):
 def test_gen_then_eval_pnoi(tmp_path, capsys):
     out = tmp_path / "gap.json"
     run_cli(capsys, "gen", "--family", "tightness", "--eps", "1/100", "--out", str(out))
+    digest = json.loads(out.read_text())["instance_digest"]
+    for mode, value in (("exact", "2.9701"), ("float", 2.9701)):
+        code, stdout, _ = run_cli(
+            capsys, "eval", "--instance", str(out), f"--{mode}", "--mechanism", "pnoi",
+            "--format", "json",
+        )
+        assert code == 0
+        report = json.loads(stdout)
+        assert report["value"] == value
+        assert report["arithmetic_mode"] == mode
+        if mode == "exact":
+            assert report["instance_digest"] == digest
+
+
+@pytest.mark.parametrize("family", instances.FAMILIES)
+def test_a_gen_file_evaluates_as_its_family_and_as_its_bare_instance(tmp_path, capsys, family):
+    seed = ["--seed", "3"] if family == "random" else []
+    out, bare = tmp_path / "gen.json", tmp_path / "bare.json"
+    assert run_cli(capsys, "gen", "--family", family, *seed, "--out", str(out))[0] == 0
+    bare.write_text(json.dumps(json.loads(out.read_text())["instance"]))
+    sources = (["--family", family, *seed], ["--instance", str(out)], ["--instance", str(bare)])
+    for mode in ("--exact", "--float"):
+        reports = []
+        for source in sources:
+            argv = ["eval", *source, mode, "--mechanism", "spmi", "--format", "json"]
+            code, stdout, stderr = run_cli(capsys, *argv)
+            assert (code, stderr) == (0, "")
+            reports.append(json.loads(stdout))
+        assert reports[0].pop("generator")["family"] == family
+        assert reports[0] == reports[1] == reports[2]
+
+
+def test_a_gen_file_that_does_not_match_its_digest_exits_2(tmp_path, capsys):
+    out = tmp_path / "gap.json"
+    run_cli(capsys, "gen", "--family", "tightness", "--out", str(out))
     payload = json.loads(out.read_text())
-    inst_path = tmp_path / "inst.json"
-    inst_path.write_text(json.dumps(payload["instance"]))
-    code, stdout, _ = run_cli(
-        capsys, "eval", "--instance", str(inst_path), "--mechanism", "pnoi",
-        "--format", "json",
-    )
-    assert code == 0
-    report = json.loads(stdout)
-    assert report["value"] == "2.9701"
-    assert report["arithmetic_mode"] == "exact"
+    tampered = {**payload, "instance_digest": "0123456789ab"}
+    moved = {**payload, "instance": {**payload["instance"], "delegation_cost": "1/2"}}
+    for obj in (tampered, moved):
+        out.write_text(json.dumps(obj))
+        actual = instance_digest(instance_from_obj(obj["instance"]))
+        message = f"instance_digest {obj['instance_digest']!r} does not match the instance's"
+        error = {"type": "InvalidParameters", "message": f"{message} {actual!r}"}
+        for mode in ("--exact", "--float"):
+            argv = ["eval", "--instance", str(out), mode, "--mechanism", "pnoi"]
+            code, stdout, stderr = run_cli(capsys, *argv)
+            assert (code, stdout, json.loads(stderr)) == (2, "", {"error": error})
+    del moved["instance_digest"]
+    out.write_text(json.dumps(moved))
+    assert run_cli(capsys, "eval", "--instance", str(out), "--mechanism", "pnoi")[0] == 0
 
 
 def test_a_cost_table_loads_on_a_monotone_model_only(tmp_path, capsys):

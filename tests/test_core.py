@@ -43,6 +43,7 @@ from oracles import (
     dict_merged_atoms,
     format_number_reference,
     instance_json_reference,
+    mean_reference,
     surplus_dists,
     with_monotone_costs,
 )
@@ -90,10 +91,7 @@ def test_expected_value_examples():
 
 
 def assert_mean_is_the_atom_order_sum(dist):
-    want = 0
-    for v, p in dist.atoms:
-        want += v * p
-    assert_same_number(dist.mean(), want)
+    assert_same_number(dist.mean(), mean_reference(dist))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -152,8 +150,6 @@ def test_expected_of_max_shifted_positive_on_three_box_gap():
     assert expected_of_max(inst, "shifted_positive") == F(3, 2)
     with pytest.raises(InvalidParameters):
         expected_of_max(inst, "squared")
-    with pytest.raises(InvalidParameters):
-        expected_max_of_dists([alt.dist for alt in alts], [F(1)] * 2)
 
 
 def test_expected_of_max_matches_brute_force_with_costs():
@@ -205,17 +201,19 @@ def _moment_instances() -> list[Instance]:
 def test_filled_means_and_surplus_equal_each_kernel(mode):
     for k, inst in enumerate(_moment_instances()):
         inst = inst if mode == "exact" else inst.to_float()
-        dists = [alt.dist for alt in inst.alternatives]
-        want_means = [d.mean() for d in dists]
-        want_surplus = expected_max_of_dists(dists, inst.singleton_costs())
+        want_means = [mean_reference(alt.dist) for alt in inst.alternatives]
+        clipped = surplus_dists(inst)
+        want_surplus = expected_max_of_dists(clipped)
+        assert_same_number(want_surplus, cdf_product_expected_max(clipped))
         # Either moment may be asked for first; both are filled by then.
         if k % 2:
             surplus, means = expected_of_max(inst, "shifted_positive"), inst.expected_values()
         else:
             means, surplus = inst.expected_values(), expected_of_max(inst, "shifted_positive")
         assert len(means) == inst.n
-        for got, want in zip(means, want_means):
+        for alt, got, want in zip(inst.alternatives, means, want_means):
             assert_same_number(got, want)
+            assert_same_number(alt.dist.mean(), want)
         assert_same_number(surplus, want_surplus)
 
 
@@ -305,7 +303,7 @@ def assert_same_number(got, want):
 
 
 def assert_clipped_sweep_matches_oracles(inst):
-    """The sweep's own clip against the transformed distributions it replaced."""
+    """The fill's clip against the transformed distributions it replaced."""
     costs = inst.singleton_costs()
     z = inst.zero()
     clipped = surplus_dists(inst)
@@ -415,8 +413,8 @@ def test_to_float_gives_the_bits_of_float_fraction():
     )
     monotone = Instance(
         extreme.alternatives,
-        CostModel.monotone({frozenset(): 0, frozenset({0}): tiny, frozenset({1}): huge,
-                            frozenset({0, 1}): huge + 1}),
+        CostModel("monotone", {frozenset(): 0, frozenset({0}): tiny, frozenset({1}): huge,
+                               frozenset({0, 1}): huge + 1}),
     )
     cases = [*random_corpus(7, 2000), extreme, monotone]
     cases += [identical_binary(n, F(1, n), 1, F(2, n)) for n in range(2, 40)]
@@ -461,7 +459,7 @@ def test_monotone_cost_model_round_trip_and_lookup():
     }
     inst = Instance(
         (box([(0, "0.5"), (2, "0.5")]), box([(1, 1)])),
-        CostModel.monotone(table),
+        CostModel("monotone", table),
     )
     assert inst.singleton_cost(0) == 1
     assert inst.inspection_cost({0, 1}) == F(3, 2)
@@ -489,7 +487,7 @@ def _json_writer_cases():
     }
     monotone = Instance(
         tuple(box([(k, F(1, 3)), (k + 1, F(2, 3))]) for k in range(n)),
-        CostModel.monotone(table),
+        CostModel("monotone", table),
         delegation_cost=F(1, 3),
     )
     yield monotone
@@ -543,7 +541,7 @@ def test_monotone_table_validation():
     with pytest.raises(InvalidParameters):
         Instance(
             (box([(1, 1)]), box([(1, 1)])),
-            CostModel.monotone(bad),
+            CostModel("monotone", bad),
         )
 
 
@@ -553,7 +551,7 @@ def test_monotone_table_is_copied_and_hashable():
     inst = Instance((box([(1, 1)]), box([(2, 1)])), CostModel("monotone", table))
     assert table == before
     assert inst.inspection_cost({1}) == F(1, 2)
-    assert hash(inst) == hash(Instance(inst.alternatives, CostModel.monotone(before)))
+    assert hash(inst) == hash(Instance(inst.alternatives, CostModel("monotone", before)))
     assert pickle.loads(pickle.dumps(inst)) == inst
     with pytest.raises(TypeError):
         inst.cost_model.table[frozenset()] = 1

@@ -383,7 +383,7 @@ class TestMaximalCostless:
         }
         inst = Instance(
             (box([(0, "0.5"), (2, "0.5")]), box([(0, "0.5"), (2, "0.5")])),
-            CostModel.monotone(table),
+            CostModel("monotone", table),
         )
         report = maximal_mechanism_costless(inst)
         from delegatebox.bounds import upper_bound_costless

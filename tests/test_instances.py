@@ -45,6 +45,14 @@ def test_identical_binary_structure():
         assert alt.inspect_cost == F(1, 3)
 
 
+def test_identical_binary_with_p_one_holds_a_sure_box():
+    inst = identical_binary(3, 1, 2, F(1, 2))
+    assert inst.n == 3
+    for alt in inst.alternatives:
+        assert alt.dist.atoms == ((F(2), F(1)),)
+        assert alt.inspect_cost == F(1, 2)
+
+
 def test_spmi_fail_structure():
     inst = spmi_fail(2)
     for alt in inst.alternatives:
