@@ -543,14 +543,21 @@ def expected_max_of_dists(dists: Sequence[DiscreteDistribution]) -> Number:
     return Fraction(total, unit * prod(box_units)) if exact else total
 
 
-def _box_means(scaled: tuple, exact: bool) -> tuple:
-    """Each box's mean from the ``_scaled_atoms`` form ``scaled``: sum D*v *
-    q_j*p over box j's triples, divided by D * q_j. In float mode (unit
-    scales) that adds v * p left to right from 0, in atom order."""
-    unit, box_units, triples, _ = scaled
-    sums = [0] * len(box_units)
+def _box_sums(triples: list, boxes: int) -> list:
+    """Each box's sum D*v * q_j*p over its ``_scaled_atoms`` triples, added
+    left to right from 0 in atom order: D * q_j times its mean. In float
+    mode (unit scales) that is the mean itself."""
+    sums = [0] * boxes
     for v, j, w in triples:
         sums[j] += v * w
+    return sums
+
+
+def _box_means(scaled: tuple, exact: bool) -> tuple:
+    """Each box's mean from the ``_scaled_atoms`` form ``scaled``: its
+    ``_box_sums`` entry, divided by D * q_j in exact mode."""
+    unit, box_units, triples, _ = scaled
+    sums = _box_sums(triples, len(box_units))
     if not exact:
         return tuple(sums)
     return tuple(Fraction(s, unit * q) for s, q in zip(sums, box_units))

@@ -26,6 +26,7 @@ from .core import (
     Number,
     PolicyIncomplete,
     StateLimitExceeded,
+    _box_sums,
     _scaled_atoms,
     _sum,
     expected_max_of_dists,
@@ -44,19 +45,17 @@ def reservation_cap(alt: Alternative) -> Number:
     """The cap b solving E[(X - b)+] = c exactly: Weitzman's reservation value.
 
     A Fraction in exact mode and a float in float mode. A zero cost saturates
-    the cap at the top of the support. When the cost exceeds E[X] no
-    nonnegative cap exists and the cap is clamped to 0: such a box is never
-    worth opening, but may still be selected closed. Otherwise the cap is
-    the crossing of ``_crossing``.
+    the cap at the top of the support. Otherwise the cap is the crossing of
+    ``_crossing``, clamped to 0. When the cost exceeds E[X] the crossing is
+    E[X] - c < 0, so no nonnegative cap exists and the cap is 0: such a box
+    is never worth opening, but may still be selected closed.
     """
     dist, cost = alt.dist, alt.inspect_cost
     if cost == 0:
         return dist.max_value()
     zero = Fraction(0) if dist.mode == "exact" else 0.0
-    if cost > dist.mean():
-        return zero
     box = list(enumerate(p for _, p in dist.atoms))
-    return max(_crossing(box, dist.values, cost, truediv), zero)  # < 0 only by rounding
+    return max(_crossing(box, dist.values, cost, truediv), zero)
 
 
 def _crossing(box: Sequence, values: Sequence, target: Number, div) -> Number:
@@ -200,21 +199,22 @@ def evaluate_policy(instance: Instance, policy: PnoiPolicy) -> Number:
     opened boxes, so nothing recurses or enumerates the product support.
     Each reached state is stepped once and passes its probability mass on to
     the states its inspection leads to; a run ending with opened set O adds
-    mass * (gain - ``instance.inspection_cost(O)``), so monotone cost tables
-    work. Returns a Fraction in exact mode and a float in float mode.
-    PolicyIncomplete is raised, layer by layer, at the first reached state
-    that the table leaves undefined or breaks.
+    mass * (gain - cost of O), the cost by ``_charge``, so monotone cost
+    tables work. The pass runs on the ints of ``_scaled_boxes``: a mass is
+    over prod q_j, and opening box j divides it by q_j (floordiv, exact as
+    the mass still holds q_j; truediv on float mode's unit scales, as in
+    ``_cut``). Exact mode ends in one Fraction over D * prod q_j; float mode
+    returns a float. PolicyIncomplete is raised, layer by layer, at the
+    first reached state that the table leaves undefined or breaks.
     """
-    n = instance.n
-    bests = [None, *sorted({v for alt in instance.alternatives for v in alt.dist.values})]
-    index = {v: k for k, v in enumerate(bests)}
-    atoms = [[(index[v], p) for v, p in alt.dist.atoms] for alt in instance.alternatives]
-    means = instance.expected_values()
-    codes = policy._codes_for(n, bests)
+    bests, unit, box_units, values, atoms, means, costs, _ = _scaled_boxes(instance)
+    codes = policy._codes_for(instance.n, bests)
+    exact = instance.mode == "exact"
+    div = floordiv if exact else truediv
 
-    total = instance.zero()
-    full = (1 << n) - 1
-    layer = {(full, 0): 1}
+    total = 0
+    full = (1 << instance.n) - 1
+    layer = {(full, 0): prod(box_units)}
     while layer:
         reached: dict = {}
         for (mask, best), mass in layer.items():
@@ -222,43 +222,61 @@ def evaluate_policy(instance: Instance, policy: PnoiPolicy) -> Number:
             if type(step) is not int:
                 raise _fault(step, mask, best, bests)
             if step >= 0:
-                rest = mask ^ 1 << step
-                for k, p in atoms[step]:
+                rest, share = mask ^ 1 << step, div(mass, box_units[step])
+                for k, w in atoms[step]:
                     key = rest, max(best, k)
-                    reached[key] = reached.get(key, 0) + mass * p
+                    reached[key] = reached.get(key, 0) + share * w
                 continue
-            if step == _STOP:
-                gain = instance.zero()
+            cost = _charge(costs, full ^ mask)
+            if step < _TAKE_BEST:  # means[j] is over D * q_j
+                j = _CLOSED - step
+                total += div(mass, box_units[j]) * (means[j] - box_units[j] * cost)
             else:
-                gain = bests[best] if step == _TAKE_BEST else means[_CLOSED - step]
-            cost = instance.inspection_cost(j for j in range(n) if not mask >> j & 1)
-            total = total + mass * (gain - cost)
+                total += mass * (values[best if step == _TAKE_BEST else 0] - cost)
         layer = reached
-    return total
+    return Fraction(total, unit * prod(box_units)) if exact else float(total)
 
 
-def _scaled_boxes(instance: Instance, charges) -> tuple:
-    """The ints of ``core._scaled_atoms``, grouped per box for the DP and the sweep.
+def _scaled_boxes(instance: Instance) -> tuple:
+    """The decision-table form of ``instance``, on the ints of ``core._scaled_atoms``.
 
-    Returns (bests, D, box_units, scaled_values, atoms, scaled_charges):
+    The DP, the signaling sweep and the replay all run on it. Returns
+    (bests, D, box_units, scaled_values, atoms, means, costs, cdel):
     scaled_values is 0 and then the distinct scaled values s = D * v in
     increasing order; bests is None and then the same values as numbers,
     Fraction(s, D) in exact mode; box j's atoms are (index into
-    scaled_values, q_j * p) in atom order; D, each box's probability
-    denominator q_j and D times each of ``charges`` are those of
+    scaled_values, q_j * p) in atom order, and means[j] is its
+    ``core._box_sums`` entry D * q_j * E[X_j]; costs, which ``_charge``
+    reads, is D times a monotone table as a dict by opened bit mask, or D
+    times the additive costs as a list by box; cdel is D times the
+    delegation cost. D, which covers these costs too, and q_j are those of
     ``_scaled_atoms``. Float mode uses unit scales.
     """
-    unit, box_units, triples, scaled_charges = _scaled_atoms(
-        [alt.dist for alt in instance.alternatives], charges
-    )
+    table = instance.cost_model.table if instance.cost_model.kind == "monotone" else {}
+    charges = [*table.values()] or [alt.inspect_cost for alt in instance.alternatives]
+    dists = [alt.dist for alt in instance.alternatives]
+    unit, box_units, triples, costs = _scaled_atoms(dists, (*charges, instance.delegation_cost))
+    cdel = costs.pop()
     distinct = sorted({s for s, _, _ in triples})
     index = {s: k for k, s in enumerate(distinct, 1)}
     atoms: list = [[] for _ in box_units]
     for s, j, w in triples:
         atoms[j].append((index[s], w))
+    if table:  # a monotone table covers every subset, the empty one too
+        costs = {sum(1 << j for j in s): c for s, c in zip(table, costs)}
     exact = instance.mode == "exact"
     bests = [None, *(Fraction(s, unit) if exact else s for s in distinct)]
-    return bests, unit, box_units, [0, *distinct], atoms, scaled_charges
+    means = _box_sums(triples, len(atoms))
+    return bests, unit, box_units, [0, *distinct], atoms, means, costs, cdel
+
+
+def _charge(costs, opened: int) -> Number:
+    """D times the inspection cost of the opened bit mask ``opened``, from the
+    ``costs`` of ``_scaled_boxes``. Additive costs add in index order from 0,
+    so a set costs one float however it was reached."""
+    if type(costs) is dict:
+        return costs[opened]
+    return _sum(c for j, c in enumerate(costs) if opened >> j & 1)
 
 
 def _cut(box: Sequence, unit: Number, cost: Number, values: Sequence, exact: bool) -> int:
@@ -309,29 +327,23 @@ def _policy_sweep(
     clean gain) is largest counts. Each table is walked depth first, once per
     state (unopened mask, best index, holder); a state returns the records
     over its unopened boxes' product in lexicographic order, so the signals'
-    lists merge pointwise and one loop adds the sums in point order. Exact
-    mode runs on the ints of ``_scaled_boxes``. Leading boxes are enumerated
-    outside, as one atom each, to hold at most ``_BLOCK`` points. The walk
+    lists merge pointwise and one loop adds the sums in point order. It runs
+    on the ints of ``_scaled_boxes`` and charges an opened set by
+    ``_charge``. Leading boxes are enumerated outside, as one atom each, to
+    hold at most ``_BLOCK`` points. The walk
     reads each table's step codes for ``bests`` (``PnoiPolicy``) and raises
     PolicyIncomplete at the first broken state it reaches. The one caller,
     ``delegation._signaling_sweep``, checks the product size first.
     """
     n = instance.n
-    table = instance.cost_model.table or {}  # a monotone model's costs, by opened set
-    charges = [*table.values()] if table else [alt.inspect_cost for alt in instance.alternatives]
-    bests, unit, box_units, scaled_values, atoms, scaled = _scaled_boxes(
-        instance, (*charges, instance.delegation_cost)
-    )
-    cdel = scaled.pop()
+    bests, unit, box_units, scaled_values, atoms, _, costs, cdel = _scaled_boxes(instance)
     singleton = instance.singleton_costs()
     # Box i's selection is clean unless a box in dearer[i] was opened.
     dearer = [sum(1 << j for j, c in enumerate(singleton) if c >= mine) for mine in singleton]
     full = (1 << n) - 1
-    costs = {sum(1 << j for j in s): c for s, c in zip(table, scaled)}
 
     def record(mask: int, sel: Optional[int], k: int) -> tuple:
-        opened = full ^ mask
-        cost = costs[opened] if costs else _sum(c for j, c in enumerate(scaled) if opened >> j & 1)
+        cost = _charge(costs, opened := full ^ mask)
         if sel is None:
             return 0, 0 - cost - cdel, -pos, 0, 0
         gain, clean = scaled_values[k], not opened & dearer[sel]
@@ -427,6 +439,7 @@ def pnoi_optimal(
     one slot. The returned policy holds these codes, which the replay and
     the signaling sweep read on this value list, and builds the public
     table, keyed by (frozenset, value or None), the first time it is read.
+    The box means and costs are those of ``_scaled_boxes`` too.
 
     Weitzman's rule prunes the scan. V(S - {j}, .) is nondecreasing and
     1-Lipschitz in b, so inspecting box j at an opened best b is worth at
@@ -441,17 +454,14 @@ def pnoi_optimal(
     """
     _require_additive(instance, "pnoi_optimal")
     n = instance.n
-    bests, unit, box_units, scaled_values, atoms, scaled_costs = _scaled_boxes(
-        instance, [alt.inspect_cost for alt in instance.alternatives]
-    )
+    # Under additive costs, _scaled_boxes lists each box's scaled cost.
+    bests, unit, box_units, scaled_values, atoms, means, scaled_costs, _ = _scaled_boxes(instance)
     kinds = [(tuple(box), q, c) for box, q, c in zip(atoms, box_units, scaled_costs)]
     states = prod(count + 1 for count in Counter(kinds).values()) * len(bests)
     if states > state_limit:
         raise StateLimitExceeded(f"{states} states exceed the limit {state_limit}")
 
     exact = instance.mode == "exact"
-    # q_j * D * E[X_j] for box j.
-    means = [_sum(w * scaled_values[k] for k, w in box) for box in atoms]
     cuts = [_cut(*kind, scaled_values, exact) for kind in kinds]
     # reach[mask] = (prod of q_j over mask, the boxes of mask that may be
     # opened, the best select-closed candidate as (scaled value, action))

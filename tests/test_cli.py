@@ -437,11 +437,12 @@ def test_a_closed_stdout_ends_quietly_with_141():
     # is still writing when its reader has left.
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     argv = [sys.executable, "-m", "delegatebox", "gen", "--family", "info_value", "--n", "20"]
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert len(proc.stdout.read(100)) == 100
-    proc.stdout.close()
-    stderr = proc.stderr.read()
-    assert (proc.wait(), stderr) == (141, b"")
+    # The with block closes both pipes, so none is left to the garbage collector.
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert (proc.wait(), stderr) == (141, b"")
 
 
 def test_each_command_reads_only_the_overrides_it_uses(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import math
 import pickle
 import random
 import sys
@@ -42,6 +43,7 @@ from delegatebox.pandora import (
     SELECT_OPENED_BEST,
     STOP,
     PnoiPolicy,
+    _charge,
     _cut,
     _scaled_boxes,
     evaluate_policy,
@@ -90,9 +92,7 @@ def twin_canonical(instance, table):
 def box_cuts(instance):
     """The cut of each box that pnoi_optimal scans up to, and the best values
     (None first) that the cuts index."""
-    bests, _, units, values, atoms, costs = _scaled_boxes(
-        instance, [alt.inspect_cost for alt in instance.alternatives]
-    )
+    bests, _, units, values, atoms, _, costs, _ = _scaled_boxes(instance)
     exact = instance.mode == "exact"
     return [_cut(b, q, c, values, exact) for b, q, c in zip(atoms, units, costs)], bests
 
@@ -135,6 +135,22 @@ class TestReservationCap:
         assert alt.inspect_cost > alt.dist.mean()
         cap = reservation_cap(alt)
         assert type(cap) is F and cap == 0
+
+    def test_costs_next_to_the_mean_clamp_to_zero_above_it(self):
+        # No cap walk tests the cost against E[X]: a cost above the mean, even
+        # by the next double, gets a negative crossing, clamped to exactly 0.
+        # At the mean itself and the double below, the crossing is the cap.
+        corpus = [inst for seed in range(10) for inst in random_corpus(seed, 150, support_size=6)]
+        for inst in corpus:
+            for dist in (d for alt in inst.alternatives for d in (alt.dist, alt.dist.to_float())):
+                mean, exact = dist.mean(), dist.mode == "exact"
+                above = mean + F(1, 10**12) if exact else math.nextafter(mean, math.inf)
+                cap = reservation_cap(Alternative(dist, above))
+                assert repr(cap) == ("Fraction(0, 1)" if exact else "0.0")
+                for cost in (mean, math.nextafter(mean, 0)) if not exact else (mean,):
+                    cap = reservation_cap(Alternative(dist, cost))
+                    assert type(cap) is type(mean) and 0 <= cap <= dist.max_value()
+                    assert abs(expected_shortfall(dist, cap) - cost) <= (0 if exact else FLOAT_TOL)
 
     def test_float_caps_are_floats(self):
         for cost, want in ((0.25, 0.5), (0, 1.0), (0.5, 0.0), (2, 0.0)):
@@ -320,6 +336,22 @@ class TestOptimalSearch:
             assert [bests[k] if k < len(bests) else None for k in cuts] == [
                 v if v is None or mode == "exact" else float(v) for v in first_skipped
             ]
+
+    def test_scaled_charge_is_d_times_the_inspection_cost(self):
+        # Every opened mask, additive and monotone, exact and float. Costs in
+        # tenths round as floats, so the index order of the sum shows.
+        rng = random.Random(44)
+        tenths = [box(half_coin, F(k, 10)) for k in (1, 2, 3, 7)]
+        tenths = Instance(tuple(tenths), delegation_cost=F(1, 3))
+        for k, inst in enumerate([tenths, *random_corpus(seed=8, count=40, max_n=4, cdel_max=2)]):
+            if k % 2:
+                inst = with_monotone_costs(rng, inst)
+            for case in (inst, inst.to_float()):
+                _, unit, _, _, _, _, costs, cdel = _scaled_boxes(case)
+                assert cdel == unit * case.delegation_cost
+                for opened in range(1 << case.n):
+                    cost = case.inspection_cost(j for j in range(case.n) if opened >> j & 1)
+                    assert _charge(costs, opened) == unit * cost
 
     def test_cut_is_the_first_best_value_above_the_reservation_cap(self):
         for inst in random_corpus(seed=0, count=300, max_n=6):
@@ -541,6 +573,36 @@ DP_TABLES_SHA256 = "a9606c053d0764cd7e1cabaa0802bf3032d2639805e23f180c874bfe4062
 def test_dp_values_tables_and_replay_are_pinned():
     digest = hashlib.sha256("\n".join(dp_tables_reprs()).encode()).hexdigest()
     assert digest == DP_TABLES_SHA256
+
+
+def replay_reprs():
+    """The repr of ``evaluate_policy``, exact and float, on the random tables
+    of ``random_signaling_mechanism`` over ``random_corpus(21, 120, max_n=5,
+    cdel_max=2)`` and 60 instances of ``three_point_boxes`` (probabilities
+    that floats round), every other instance under ``with_monotone_costs``."""
+    rng = random.Random(3131)
+    corpus = list(random_corpus(seed=21, count=120, max_n=5, cdel_max=2))
+    corpus += [Instance(three_point_boxes(rng, 2 + k % 3)) for k in range(60)]
+    out = []
+    for k, inst in enumerate(corpus):
+        if k % 2:
+            inst = with_monotone_costs(rng, inst)
+        mech_seed = rng.random()
+        for case in (inst, inst.to_float()):
+            mech = random_signaling_mechanism(random.Random(mech_seed), case)
+            out += [repr(evaluate_policy(case, policy)) for policy in mech.policies.values()]
+    return out
+
+
+# sha256 of the newline-joined replay_reprs(), recorded while the replay still
+# summed Fractions (floats in float mode) from the instance's own means and
+# inspection_cost.
+REPLAY_SHA256 = "610332d52b3f1144c68da52ca461975aa002dbc233aacbd5af7ec6366611195d"
+
+
+def test_replays_of_random_tables_are_pinned():
+    digest = hashlib.sha256("\n".join(replay_reprs()).encode()).hexdigest()
+    assert digest == REPLAY_SHA256
 
 
 def test_walk_table_policy_reports_outcome():
