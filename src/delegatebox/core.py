@@ -21,7 +21,7 @@ from itertools import groupby
 from math import isfinite, lcm, log10, prod
 from operator import add, itemgetter
 from types import MappingProxyType
-from typing import Callable, Literal, Mapping, Optional, Sequence, Union
+from typing import Literal, Mapping, Optional, Sequence, Union
 
 Number = Union[Fraction, float]
 Mode = Literal["exact", "float"]
@@ -244,10 +244,6 @@ class DiscreteDistribution:
     def max_value(self) -> Number:
         return self.atoms[-1][0]
 
-    def transform(self, fn: Callable[[Number], Number]) -> "DiscreteDistribution":
-        """Distribution of fn(X); transformed values are merged and re-sorted."""
-        return DiscreteDistribution(_merge_atoms((fn(v), p) for v, p in self.atoms))
-
     def to_float(self) -> "DiscreteDistribution":
         """The float copy, atom by atom in order.
 
@@ -270,12 +266,6 @@ def _float(x: Number) -> float:
 def _sum(terms, start=0):
     # Left to right: from Python 3.12 on, sum() compensates float rounding.
     return reduce(add, terms, start)
-
-
-def _merge_atoms(pairs) -> tuple[tuple[Number, Number], ...]:
-    # A stable sort keeps equal values in input order, so each run is added
-    # up in that order; on presorted input (a monotone transform) it is linear.
-    return _merge_sorted(sorted(pairs, key=itemgetter(0)))
 
 
 def _merge_sorted(pairs) -> tuple[tuple[Number, Number], ...]:
@@ -308,7 +298,9 @@ def make_distribution(pairs: Sequence[tuple], mode: Mode = "exact") -> DiscreteD
         if p < 0:
             raise ProbabilitySumMismatch(f"negative probability: {p}")
         converted.append((v, p))
-    atoms = _merge_atoms(converted)
+    # A stable sort keeps equal values in input order, so each run is added
+    # up in that order.
+    atoms = _merge_sorted(sorted(converted, key=itemgetter(0)))
     if not atoms:
         raise EmptySupport("all atoms had zero probability")
     total = _sum(p for _, p in atoms)
@@ -434,21 +426,12 @@ class Instance:
     def zero(self) -> Number:
         return Fraction(0) if self.mode == "exact" else 0.0
 
-    def singleton_cost(self, i: int) -> Number:
-        """Cost of inspecting alternative i on its own."""
-        if self.cost_model.kind == "additive":
-            return self.alternatives[i].inspect_cost
-        return self.cost_model.table[frozenset([i])]
-
     def singleton_costs(self) -> tuple[Number, ...]:
-        return tuple(self.singleton_cost(i) for i in range(self.n))
-
-    def inspection_cost(self, inspected) -> Number:
-        subset = frozenset(inspected)
+        """The cost of inspecting each alternative on its own."""
         if self.cost_model.kind == "additive":
-            # Summed in index order, so a set costs one float however it was built.
-            return _sum((self.alternatives[i].inspect_cost for i in sorted(subset)), self.zero())
-        return self.cost_model.table[subset]
+            return tuple(alt.inspect_cost for alt in self.alternatives)
+        table = self.cost_model.table
+        return tuple(table[frozenset([i])] for i in range(self.n))
 
     def _fill(self, slot: str, value):
         # The one writer of a derived field; callers read a filled slot first.
@@ -471,9 +454,6 @@ class Instance:
         for slot in ("_means", "_max", "_surplus", "_direct"):
             other._fill(slot, getattr(self, slot))
         return other
-
-    def support_product_size(self) -> int:
-        return prod(len(alt.dist.atoms) for alt in self.alternatives)
 
     def to_float(self) -> "Instance":
         """The float copy: each exact number becomes the double that

@@ -95,7 +95,7 @@ def cost_ordered_adversary(instance: Instance) -> AgentProfile:
     adversarial shape under which selections made without first inspecting
     an equally-or-more expensive box are worth at most the best mean.
     """
-    order = sorted(range(instance.n), key=lambda i: (instance.singleton_cost(i), i))
+    order = sorted(range(instance.n), key=instance.singleton_costs().__getitem__)
     utilities = [0] * instance.n
     for rank, i in enumerate(order):
         utilities[i] = instance.n - rank
@@ -375,7 +375,7 @@ def _signaling_sweep(
         raise InvalidParameters("best response needs deterministic agent utilities")
     _check_agent(instance, agent)
     cap = DEFAULT_ENUMERATION_LIMIT if limit is None else limit
-    size = instance.support_product_size()
+    size = prod(len(alt.dist.atoms) for alt in instance.alternatives)
     if size > cap:
         raise EnumerationLimitExceeded(f"product support has {size} points, limit is {cap}")
     held = mech._held

@@ -21,12 +21,14 @@ from .core import (
     DEFAULT_STATE_LIMIT,
     FLOAT_TOL,
     Alternative,
+    DiscreteDistribution,
     Instance,
     InvalidParameters,
     Number,
     PolicyIncomplete,
     StateLimitExceeded,
     _box_sums,
+    _merge_sorted,
     _scaled_atoms,
     _sum,
     expected_max_of_dists,
@@ -96,7 +98,10 @@ def weitzman_value(instance: Instance) -> Number:
     capped = []
     for alt in instance.alternatives:
         cap = reservation_cap(alt)
-        capped.append(alt.dist.transform(lambda v: min(v, cap)))
+        # v -> min(v, cap) keeps the atoms in order, so the capped ones are
+        # neighbours: they merge into one atom at the cap, added in atom order.
+        atoms = _merge_sorted((min(v, cap), p) for v, p in alt.dist.atoms)
+        capped.append(DiscreteDistribution(atoms))
     return expected_max_of_dists(capped)
 
 

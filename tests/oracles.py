@@ -9,11 +9,15 @@ take their caps from ``pandora.reservation_cap``, whose residuals
 ``expected_shortfall`` checks on their own;
 ``cdf_product_expected_max`` is the expected-max formula with each CDF
 rescanned per support value, the form the merged sweep ``core._max_sweep``
-replaced; ``surplus_dists`` builds the (X_i - c_i)+ distributions whose
-atoms ``core._fill_moments`` now clips inside that sweep; ``mean_reference``
-is E[X] as a plain atom-order sum, where the library's one mean formula
-(``core._box_means``, behind ``DiscreteDistribution.mean`` and the fill)
-scales to ints first;
+replaced; ``mapped_dist`` is the distribution of fn(X), its atoms merged
+through a dict, and with it ``surplus_dists`` builds the (X_i - c_i)+
+distributions whose atoms ``core._fill_moments`` now clips inside that
+sweep, and ``capped_dist`` the capped boxes that ``weitzman_value`` merges
+with ``core._merge_sorted``; ``inspection_cost`` is c(S) of an opened set,
+the reference for the library's scaled per-mask charge ``pandora._charge``;
+``mean_reference`` is E[X] as a plain atom-order sum, where the library's
+one mean formula (``core._box_means``, behind ``DiscreteDistribution.mean``
+and the fill) scales to ints first;
 ``survival_worst_case_spmi`` and ``fixed_order_spmi`` are the per-value
 survival rescan and the fixed-order sum that ``delegation.evaluate_spmi``
 replaced with sweeps through ``core._max_sweep``; ``agent_best_response``
@@ -63,6 +67,7 @@ from delegatebox.core import (
     DEFAULT_STATE_LIMIT,
     Alternative,
     CostModel,
+    DiscreteDistribution,
     Instance,
     InvalidParameters,
     Number,
@@ -130,21 +135,6 @@ def mean_reference(dist) -> Number:
     return sum(terms) if dist.mode == "exact" else reduce(add, terms, 0)
 
 
-def surplus_dists(instance: Instance):
-    """Per-alternative distributions of (X_i - c_i)+, each built by ``transform``.
-
-    The form ``expected_of_max(instance, "shifted_positive")`` replaced by
-    clipping inside ``core._fill_moments``: here every box's clipped atoms
-    are re-sorted and merged into a distribution of their own first, and
-    ``expected_max_of_dists`` of them gives the fill's bits.
-    """
-    z = instance.zero()
-    return [
-        alt.dist.transform(lambda v, c=c: max(v - c, z))
-        for alt, c in zip(instance.alternatives, instance.singleton_costs())
-    ]
-
-
 def dict_merged_atoms(pairs):
     """Atoms with equal values summed through a dict in input order, sorted by value."""
     acc: dict = {}
@@ -153,13 +143,45 @@ def dict_merged_atoms(pairs):
     return tuple(sorted((v, p) for v, p in acc.items() if p != 0))
 
 
+def mapped_dist(dist, fn) -> DiscreteDistribution:
+    """The distribution of fn(X): each atom's value mapped, and the atoms
+    that meet merged by ``dict_merged_atoms``, in atom order."""
+    return DiscreteDistribution(dict_merged_atoms((fn(v), p) for v, p in dist.atoms))
+
+
+def surplus_dists(instance: Instance):
+    """Per-alternative distributions of (X_i - c_i)+, each by ``mapped_dist``.
+
+    The form ``expected_of_max(instance, "shifted_positive")`` replaced by
+    clipping inside ``core._fill_moments``: here every box's clipped atoms
+    are merged into a distribution of their own first, and
+    ``expected_max_of_dists`` of them gives the fill's bits.
+    """
+    z = instance.zero()
+    return [
+        mapped_dist(alt.dist, lambda v, c=c: max(v - c, z))
+        for alt, c in zip(instance.alternatives, instance.singleton_costs())
+    ]
+
+
+def inspection_cost(instance: Instance, subset) -> Number:
+    """c(S) of the opened set ``subset``: additive costs summed in index order
+    from ``instance.zero()``, so a set costs one float however it was built,
+    or a monotone model's table entry. The reference for ``pandora._charge``."""
+    subset = frozenset(subset)
+    if instance.cost_model.kind == "additive":
+        costs = (instance.alternatives[i].inspect_cost for i in sorted(subset))
+        return reduce(add, costs, instance.zero())
+    return instance.cost_model.table[subset]
+
+
 def brute_evaluate_spmi(instance: Instance, threshold, agent="worst"):
     """SPMI value by joint enumeration of principal and agent draws.
 
     ``agent`` is "worst" (per-realization minimum eligible net value), a
     tuple of fixed agent utilities, or a tuple of agent value distributions.
     """
-    costs = [instance.singleton_cost(i) for i in range(instance.n)]
+    costs = instance.singleton_costs()
     total = instance.zero()
     for values, p in enumerate_realizations(instance):
         eligible = [
@@ -186,7 +208,7 @@ def brute_evaluate_spmi(instance: Instance, threshold, agent="worst"):
 
 
 def _net_atoms(instance: Instance):
-    costs = [instance.singleton_cost(i) for i in range(instance.n)]
+    costs = instance.singleton_costs()
     return [
         [(v - costs[i], p) for v, p in alt.dist.atoms]
         for i, alt in enumerate(instance.alternatives)
@@ -243,7 +265,7 @@ def capped_dist(alt):
     """The distribution of min(X, cap) for the box's own reservation cap,
     one of the distributions that ``weitzman_value`` sweeps."""
     cap = reservation_cap(alt)
-    return alt.dist.transform(lambda v: min(v, cap))
+    return mapped_dist(alt.dist, lambda v: min(v, cap))
 
 
 def descending_cap_simulation(instance: Instance):
@@ -511,7 +533,7 @@ def brute_policy_value(instance: Instance, policy: PnoiPolicy) -> Number:
     for values, p in enumerate_realizations(instance):
         sel, inspected = walk_table_policy(policy, values)
         gain = values[sel] if sel is not None else instance.zero()
-        total = total + p * (gain - instance.inspection_cost(inspected))
+        total = total + p * (gain - inspection_cost(instance, inspected))
     return total
 
 
@@ -523,7 +545,7 @@ def _best_signal(instance: Instance, mech, values, utilities):
     for pos, sig in enumerate(mech.signals):
         sel, inspected = walk_table_policy(mech.policies[sig], values)
         gain = values[sel] if sel is not None else zero
-        principal = gain - instance.inspection_cost(inspected) - instance.delegation_cost
+        principal = gain - inspection_cost(instance, inspected) - instance.delegation_cost
         agent_gain = utilities[sel] if sel is not None else 0
         key = (agent_gain, principal, -pos)
         if best_key is None or key > best_key:
@@ -545,7 +567,7 @@ def agent_best_response(instance: Instance, mech, realization, agent):
 
 def brute_evaluate_signaling(instance: Instance, mech, utilities):
     """Signaling value, uninspected mass, and non-overinspected mass by enumeration."""
-    costs = [instance.singleton_cost(i) for i in range(instance.n)]
+    costs = instance.singleton_costs()
     zero = instance.zero()
     total = uninspected = clean = zero
     for values, p in enumerate_realizations(instance):

@@ -22,6 +22,8 @@ from delegatebox.bounds import (
     upper_bound_identical,
 )
 from delegatebox.delegation import (
+    WORST_CASE,
+    MechanismReport,
     costly_mechanism,
     identical_cost_mechanism,
     maximal_mechanism_costless,
@@ -165,6 +167,26 @@ class TestAudit:
             audit(free, maximal_mechanism_costless(free), COSTLESS, alpha=F(1, 4))
         with pytest.raises(InvalidParameters, match="identical regime"):
             audit(equal, identical_cost_mechanism(equal), IDENTICAL, alpha=F(0))
+
+    def test_an_unknown_regime_is_rejected(self):
+        free = tightness(F(1, 10))
+        with pytest.raises(InvalidParameters, match="unknown regime"):
+            audit(free, maximal_mechanism_costless(free), "free")
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_a_worthless_mechanism_has_ratio_one_or_none(self, mode):
+        # Against a bound of 0 a mechanism worth 0 is exact: ratio 1. Against
+        # a positive bound no ratio exists, and the audit fails.
+        nothing, free = Instance((box([(0, 1)]),)), tightness(F(1, 10))
+        if mode == "float":
+            nothing, free = nothing.to_float(), free.to_float()
+        result = audit(nothing, maximal_mechanism_costless(nothing), COSTLESS)
+        assert (result.ub_used, result.mechanism_value, result.passed) == (0, 0, True)
+        assert result.ratio == 1 and type(result.ratio) is type(result.ub_used)
+        report = MechanismReport("SPMI", result.mechanism_value, {}, True, mode, WORST_CASE)
+        result = audit(free, report, COSTLESS)
+        assert result.ub_used > 0
+        assert (result.ratio, result.passed) == (None, False)
 
     def test_ratio_sweep_rises_toward_three(self):
         ratios = []

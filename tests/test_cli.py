@@ -121,6 +121,39 @@ def test_a_cost_table_loads_on_a_monotone_model_only(tmp_path, capsys):
     assert code == 0 and json.loads(stdout)["value"] == "2.25"
 
 
+# Two boxes under a monotone table whose singletons cost the same.
+MONOTONE_INSTANCE = {
+    "alternatives": [{"support": [[0, "1/2"], [4, "1/2"]], "cost": 0}] * 2,
+    "cost_model": {"type": "monotone", "table": {"": 0, "0": 1, "1": 1, "0,1": 1}},
+}
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_a_monotone_model_is_refused_where_the_search_dp_runs(tmp_path, capsys, mode):
+    # The search DP does not charge set costs yet, so pnoi_optimal, and
+    # weitzman_value with it, refuse a monotone model; the mechanisms that
+    # read only singleton costs evaluate it.
+    path = tmp_path / "monotone.json"
+    path.write_text(json.dumps(MONOTONE_INSTANCE))
+    digest = instance_digest(instance_from_obj(MONOTONE_INSTANCE, mode))
+    source = ["--instance", str(path), f"--{mode}"]
+    refused = {
+        ("eval", "--mechanism", "pnoi"): "pnoi_optimal",
+        ("eval", "--mechanism", "costly"): "pnoi_optimal",
+        ("eval", "--mechanism", "weitzman"): "weitzman_value",
+        ("audit", "--regime", "costly", "--alpha", "0"): "pnoi_optimal",
+    }
+    for argv, what in refused.items():
+        code, stdout, stderr = run_cli(capsys, *argv, *source)
+        message = f"{what} requires an additive cost model"
+        error = {"type": "InvalidParameters", "message": message, "instance_digest": digest}
+        assert (code, stdout, json.loads(stderr)) == (2, "", {"error": error})
+    for mechanism in ("maximal", "spmi", "identical"):
+        code, stdout, stderr = run_cli(capsys, "eval", "--mechanism", mechanism, *source)
+        assert (code, stderr) == (0, "")
+        assert f"instance_digest: {digest}" in stdout.splitlines()
+
+
 def test_eval_single_deterministic_box(tmp_path, capsys):
     inst = Instance((Alternative(make_distribution([(7, 1)]), 2),))
     path = write_instance(tmp_path, inst)
@@ -336,6 +369,11 @@ BAD_INPUTS = {
         ["eval", "--n", "5", "--eps", "1/2", "--mechanism", "pnoi"], instance_bytes(ONE_BOX), {}
     ),
     "foreign_eps_gen": (["gen", "--family", "spmi_fail", "--eps", "1/2"], None, {}),
+    "instance_and_family": (
+        ["eval", "--family", "spmi_fail", "--mechanism", "pnoi"], instance_bytes(ONE_BOX), {}
+    ),
+    "neither_instance_nor_family": (["eval", "--mechanism", "pnoi"], None, {}),
+    "gen_without_family": (["gen"], None, {}),
     "float_overflow_value": (
         ["eval", "--family", "tightness", "--eps", "1e-400", "--mechanism", "maximal", "--float"],
         None,
@@ -430,6 +468,25 @@ def test_an_io_error_after_the_load_names_the_instance(capsys, monkeypatch):
         "error": {"type": "IOError", "message": "[Errno 5] Input/output error",
                   "instance_digest": digest}
     }
+
+
+def test_repro_prints_one_table_block_per_row_by_default(capsys):
+    code, table, _ = run_cli(capsys, "repro")
+    assert code == 0
+    result = json.loads(run_cli(capsys, "repro", "--format", "json")[1])
+    lines = table.splitlines()
+    heads = sorted(f"{k}: {v}" for k, v in result.items() if k != "rows")
+    assert sorted(lines[:4] + lines[-1:]) == heads
+    blocks = []  # (row line, its detail lines)
+    for line in lines[4:-1]:
+        if line.startswith("        "):
+            blocks[-1][1].append(line)
+        else:
+            blocks.append((line, []))
+    assert len(blocks) == len(result["rows"])
+    for (head, details), row in zip(blocks, result["rows"]):
+        assert head == f"[pass] {row['name']}"
+        assert sorted(details) == sorted(f"        {k} = {v}" for k, v in row["details"].items())
 
 
 def test_a_closed_stdout_ends_quietly_with_141():

@@ -25,6 +25,7 @@ from delegatebox import (
     instance_to_json,
     make_distribution,
     pnoi_value,
+    weitzman_value,
 )
 from delegatebox.core import (
     DiscreteDistribution,
@@ -42,6 +43,7 @@ from oracles import (
     cdf_product_expected_max,
     dict_merged_atoms,
     format_number_reference,
+    inspection_cost,
     instance_json_reference,
     mean_reference,
     surplus_dists,
@@ -303,14 +305,8 @@ def assert_same_number(got, want):
 
 
 def assert_clipped_sweep_matches_oracles(inst):
-    """The fill's clip against the transformed distributions it replaced."""
-    costs = inst.singleton_costs()
-    z = inst.zero()
+    """The fill's clip against the clipped distributions it replaced."""
     clipped = surplus_dists(inst)
-    assert [d.atoms for d in clipped] == [
-        dict_merged_atoms((max(v - c, z), p) for v, p in alt.dist.atoms)
-        for alt, c in zip(inst.alternatives, costs)
-    ]
     got = expected_of_max(inst, "shifted_positive")
     assert_same_number(got, cdf_product_expected_max(clipped))
     return got
@@ -370,15 +366,10 @@ def test_merged_sweep_matches_both_oracles(inst, mode):
         (lambda i, v: v, "identity"),
         (lambda i, v: max(v - costs[i], z), "shifted_positive"),
     ):
-        pairs = [
-            [(fn(i, v), p) for v, p in alt.dist.atoms]
-            for i, alt in enumerate(inst.alternatives)
-        ]
         dists = [
-            alt.dist.transform(lambda v, i=i: fn(i, v))
+            DiscreteDistribution(dict_merged_atoms((fn(i, v), p) for v, p in alt.dist.atoms))
             for i, alt in enumerate(inst.alternatives)
         ]
-        assert [d.atoms for d in dists] == [dict_merged_atoms(row) for row in pairs]
         got = expected_of_max(inst, transform)
         assert_same_number(got, expected_max_of_dists(dists))
         assert_same_number(got, cdf_product_expected_max(dists))
@@ -387,6 +378,10 @@ def test_merged_sweep_matches_both_oracles(inst, mode):
             assert got == brute
         else:
             assert abs(got - brute) <= 1e-9
+    # weitzman_value caps each box through core._merge_sorted; the oracle's
+    # capped boxes merge their atoms through a dict.
+    capped = [capped_dist(alt) for alt in inst.alternatives]
+    assert_same_number(weitzman_value(inst), expected_max_of_dists(capped))
 
 
 def _exact_numbers(inst):
@@ -461,10 +456,10 @@ def test_monotone_cost_model_round_trip_and_lookup():
         (box([(0, "0.5"), (2, "0.5")]), box([(1, 1)])),
         CostModel("monotone", table),
     )
-    assert inst.singleton_cost(0) == 1
-    assert inst.inspection_cost({0, 1}) == F(3, 2)
+    assert inst.singleton_costs()[0] == 1
+    assert inspection_cost(inst, {0, 1}) == F(3, 2)
     back = instance_from_json(instance_to_json(inst))
-    assert back.inspection_cost({0, 1}) == F(3, 2)
+    assert inspection_cost(back, {0, 1}) == F(3, 2)
 
 
 def _json_writer_cases():
@@ -527,7 +522,7 @@ def test_float_inspection_cost_does_not_depend_on_set_order():
         tuple(Alternative(make_distribution([(1, 1)], "float"), k / 10) for k in range(1, 11))
     )
     for subset in combinations(range(10), 3):
-        costs = {inst.inspection_cost(frozenset(order)) for order in permutations(subset)}
+        costs = {inspection_cost(inst, frozenset(order)) for order in permutations(subset)}
         assert len(costs) == 1, subset
 
 
@@ -545,12 +540,58 @@ def test_monotone_table_validation():
         )
 
 
+def _two_box_table(table):
+    return Instance((box([(1, 1)]), box([(2, 1)])), CostModel("monotone", table))
+
+
+# Each input check of this module that no other test reaches, and the error it
+# documents. A table's entries are checked in the order given.
+INPUT_ERRORS = {
+    "float_overflow": (lambda: as_number("1e400", "float"), InvalidParameters),
+    "non_finite_float": (lambda: as_number(float("inf"), "float"), InvalidParameters),
+    "non_finite_float_exact": (lambda: as_number(float("nan")), InvalidParameters),
+    "unknown_mode": (lambda: as_number(1, "decimal"), InvalidParameters),
+    "unsupported_type": (lambda: as_number([1]), InvalidParameters),
+    "all_probabilities_zero": (lambda: make_distribution([(1, 0), (2, 0)]), EmptySupport),
+    "float_probabilities_off_1": (
+        lambda: make_distribution([(1, 0.5), (2, 0.5 + 1e-11)], "float"),
+        ProbabilitySumMismatch,
+    ),
+    "negative_cost": (lambda: box([(1, 1)], -1), NegativeValue),
+    "no_alternatives": (lambda: Instance(()), InvalidParameters),
+    "negative_delegation_cost": (
+        lambda: Instance((box([(1, 1)]),), delegation_cost=-1), NegativeValue
+    ),
+    "table_of_the_wrong_size": (
+        lambda: _two_box_table({(): 0, (0,): 1, (1,): 1}), InvalidParameters
+    ),
+    "empty_set_costs": (
+        lambda: _two_box_table({(): 1, (0,): 1, (1,): 1, (0, 1): 2}), InvalidParameters
+    ),
+    "negative_entry": (
+        lambda: _two_box_table({(0,): -1, (): 0, (1,): 1, (0, 1): 2}), NegativeValue
+    ),
+    "missing_superset": (
+        lambda: _two_box_table({(): 0, (0,): 1, (1,): 1, (0, 2): 2}), InvalidParameters
+    ),
+    "max_of_no_distribution": (lambda: expected_max_of_dists([]), EmptySupport),
+}
+
+
+@pytest.mark.parametrize("name", INPUT_ERRORS)
+def test_each_input_check_raises_its_documented_error(name):
+    call, error = INPUT_ERRORS[name]
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error
+
+
 def test_monotone_table_is_copied_and_hashable():
     table = {(): 0, (0,): 1, (1,): "1/2", (0, 1): 2}
     before = dict(table)
     inst = Instance((box([(1, 1)]), box([(2, 1)])), CostModel("monotone", table))
     assert table == before
-    assert inst.inspection_cost({1}) == F(1, 2)
+    assert inspection_cost(inst, {1}) == F(1, 2)
     assert hash(inst) == hash(Instance(inst.alternatives, CostModel("monotone", before)))
     assert pickle.loads(pickle.dumps(inst)) == inst
     with pytest.raises(TypeError):

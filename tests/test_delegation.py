@@ -4,6 +4,7 @@ import random
 import sys
 import threading
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from delegatebox import (
     EnumerationLimitExceeded,
     Instance,
     InvalidParameters,
+    NegativeValue,
     NotCostless,
     expected_of_max,
     make_distribution,
@@ -324,7 +326,8 @@ class TestClosedFormSpmi:
     def test_no_enumeration_on_a_huge_product_space(self):
         # 2^24 points, above DEFAULT_ENUMERATION_LIMIT.
         inst = Instance(tuple(box([(0, "0.5"), (F(i + 1, 8), "0.5")]) for i in range(24)))
-        assert inst.support_product_size() > DEFAULT_ENUMERATION_LIMIT
+        points = prod(len(alt.dist.atoms) for alt in inst.alternatives)
+        assert points > DEFAULT_ENUMERATION_LIMIT
         spmi = Spmi(F(0))
         worst = evaluate_spmi(inst, spmi)
         tied = evaluate_spmi(inst, spmi, deterministic_agent([1] * 24))
@@ -857,6 +860,38 @@ class TestAgentUtilities:
         ys[at] = float("nan")
         with pytest.raises(InvalidParameters, match=f"agent utility {at} is NaN"):
             evaluate_signaling(inst, mech, deterministic_agent(ys))
+
+
+def _signaling_with_a_distributional_agent():
+    inst, mech = info_value(3, F(1, 10))
+    return evaluate_signaling(inst, mech, distributional_agent([dist(half_coin)] * 3))
+
+
+# Each input check of this module that no other test reaches, and the error it
+# documents.
+INPUT_ERRORS = {
+    "agent_with_both_fields": (
+        lambda: AgentProfile(utilities=(1,), dists=(dist(half_coin),)), InvalidParameters
+    ),
+    "agent_with_neither_field": (lambda: AgentProfile(), InvalidParameters),
+    "negative_spmi_threshold": (lambda: Spmi(-1), NegativeValue),
+    "signal_without_a_policy": (lambda: SignalingMechanism((0, 1), {0: None}), InvalidParameters),
+    "identical_costs_with_a_delegation_cost": (
+        lambda: identical_cost_mechanism(Instance((box(half_coin, 1),), delegation_cost=1)),
+        NotCostless,
+    ),
+    "signaling_with_a_distributional_agent": (
+        _signaling_with_a_distributional_agent, InvalidParameters
+    ),
+}
+
+
+@pytest.mark.parametrize("name", INPUT_ERRORS)
+def test_each_input_check_raises_its_documented_error(name):
+    call, error = INPUT_ERRORS[name]
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error
 
 
 def inspect_all_then_take_best(n, supports):

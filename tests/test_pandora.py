@@ -63,6 +63,7 @@ from oracles import (
     exhaustive_policy_optimum,
     expected_shortfall,
     full_history_optimal,
+    inspection_cost,
     inspection_only_best,
     pnoi_reference,
     random_signaling_mechanism,
@@ -243,10 +244,44 @@ class TestWeitzman:
     def test_closed_form_needs_no_enumeration(self):
         coin = [(0, "0.5"), (2, "0.5")]
         inst = Instance(tuple(box(coin, F(k, 24)) for k in range(24)))
-        assert inst.support_product_size() > DEFAULT_ENUMERATION_LIMIT
+        points = math.prod(len(alt.dist.atoms) for alt in inst.alternatives)
+        assert points > DEFAULT_ENUMERATION_LIMIT
         assert weitzman_value(inst) == expected_max_of_dists(
             [capped_dist(alt) for alt in inst.alternatives]
         )
+
+
+def weitzman_reprs():
+    """The repr of ``weitzman_value``, exact and float, on ``random_corpus``
+    seeds 0-9 (supports up to 6) and on the named families: tightness,
+    identical_binary with p = 1/n for n = 1..12, inapprox_first_best and
+    spmi_fail. Then, with probabilities that floats round: 60 instances of
+    ``three_point_boxes``, and 20 of three boxes with 3, 7 and 10 atoms whose
+    costs of 1 to 4 put most of a box's mass above its cap. There it is one
+    atom, its probability a sum of several, so the order of that sum shows."""
+    rng = random.Random(3434)
+    insts = [inst for seed in range(10) for inst in random_corpus(seed, 150, support_size=6)]
+    insts += [identical_binary(n, F(1, n), 1, F(1, 4 * n)) for n in range(1, 13)]
+    insts += [tightness(F(1, 10)), tightness(F(1, 100)), inapprox_first_best(6), spmi_fail(3)]
+    insts += [Instance(three_point_boxes(rng, 2 + k % 4)) for k in range(60)]
+    boxes = []
+    for j in range(60):
+        parts = (3, 7, 10)[j % 3]
+        weights = [F(2 * (k + 1), parts * (parts + 1)) for k in range(parts)]
+        atoms = [(F((7 * j + 3 * k) % 17, 2), w) for k, w in enumerate(weights)]
+        boxes.append(box(atoms, F(2 + j % 7, 2)))
+    insts += [Instance(tuple(boxes[k: k + 3])) for k in range(0, 60, 3)]
+    return [repr(weitzman_value(run)) for inst in insts for run in (inst, inst.to_float())]
+
+
+# sha256 of the newline-joined weitzman_reprs(), recorded while weitzman_value
+# still capped each box through DiscreteDistribution.transform.
+WEITZMAN_SHA256 = "b7936be39d08a758fe027e9e446a04cdfdcdbe88e4d287911987a0b5efcc2c30"
+
+
+def test_weitzman_values_are_pinned():
+    digest = hashlib.sha256("\n".join(weitzman_reprs()).encode()).hexdigest()
+    assert digest == WEITZMAN_SHA256
 
 
 class TestOptimalSearch:
@@ -350,7 +385,7 @@ class TestOptimalSearch:
                 _, unit, _, _, _, _, costs, cdel = _scaled_boxes(case)
                 assert cdel == unit * case.delegation_cost
                 for opened in range(1 << case.n):
-                    cost = case.inspection_cost(j for j in range(case.n) if opened >> j & 1)
+                    cost = inspection_cost(case, (j for j in range(case.n) if opened >> j & 1))
                     assert _charge(costs, opened) == unit * cost
 
     def test_cut_is_the_first_best_value_above_the_reservation_cap(self):
