@@ -13,6 +13,7 @@ from .core import (
     Number,
     RegimeMismatch,
     _record,
+    as_number,
     expected_of_max,
     instance_digest,
 )
@@ -31,7 +32,7 @@ def upper_bound_costless(instance: Instance) -> Number:
     overinspection is at most the best mean, the rest at most the expected
     clipped surplus.
     """
-    return max(instance.expected_values()) + expected_of_max(instance, "shifted_positive")
+    return max(instance.expected_values()) + instance.expected_surplus()
 
 
 def upper_bound_costly(instance: Instance) -> Number:
@@ -46,7 +47,7 @@ def upper_bound_costly(instance: Instance) -> Number:
 
 def upper_bound_identical(instance: Instance) -> Number:
     """max(max_i E[X_i], E[max_i X_i] - c), the bound when every inspection costs c."""
-    shifted = expected_of_max(instance, "identity") - instance.singleton_costs()[0]
+    shifted = expected_of_max(instance) - instance.singleton_costs()[0]
     return max(max(instance.expected_values()), shifted)
 
 
@@ -83,7 +84,7 @@ def _check_regime(
         if not 0 <= alpha < Fraction(1, 2):
             raise RegimeMismatch("alpha must lie in [0, 1/2)")
         # Relative to the pin: rounding alone moves a float pin near 10^9 past FLOAT_TOL.
-        pin = alpha * expected_of_max(instance, "shifted_positive")
+        pin = alpha * instance.expected_surplus()
         if abs(instance.delegation_cost - pin) > tolerance * max(1, abs(pin)):
             raise RegimeMismatch("delegation cost does not equal alpha * E[max (X_i - c_i)+]")
         return
@@ -128,9 +129,11 @@ def audit(
     of the pin's size), 0 <= alpha < 1/2, (3 - 4a)/(1 - 2a) against
     ``upper_bound_costly``. "identical": equal inspection costs, free delegation,
     2 against ``upper_bound_identical``. Only the costly regime takes alpha, and
-    ``ub_costly`` is ``ub_costless`` outside it.
+    ``ub_costly`` is ``ub_costless`` outside it. A given alpha is read by
+    ``as_number`` in the instance's mode, so 0.1 is 1/10 in exact mode.
     """
     one, tolerance = _UNITS[instance.mode]
+    alpha = None if alpha is None else as_number(alpha, instance.mode)
     _check_regime(instance, regime, alpha, tolerance)
     _, factor, bound = REGIMES[regime]
     claimed = factor(one, alpha) if regime == COSTLY else _FIXED_FACTORS[regime, instance.mode]

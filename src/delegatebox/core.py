@@ -368,10 +368,10 @@ class Instance:
     """The alternatives, a cost model, and the delegation cost.
 
     ``mode`` is set from the alternatives at construction. The means, E[max
-    X], E[max (X - c)+] and direct-search value start as None and are filled
-    on first use, by ``expected_values``, ``expected_of_max`` and ``pnoi_value``.
-    The means and E[max (X - c)+] are filled together, from one integer form
-    of the boxes (``_fill_moments``).
+    (X - c)+], E[max X] and direct-search value start as None and are filled
+    on first use, by ``expected_values``, ``expected_surplus``,
+    ``expected_of_max`` and ``pnoi_value``. The means and E[max (X - c)+] are
+    filled together, from one integer form of the boxes (``_fill_moments``).
     """
 
     alternatives: tuple[Alternative, ...]
@@ -440,10 +440,16 @@ class Instance:
 
     def expected_values(self) -> tuple[Number, ...]:
         """The means E[X_i], filled on first use together with E[max (X - c)+]."""
-        means = self._means
-        if means is None:
-            means, _ = _fill_moments(self)
-        return means
+        if self._means is None:
+            _fill_moments(self)
+        return self._means
+
+    def expected_surplus(self) -> Number:
+        """E[max_i (X_i - c_i)+], c_i the singleton costs, filled on first use
+        together with the means."""
+        if self._surplus is None:
+            _fill_moments(self)
+        return self._surplus
 
     def with_delegation_cost(self, cost: Number) -> "Instance":
         """This instance with another delegation cost.
@@ -498,7 +504,8 @@ def _scaled_atoms(dists: Sequence[DiscreteDistribution], charges: Sequence[Numbe
 
 
 def expected_max_of_dists(dists: Sequence[DiscreteDistribution]) -> Number:
-    """Exact E[max_i X_i] for independent distributions.
+    """Exact E[max_i X_i] for independent distributions; for an instance's
+    boxes, ``expected_of_max`` stores it on the instance.
 
     One merged sweep: all atoms go into one list, stably sorted by value.
     Each box keeps its CDF as a running sum, and the product F(t) of the CDFs
@@ -543,9 +550,9 @@ def _box_means(scaled: tuple, exact: bool) -> tuple:
     return tuple(Fraction(s, unit * q) for s, q in zip(sums, box_units))
 
 
-def _fill_moments(instance: Instance) -> tuple:
+def _fill_moments(instance: Instance) -> None:
     """Fill the means and E[max (X - c)+] of ``instance`` from one
-    ``_scaled_atoms`` conversion, with c its singleton costs; returns both.
+    ``_scaled_atoms`` conversion, with c its singleton costs.
 
     The means are ``_box_means``. For the surplus, box j's atoms enter
     ``_max_sweep`` as (v - c_j)+: the costs join D, and the clip is
@@ -564,7 +571,6 @@ def _fill_moments(instance: Instance) -> tuple:
         surplus = Fraction(surplus, unit * prod(box_units))
     instance._fill("_means", means)
     instance._fill("_surplus", surplus)
-    return means, surplus
 
 
 def _max_sweep(triples: list, boxes: int) -> Number:
@@ -584,29 +590,15 @@ def _max_sweep(triples: list, boxes: int) -> Number:
     return total
 
 
-def expected_of_max(instance: Instance, transform="identity") -> Number:
-    """Exact E[max_i f_i(X_i)] over independent alternatives.
-
-    ``transform`` is "identity" (f_i(x) = x) or "shifted_positive"
-    (f_i(x) = (x - c_i)+ with c_i the singleton cost of alternative i).
-    The first "identity" call runs ``expected_max_of_dists``; the first
-    "shifted_positive" call (or ``Instance.expected_values``) fills the
-    surplus and the means together by ``_fill_moments``, the one place the
-    (x - c_i)+ clip is written. Each result is stored on the instance;
-    later calls return the stored value.
+def expected_of_max(instance: Instance) -> Number:
+    """Exact E[max_i X_i] over independent alternatives, by
+    ``expected_max_of_dists`` on first call and stored on the instance;
+    later calls return the stored value. The clipped surplus
+    E[max_i (X_i - c_i)+] is ``Instance.expected_surplus``.
     """
-    if transform == "shifted_positive":
-        value = instance._surplus
-        if value is None:
-            _, value = _fill_moments(instance)
-        return value
-    if transform != "identity":
-        raise InvalidParameters(f"unknown transform: {transform!r}")
-    value = instance._max
-    if value is None:
-        dists = [alt.dist for alt in instance.alternatives]
-        value = instance._fill("_max", expected_max_of_dists(dists))
-    return value
+    if instance._max is None:
+        instance._fill("_max", expected_max_of_dists([alt.dist for alt in instance.alternatives]))
+    return instance._max
 
 
 # --- JSON instance schema -------------------------------------------------

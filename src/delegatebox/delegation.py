@@ -30,6 +30,7 @@ from .core import (
     _record,
     _scaled_atoms,
     _sum,
+    as_number,
     expected_of_max,
     to_json,
 )
@@ -167,7 +168,7 @@ def build_spmi(instance: Instance) -> Spmi:
     A median split can miss this bound on atom-heavy supports when a certain
     middling box masks a rare large one.
     """
-    return Spmi(expected_of_max(instance, "shifted_positive") / 2)
+    return Spmi(instance.expected_surplus() / 2)
 
 
 def _eligible_nets(instance: Instance, threshold: Number) -> tuple:
@@ -178,11 +179,11 @@ def _eligible_nets(instance: Instance, threshold: Number) -> tuple:
     unit, box_units, atoms, charges = _scaled_atoms(
         [alt.dist for alt in instance.alternatives], instance.singleton_costs()
     )
+    t = as_number(threshold, instance.mode)
     if instance.mode == "exact":
-        t = Fraction(threshold)
         cut = -(-unit * t.numerator // t.denominator)
     else:
-        cut = threshold - FLOAT_TOL
+        cut = t - FLOAT_TOL
     nets: list = [[] for _ in box_units]
     for v, j, w in atoms:
         if (net := v - charges[j]) >= cut:
@@ -318,7 +319,7 @@ def maximal_mechanism_costless(instance: Instance) -> MechanismReport:
     if instance.delegation_cost != 0:
         raise NotCostless("costless mechanism needs delegation_cost == 0")
     index, v_closed = best_closed_selection(instance)
-    half_surplus = expected_of_max(instance, "shifted_positive") / 2
+    half_surplus = instance.expected_surplus() / 2
     components = {
         "best_closed_value": v_closed,
         "best_closed_index": index,
@@ -335,7 +336,7 @@ def costly_mechanism(instance: Instance) -> MechanismReport:
     branch runs (direct search on ties).
     """
     v1 = pnoi_value(instance)
-    half_surplus = expected_of_max(instance, "shifted_positive") / 2
+    half_surplus = instance.expected_surplus() / 2
     v2 = half_surplus - instance.delegation_cost
     components = {"v1": v1, "v2": v2, "half_max_surplus": half_surplus}
     return _better(instance, "PnoiDirect", v1, v2, components)
@@ -355,7 +356,7 @@ def identical_cost_mechanism(instance: Instance) -> MechanismReport:
         raise NotCostless("identical-cost mechanism needs delegation_cost == 0")
     common = costs[0]
     index, v_closed = best_closed_selection(instance)
-    half_shifted_max = (expected_of_max(instance, "identity") - common) / 2
+    half_shifted_max = (expected_of_max(instance) - common) / 2
     components = {
         "best_closed_value": v_closed,
         "best_closed_index": index,

@@ -88,7 +88,7 @@ def identical_binary_rows() -> list[dict]:
 
 def first_best_gap_row(n: int = 10) -> dict:
     inst = instances.inapprox_first_best(n)
-    first_best = expected_of_max(inst, "identity")
+    first_best = expected_of_max(inst)
     values = {
         "pnoi": pandora.pnoi_value(inst),
         "weitzman": pandora.weitzman_value(inst),
@@ -146,7 +146,7 @@ def spmi_half_bound_row(seed: int, count: int = CORPUS_SIZE) -> dict:
     slacks = []
     for inst in instances.random_corpus(seed, count, cdel_max=2):
         value = delegation.evaluate_spmi(inst, delegation.build_spmi(inst))
-        target = expected_of_max(inst, "shifted_positive") / 2
+        target = inst.expected_surplus() / 2
         slacks.append(value + inst.delegation_cost - target)
     return _bound_row(f"SPMI half-of-surplus bound over {count} seeded instances", slacks)
 
@@ -160,7 +160,7 @@ def costly_case1_rows(seed: int, count: int = CORPUS_SIZE) -> list[dict]:
         # which is all that alpha changes: the base's DP value and moments
         # (the surplus fills the means with it), filled once here, carry over
         # to each alpha's instance.
-        surplus = expected_of_max(base, "shifted_positive")
+        surplus = base.expected_surplus()
         pandora.pnoi_value(base)
         for alpha, f, s in zip(COSTLY_ALPHAS, factors, slacks):
             inst = base.with_delegation_cost(alpha * surplus)

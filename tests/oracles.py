@@ -11,10 +11,11 @@ take their caps from ``pandora.reservation_cap``, whose residuals
 rescanned per support value, the form the merged sweep ``core._max_sweep``
 replaced; ``mapped_dist`` is the distribution of fn(X), its atoms merged
 through a dict, and with it ``surplus_dists`` builds the (X_i - c_i)+
-distributions whose atoms ``core._fill_moments`` now clips inside that
-sweep, and ``capped_dist`` the capped boxes that ``weitzman_value`` merges
-with ``core._merge_sorted``; ``inspection_cost`` is c(S) of an opened set,
-the reference for the library's scaled per-mask charge ``pandora._charge``;
+distributions behind ``Instance.expected_surplus``, whose atoms
+``core._fill_moments`` clips inside that sweep, and ``capped_dist`` the
+capped boxes that ``weitzman_value`` merges with ``core._merge_sorted``;
+``inspection_cost`` is c(S) of an opened set, the reference for the
+library's scaled per-mask charge ``pandora._charge``;
 ``mean_reference`` is E[X] as a plain atom-order sum, where the library's
 one mean formula (``core._box_means``, behind ``DiscreteDistribution.mean``
 and the fill) scales to ints first;
@@ -101,9 +102,8 @@ def enumerate_realizations(instance: Instance):
         yield values, prob
 
 
-def brute_expected_of_max(instance: Instance, transform=None):
-    """E[max_i f_i(X_i)] by summing over every product-support point."""
-    fn = transform if transform is not None else (lambda i, v: v)
+def brute_expected_of_max(instance: Instance, fn=lambda i, v: v):
+    """E[max_i fn(i, X_i)] by summing over every product-support point."""
     total = instance.zero()
     for values, p in enumerate_realizations(instance):
         total = total + p * max(fn(i, v) for i, v in enumerate(values))
@@ -152,10 +152,10 @@ def mapped_dist(dist, fn) -> DiscreteDistribution:
 def surplus_dists(instance: Instance):
     """Per-alternative distributions of (X_i - c_i)+, each by ``mapped_dist``.
 
-    The form ``expected_of_max(instance, "shifted_positive")`` replaced by
-    clipping inside ``core._fill_moments``: here every box's clipped atoms
-    are merged into a distribution of their own first, and
-    ``expected_max_of_dists`` of them gives the fill's bits.
+    The reference for ``Instance.expected_surplus``, which clips inside
+    ``core._fill_moments``: here every box's clipped atoms are merged into a
+    distribution of their own first, and ``expected_max_of_dists`` of them
+    gives the fill's bits.
     """
     z = instance.zero()
     return [

@@ -92,7 +92,7 @@ def test_criterion_3_spmi_half_surplus_bound():
     violations = 0
     for inst in random_corpus(seed=2025, count=1000, max_n=4, support_size=3):
         value = evaluate_spmi(inst, build_spmi(inst))
-        if value + inst.delegation_cost < expected_of_max(inst, "shifted_positive") / 2:
+        if value + inst.delegation_cost < inst.expected_surplus() / 2:
             violations += 1
     check("3. SPMI half-of-surplus bound on the same corpus, zero violations", violations == 0)
 
@@ -131,7 +131,7 @@ def test_criterion_6_identical_binary_table():
 
 def test_criterion_7_first_best_out_of_reach():
     inst = inapprox_first_best(10)
-    first_best = expected_of_max(inst, "identity")
+    first_best = expected_of_max(inst)
     values = [
         pnoi_optimal(inst)[0],
         weitzman_value(inst),
@@ -164,7 +164,7 @@ def test_criterion_9_costly_delegation_margin():
     for alpha in (F(1, 10), F(1, 4), F(2, 5)):
         factor = (1 - 2 * alpha) / (3 - 4 * alpha)
         for base in random_corpus(seed=909, count=200, max_n=4, support_size=3):
-            surplus = expected_of_max(base, "shifted_positive")
+            surplus = base.expected_surplus()
             inst = Instance(base.alternatives, base.cost_model, alpha * surplus)
             report = costly_mechanism(inst)
             if report.value < factor * upper_bound_costly(inst):
@@ -334,7 +334,7 @@ AUDIT_CALLS_SHA256 = "d06a3714e41ff00223b912a46d736e7899b266a8b97a9f4a5257d441d8
 
 def test_cli_audit_bytes_are_pinned(capsys, tmp_path):
     base, _ = gen("random", {"seed": 11, "n": 3})
-    pinned = base.with_delegation_cost(expected_of_max(base, "shifted_positive") / 4)
+    pinned = base.with_delegation_cost(base.expected_surplus() / 4)
     pin = tmp_path / "pin.json"
     pin.write_text(instance_to_json(pinned))
     out = []

@@ -63,7 +63,7 @@ class TestUpperBoundCostly:
 
     def test_quarter_surplus_formula(self):
         base = next(random_corpus(seed=17, count=1, max_n=3))
-        surplus = expected_of_max(base, "shifted_positive")
+        surplus = base.expected_surplus()
         inst = Instance(base.alternatives, base.cost_model, F(1, 4) * surplus)
         want = max(
             pnoi_optimal(inst)[0],
@@ -90,11 +90,30 @@ class TestAudit:
 
     def test_quarter_alpha_claims_factor_four(self):
         base = next(random_corpus(seed=19, count=1, max_n=3))
-        surplus = expected_of_max(base, "shifted_positive")
+        surplus = base.expected_surplus()
         inst = Instance(base.alternatives, base.cost_model, F(1, 4) * surplus)
         result = audit(inst, costly_mechanism(inst), COSTLY, alpha=F(1, 4))
         assert result.claimed_bound == 4
         assert result.passed
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_alpha_is_read_in_the_instance_mode(self, mode):
+        # S = 7 and the delegation cost is pinned at 7/10: in exact mode the
+        # float 0.1 means 1/10, not 0.1 * 7 = 0.7000000000000001.
+        base = Instance((box([(0, "0.5"), (14, "0.5")]),))
+        inst, quarter = base.with_delegation_cost(F(7, 10)), base.with_delegation_cost(F(7, 4))
+        if mode == "float":
+            inst, quarter = inst.to_float(), quarter.to_float()
+        report = costly_mechanism(inst)
+        want = audit(inst, report, COSTLY, alpha=F(1, 10))
+        assert want.passed
+        for alpha in (0.1, "0.1", "1/10"):
+            assert audit(inst, report, COSTLY, alpha=alpha) == want
+        assert type(want.alpha) is type(want.claimed_bound) is type(inst.delegation_cost)
+        result = audit(quarter, costly_mechanism(quarter), COSTLY, alpha=0.25)
+        assert result.to_obj()["claimed_bound"] == ("4" if mode == "exact" else 4.0)
+        with pytest.raises(InvalidParameters, match="cannot parse"):
+            audit(inst, report, COSTLY, alpha="a tenth")
 
     def test_identical_regime_uses_the_common_cost_split(self):
         inst = Instance((box([(0, "0.5"), (2, "0.5")], 1), box([(1, 1)], 1)))
@@ -149,7 +168,7 @@ class TestAudit:
             box([(3 * s, F(1, 7)), (8 * s, F(6, 7))], s),
             box([(2 * s, F(4, 9)), (7 * s, F(5, 9))]),
         ))
-        target = expected_of_max(inst, "shifted_positive") / 10
+        target = inst.expected_surplus() / 10
         for cdel, passes in ((target, True), (target * (1 + F(1, 10**6)), False)):
             text = core.instance_to_json(inst.with_delegation_cost(cdel))
             flt = core.instance_from_json(text, "float")

@@ -200,11 +200,10 @@ def test_audit_failure_exit_code_is_distinct(tmp_path, capsys):
 
 def costly_instance_path(tmp_path, max_n):
     # Delegation cost 1/4 of E[max (X_i - c_i)+], as `--alpha 1/4` needs.
-    from delegatebox import expected_of_max
     from delegatebox.instances import random_corpus
 
     base = next(random_corpus(seed=6, count=1, max_n=max_n))
-    surplus = expected_of_max(base, "shifted_positive")
+    surplus = base.expected_surplus()
     inst = Instance(base.alternatives, base.cost_model, F(1, 4) * surplus)
     return write_instance(tmp_path, inst)
 

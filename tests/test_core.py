@@ -141,7 +141,7 @@ def test_expected_of_max_three_uniform_dice():
     assert expected_of_max(inst) == oracle
 
 
-def test_expected_of_max_shifted_positive_on_three_box_gap():
+def test_expected_surplus_on_three_box_gap():
     # two clean boxes worth 2 w.p. 1/2, one sure box whose cost eats it
     alts = (
         box([(0, "0.5"), (2, "0.5")]),
@@ -149,12 +149,10 @@ def test_expected_of_max_shifted_positive_on_three_box_gap():
         box([(1, 1)], 1),
     )
     inst = Instance(alts)
-    assert expected_of_max(inst, "shifted_positive") == F(3, 2)
-    with pytest.raises(InvalidParameters):
-        expected_of_max(inst, "squared")
+    assert inst.expected_surplus() == F(3, 2)
 
 
-def test_expected_of_max_matches_brute_force_with_costs():
+def test_expected_surplus_matches_brute_force_with_costs():
     alts = (
         box([(0, "0.5"), (3, "0.5")], 1),
         box([(1, "0.25"), (2, "0.75")], "0.5"),
@@ -162,7 +160,7 @@ def test_expected_of_max_matches_brute_force_with_costs():
     inst = Instance(alts)
     costs = inst.singleton_costs()
     want = brute_expected_of_max(inst, lambda i, v: max(v - costs[i], F(0)))
-    assert expected_of_max(inst, "shifted_positive") == want
+    assert inst.expected_surplus() == want
 
 
 def _two_costly_boxes(mode="exact"):
@@ -173,15 +171,15 @@ def _two_costly_boxes(mode="exact"):
     return inst if mode == "exact" else inst.to_float()
 
 
-def test_each_transform_fills_its_own_moment():
+def test_each_reader_fills_its_own_moment():
     inst = _two_costly_boxes()
     costs = inst.singleton_costs()
     want_max = brute_expected_of_max(inst)
     want_surplus = brute_expected_of_max(inst, lambda i, v: max(v - costs[i], F(0)))
     assert want_max != want_surplus
-    assert expected_of_max(inst, "identity") == want_max
-    assert expected_of_max(inst, "shifted_positive") == want_surplus
-    assert expected_of_max(inst, "identity") == want_max
+    assert expected_of_max(inst) == want_max
+    assert inst.expected_surplus() == want_surplus
+    assert expected_of_max(inst) == want_max
     assert inst.expected_values() == (F(3, 2), F(7, 4))
 
 
@@ -209,9 +207,9 @@ def test_filled_means_and_surplus_equal_each_kernel(mode):
         assert_same_number(want_surplus, cdf_product_expected_max(clipped))
         # Either moment may be asked for first; both are filled by then.
         if k % 2:
-            surplus, means = expected_of_max(inst, "shifted_positive"), inst.expected_values()
+            surplus, means = inst.expected_surplus(), inst.expected_values()
         else:
-            means, surplus = inst.expected_values(), expected_of_max(inst, "shifted_positive")
+            means, surplus = inst.expected_values(), inst.expected_surplus()
         assert len(means) == inst.n
         for alt, got, want in zip(inst.alternatives, means, want_means):
             assert_same_number(got, want)
@@ -224,8 +222,8 @@ def test_filled_moments_leave_equality_repr_json_and_pickling_alone(mode):
     fresh, filled = _two_costly_boxes(mode), _two_costly_boxes(mode)
     moments = (
         filled.expected_values(),
-        expected_of_max(filled, "identity"),
-        expected_of_max(filled, "shifted_positive"),
+        expected_of_max(filled),
+        filled.expected_surplus(),
         pnoi_value(filled),
     )
     assert filled == fresh
@@ -238,8 +236,8 @@ def test_filled_moments_leave_equality_repr_json_and_pickling_alone(mode):
         assert back.mode == mode
         assert (
             back.expected_values(),
-            expected_of_max(back, "identity"),
-            expected_of_max(back, "shifted_positive"),
+            expected_of_max(back),
+            back.expected_surplus(),
             pnoi_value(back),
         ) == moments
 
@@ -293,8 +291,8 @@ def test_adding_an_alternative_never_decreases_the_max(inst, extra):
 @given(small_instances())
 @settings(max_examples=60, deadline=None)
 def test_exact_and_float_modes_agree(inst):
-    exact = expected_of_max(inst, "shifted_positive")
-    approx = expected_of_max(inst.to_float(), "shifted_positive")
+    exact = inst.expected_surplus()
+    approx = inst.to_float().expected_surplus()
     assert abs(float(exact) - approx) <= 1e-9
 
 
@@ -307,7 +305,7 @@ def assert_same_number(got, want):
 def assert_clipped_sweep_matches_oracles(inst):
     """The fill's clip against the clipped distributions it replaced."""
     clipped = surplus_dists(inst)
-    got = expected_of_max(inst, "shifted_positive")
+    got = inst.expected_surplus()
     assert_same_number(got, cdf_product_expected_max(clipped))
     return got
 
@@ -362,15 +360,15 @@ def test_merged_sweep_matches_both_oracles(inst, mode):
     inst = inst if mode == "exact" else inst.to_float()
     costs = inst.singleton_costs()
     z = inst.zero()
-    for fn, transform in (
-        (lambda i, v: v, "identity"),
-        (lambda i, v: max(v - costs[i], z), "shifted_positive"),
+    for fn, reader in (
+        (lambda i, v: v, expected_of_max),
+        (lambda i, v: max(v - costs[i], z), Instance.expected_surplus),
     ):
         dists = [
             DiscreteDistribution(dict_merged_atoms((fn(i, v), p) for v, p in alt.dist.atoms))
             for i, alt in enumerate(inst.alternatives)
         ]
-        got = expected_of_max(inst, transform)
+        got = reader(inst)
         assert_same_number(got, expected_max_of_dists(dists))
         assert_same_number(got, cdf_product_expected_max(dists))
         brute = brute_expected_of_max(inst, fn)
@@ -716,3 +714,12 @@ def test_library_imports_only_the_standard_library():
             for name in names:
                 top = name.split(".")[0]
                 assert top == "delegatebox" or top in sys.stdlib_module_names, (path.name, name)
+
+
+def test_readme_python_blocks_run(capsys):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = readme.read_text(encoding="utf-8").split("```python\n")[1:]
+    assert blocks
+    for block in blocks:
+        exec(compile(block.split("```")[0], str(readme), "exec"), {})
+    assert capsys.readouterr().out == "True\n"

@@ -108,7 +108,7 @@ class TestProphetThreshold:
         inst = Instance((Alternative(masker), Alternative(rare)))
         spmi = build_spmi(inst)
         value = evaluate_spmi(inst, spmi)
-        target = expected_of_max(inst, "shifted_positive") / 2
+        target = inst.expected_surplus() / 2
         assert value >= target
 
     @given(st.data())
@@ -118,7 +118,7 @@ class TestProphetThreshold:
         inst = next(random_corpus(seed, 1, cdel_max=1))
         spmi = build_spmi(inst)
         value = evaluate_spmi(inst, spmi)
-        target = expected_of_max(inst, "shifted_positive") / 2
+        target = inst.expected_surplus() / 2
         assert value + inst.delegation_cost >= target
 
 
@@ -181,6 +181,17 @@ class TestEvaluateSpmi:
         inst, fl = instance_from_obj(obj), instance_from_obj(obj, "float")
         assert evaluate_spmi(inst, build_spmi(inst)) == F(1, 15)
         assert abs(evaluate_spmi(fl, build_spmi(fl)) - 1 / 15) <= 1e-9
+
+    def test_a_float_threshold_is_read_as_its_decimal(self):
+        # One free box worth 0 or 1/10: Spmi(0.1) means the threshold 1/10,
+        # not the binary fraction just above it, in both modes and for every
+        # agent model.
+        inst = Instance((box([(0, "0.5"), ("0.1", "0.5")]),))
+        agent = deterministic_agent((1,))
+        for threshold in (0.1, F(1, 10)):
+            assert evaluate_spmi(inst, Spmi(threshold)) == F(1, 20)
+            assert evaluate_spmi(inst, Spmi(threshold), agent) == F(1, 20)
+            assert evaluate_spmi(inst.to_float(), Spmi(threshold)) == 0.05
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_threshold_is_rejected(self, bad):
@@ -410,7 +421,7 @@ class TestCostlyMechanism:
 
     def test_quarter_surplus_delegation_cost_keeps_the_margin(self):
         base = next(random_corpus(seed=21, count=1, max_n=3))
-        surplus = expected_of_max(base, "shifted_positive")
+        surplus = base.expected_surplus()
         inst = Instance(base.alternatives, base.cost_model, F(1, 4) * surplus)
         report = costly_mechanism(inst)
         assert report.value >= (F(1, 2) - F(1, 4)) * surplus
