@@ -1,9 +1,16 @@
 """Command-line front end: eval | audit | repro | gen.
 
+Each subcommand declares only the flags it takes: eval and audit take
+``--instance`` or ``--family``, the family flags, ``--seed``, ``--exact`` or
+``--float``, and ``--format``; gen takes ``--family``, the family flags,
+``--seed`` and ``--out``; repro takes ``--seed`` and ``--format``.
+
 Environment overrides (DELEGATEBOX_FORMAT, _MODE, _SEED) are read only where
-used and beaten by explicit flags. Errors, a bad override among them, print a
-machine-readable record and exit 2; once an instance is loaded, the record
-carries its ``instance_digest``. audit and repro exit 1 when a check fails.
+used and beaten by explicit flags. Errors print a machine-readable record and
+exit 2: a bad override among them, and any flag argparse rejects, with
+argparse's message. ``-h``/``--help`` prints usage and exits 0. Once an
+instance is loaded, the record carries its ``instance_digest``. audit and
+repro exit 1 when a check fails.
 
 ``main`` builds its argument parser on its first call and reuses it for the
 rest of the process. The build reads no environment and parsing changes
@@ -40,9 +47,10 @@ COMPOSED = {
 }
 MECHANISMS = ("pnoi", "spmi", *COMPOSED, "weitzman")
 REGIMES = tuple(bounds.REGIMES)
-# Each family parameter, in first-seen order, and whether its default is an int.
+# Each family parameter, in first-seen order, and the type its flag parses
+# (the seed has no default, but is an int).
 FAMILY_FLAGS = {
-    name: type(default) is int
+    name: int if name == "seed" or type(default) is int else None
     for _, defaults in instances.FAMILIES.values()
     for name, default in defaults.items()
 }
@@ -54,31 +62,40 @@ def _env(name: str) -> str:
     return os.environ.get(f"DELEGATEBOX_{name}", "")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose rejections raise, so that they end in ``main``'s error record."""
+
+    def error(self, message):
+        raise InvalidParameters(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="delegatebox",
         description="Evaluate and audit delegation mechanisms with inspection costs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--instance", help="path to an instance JSON file")
-        p.add_argument("--family", choices=instances.FAMILIES, help="generate instead of reading")
-        for name, is_int in FAMILY_FLAGS.items():
-            if name != "seed":  # --seed is shared with repro, below
-                p.add_argument("--" + name.replace("_", "-"), type=int if is_int else None)
+    def family_flags(p):
+        for name, kind in FAMILY_FLAGS.items():
+            p.add_argument("--" + name.replace("_", "-"), type=kind)
+
+    def loaded(p):
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--instance", help="path to an instance JSON file")
+        source.add_argument("--family", choices=instances.FAMILIES, help="a family to generate")
+        family_flags(p)
         mode = p.add_mutually_exclusive_group()
-        mode.add_argument("--exact", action="store_true")
-        mode.add_argument("--float", dest="float_mode", action="store_true")
-        p.add_argument("--seed", type=int, default=None)
+        mode.add_argument("--exact", dest="mode", action="store_const", const="exact")
+        mode.add_argument("--float", dest="mode", action="store_const", const="float")
         p.add_argument("--format", choices=FORMATS, default=None)
 
     p_eval = sub.add_parser("eval", help="evaluate one mechanism on an instance")
-    common(p_eval)
+    loaded(p_eval)
     p_eval.add_argument("--mechanism", choices=MECHANISMS, required=True)
 
     p_audit = sub.add_parser("audit", help="check a mechanism against its claimed factor")
-    common(p_audit)
+    loaded(p_audit)
     p_audit.add_argument("--regime", choices=REGIMES, required=True)
     p_audit.add_argument("--alpha", default=None)
     p_audit.add_argument("--mechanism", choices=MECHANISMS, default=None)
@@ -88,7 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_repro.add_argument("--format", choices=FORMATS, default=None)
 
     p_gen = sub.add_parser("gen", help="write an instance JSON")
-    common(p_gen)
+    p_gen.add_argument("--family", choices=instances.FAMILIES, required=True)
+    family_flags(p_gen)
     p_gen.add_argument("--out", help="output path (default: stdout)")
 
     return parser
@@ -109,19 +127,11 @@ def _env_choice(name: str, choices, default: str) -> str:
 
 
 def _resolve_format(args) -> str:
-    return getattr(args, "format", None) or _env_choice("FORMAT", FORMATS, "table")
-
-
-def _resolve_mode(args) -> str:
-    if getattr(args, "float_mode", False):
-        return "float"
-    if getattr(args, "exact", False):
-        return "exact"
-    return _env_choice("MODE", MODES, "exact")
+    return args.format or _env_choice("FORMAT", FORMATS, "table")
 
 
 def _resolve_seed(args) -> Optional[int]:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = _env("SEED")
     if not env:
@@ -163,21 +173,17 @@ def _load_instance(args) -> tuple[Instance, Optional[dict]]:
     Sets ``args.instance_digest``, which ``main`` adds to the error record of
     anything raised after the load.
     """
-    mode = _resolve_mode(args)
-    if args.instance and args.family:
-        raise InvalidParameters("give either --instance or --family, not both")
-    if args.instance:
+    mode = args.mode or _env_choice("MODE", MODES, "exact")
+    if args.family:
+        inst, _, meta = _generate(args)
+        inst = inst if mode == "exact" else inst.to_float()
+    else:
         _reject_flags(args, (), "--instance")
         try:
             text = Path(args.instance).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise InvalidParameters(f"instance file is not UTF-8: {exc}") from None
         inst, meta = instance_from_json(text, mode), None
-    elif args.family:
-        inst, _, meta = _generate(args)
-        inst = inst if mode == "exact" else inst.to_float()
-    else:
-        raise InvalidParameters("need --instance PATH or --family NAME")
     args.instance_digest = instance_digest(inst)
     return inst, meta
 
@@ -255,12 +261,6 @@ def _cmd_repro(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    flags = {"--exact": args.exact, "--float": args.float_mode, "--format": args.format}
-    for flag, given in flags.items():
-        if given:
-            raise InvalidParameters(f"{flag} does not apply to gen")
-    if not args.family:
-        raise InvalidParameters("gen needs --family")
     inst, mechanism, meta = _generate(args)
     obj = {
         "schema": repro.SUITE_VERSION,
@@ -289,8 +289,9 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = None
     try:
+        args = _parser().parse_args(argv)
         return COMMANDS[args.command](args)
     except BrokenPipeError:
         # No record for a reader that left; on the null device stdout's exit flush is quiet.

@@ -47,10 +47,15 @@ class _WorstCase:
 WORST_CASE = _WorstCase()
 
 
+def _given_number(value) -> Number:
+    """An int, float or Fraction as given; any other value read exactly by ``as_number``."""
+    return value if type(value) in (int, float, Fraction) else as_number(value)
+
+
 @dataclass(frozen=True, slots=True)
 class AgentProfile:
     """The agent's utilities: one fixed value per alternative, or a distribution
-    each, copied into a tuple."""
+    each, copied into a tuple. A utility is read as ``_given_number`` reads it."""
 
     utilities: Optional[tuple] = None
     dists: Optional[tuple] = None
@@ -58,13 +63,19 @@ class AgentProfile:
     def __post_init__(self):
         if (self.utilities is None) == (self.dists is None):
             raise InvalidParameters("supply exactly one of utilities or dists")
-        if self.deterministic:
-            object.__setattr__(self, "utilities", tuple(self.utilities))
-        else:
+        if not self.deterministic:
             object.__setattr__(self, "dists", tuple(self.dists))
-        for i, u in enumerate(self.utilities or ()):
+            return
+        utilities = []
+        for i, u in enumerate(self.utilities):
+            try:
+                u = _given_number(u)
+            except InvalidParameters as exc:
+                raise InvalidParameters(f"agent utility {i}: {exc}") from None
             if u != u:  # NaN: no order to rank the boxes by
                 raise InvalidParameters(f"agent utility {i} is NaN")
+            utilities.append(u)
+        object.__setattr__(self, "utilities", tuple(utilities))
 
     @property
     def deterministic(self) -> bool:
@@ -105,11 +116,15 @@ def cost_ordered_adversary(instance: Instance) -> AgentProfile:
 
 @dataclass(frozen=True, slots=True)
 class Spmi:
-    """Single-proposal mechanism with inspection: accept proposed i iff x_i - c_i >= threshold."""
+    """Single-proposal mechanism with inspection: accept proposed i iff x_i - c_i >= threshold.
+
+    The threshold is read as ``_given_number`` reads it.
+    """
 
     threshold: Number
 
     def __post_init__(self):
+        object.__setattr__(self, "threshold", _given_number(self.threshold))
         # The exact cut rounds D * threshold up, so it needs a finite number.
         if isinstance(self.threshold, float) and not isfinite(self.threshold):
             raise InvalidParameters(f"SPMI threshold must be finite, not {self.threshold!r}")

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from delegatebox import Alternative, Instance, instance_digest, instance_to_json, make_distribution
 from delegatebox import instances
 from delegatebox.cli import FORMATS, MECHANISMS, REGIMES, _build_parser, main
-from delegatebox.core import instance_from_obj
+from delegatebox.core import InvalidParameters, instance_from_obj
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -373,6 +373,17 @@ BAD_INPUTS = {
     ),
     "neither_instance_nor_family": (["eval", "--mechanism", "pnoi"], None, {}),
     "gen_without_family": (["gen"], None, {}),
+    # argparse's own rejections end in the same record.
+    "unknown_flag": (["eval", *RANDOM, "--mechanism", "pnoi", "--bogus"], None, {}),
+    "invalid_mechanism": (["eval", "--family", "tightness", "--mechanism", "foo"], None, {}),
+    "non_int_n": (["eval", "--family", "tightness", "--n", "x", "--mechanism", "pnoi"], None, {}),
+    "missing_mechanism": (["eval", "--family", "tightness"], None, {}),
+    "exact_and_float": (
+        ["eval", "--family", "tightness", "--mechanism", "pnoi", "--exact", "--float"], None, {}
+    ),
+    "no_subcommand": ([], None, {}),
+    "gen_with_instance": (["gen", "--family", "spmi_fail"], instance_bytes(ONE_BOX), {}),
+    "gen_with_format": (["gen", "--family", "spmi_fail", "--format", "json"], None, {}),
     "float_overflow_value": (
         ["eval", "--family", "tightness", "--eps", "1e-400", "--mechanism", "maximal", "--float"],
         None,
@@ -407,6 +418,18 @@ BAD_INPUT_TYPES = {
     "policy_deeper_than_the_stack": "StateLimitExceeded",
     "info_value_tables_too_large": "StateLimitExceeded",
 }
+# The name each argparse rejection's message holds; the rest of its wording
+# differs across Python versions, so it is not checked.
+BAD_INPUT_FLAGS = {
+    "unknown_flag": "--bogus",
+    "invalid_mechanism": "--mechanism",
+    "non_int_n": "--n",
+    "missing_mechanism": "--mechanism",
+    "exact_and_float": "--float",
+    "no_subcommand": "command",
+    "gen_with_instance": "--instance",
+    "gen_with_format": "--format",
+}
 
 
 @pytest.mark.parametrize("name", BAD_INPUTS)
@@ -422,7 +445,18 @@ def test_bad_input_yields_one_error_record(tmp_path, capsys, monkeypatch, name):
     assert code == 2
     assert stdout == ""
     assert stderr.endswith("\n") and stderr.count("\n") == 1
-    assert json.loads(stderr)["error"]["type"] == BAD_INPUT_TYPES.get(name, "InvalidParameters")
+    error = json.loads(stderr)["error"]
+    assert error["type"] == BAD_INPUT_TYPES.get(name, "InvalidParameters")
+    assert BAD_INPUT_FLAGS.get(name, "") in error["message"]
+
+
+@pytest.mark.parametrize("argv", [[], ["eval"], ["audit"], ["repro"], ["gen"]])
+def test_help_prints_usage_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: delegatebox") and captured.err == ""
 
 
 # With --n 17 both end in StateLimitExceeded: 17 distinct boxes need
@@ -614,9 +648,10 @@ def test_each_family_flag_at_its_default_prints_the_same_bytes(capsys, family):
 def test_gen_rejects_mode_and_format_flags(capsys, flags):
     code, stdout, stderr = run_cli(capsys, "gen", "--family", "spmi_fail", *flags)
     assert (code, stdout) == (2, "")
-    assert json.loads(stderr) == {
-        "error": {"type": "InvalidParameters", "message": f"{flags[0]} does not apply to gen"}
-    }
+    error = json.loads(stderr)["error"]
+    assert set(error) == {"type", "message"}
+    assert error["type"] == "InvalidParameters"
+    assert flags[0] in error["message"]
 
 
 def test_shared_parser_leaks_nothing_between_calls(capsys, monkeypatch):
@@ -633,18 +668,16 @@ def test_shared_parser_leaks_nothing_between_calls(capsys, monkeypatch):
     code, seeded, _ = run_cli(capsys, *first, "--seed", "3")
     assert code == 0
     bad = [*first[:-3], "--exact", "--float"]
-    with pytest.raises(SystemExit) as exc:
-        main(bad)
-    assert exc.value.code == 2
-    usage = capsys.readouterr()
+    code, stdout, record = run_cli(capsys, *bad)
+    assert (code, stdout) == (2, "")
     monkeypatch.setenv("DELEGATEBOX_SEED", "3")
     assert run_cli(capsys, *first) == (0, seeded, "")
     monkeypatch.delenv("DELEGATEBOX_SEED")
     assert run_cli(capsys, *first, "--seed", "3") == (0, seeded, "")
 
-    with pytest.raises(SystemExit):
+    with pytest.raises(InvalidParameters) as exc:
         parse(_build_parser(), bad)
-    assert capsys.readouterr() == usage
+    assert json.loads(record)["error"]["message"] == str(exc.value)
     assert len(seen) == 3
     for _, argv, parsed in seen:
         assert parsed == vars(parse(_build_parser(), argv))
@@ -668,12 +701,19 @@ def flag(name):
     return "--" + name.replace("_", "-")
 
 
+# Flags argparse rejects on eval, audit and gen alike, and those only gen rejects.
+REJECTED_FLAGS = (["--bogus"], ["--n", "x"], ["--seed", "1/2"], ["--family", "foo"],
+                  ["--format", "xml"])
+GEN_REJECTED_FLAGS = (["--instance", "x.json"], ["--exact"], ["--float"], ["--format", "json"])
+
+
 @st.composite
 def cli_argv(draw):
-    """An argv that argparse accepts for eval, audit or gen on a generated family.
+    """An argv for eval, audit or gen on a generated family, and whether argparse rejects it.
 
     It gives the family's own flags (always the seed, the rest on a drawn
-    boolean) and, on another drawn boolean, one flag the family does not take.
+    boolean), on another drawn boolean one flag the family does not take,
+    and on a third one flag that argparse rejects.
     """
     command = draw(st.sampled_from(["eval", "audit", "gen"]))
     family = draw(st.sampled_from(tuple(instances.FAMILIES)))
@@ -685,8 +725,6 @@ def cli_argv(draw):
     if draw(st.booleans()):
         name = draw(st.sampled_from(sorted(set(FLAG_VALUES) - set(own))))
         argv += [flag(name), draw(FLAG_VALUES[name])]
-    if draw(st.booleans()):
-        argv.append("--float")
     if command == "eval":
         argv += ["--mechanism", draw(st.sampled_from(MECHANISMS))]
     elif command == "audit":
@@ -694,13 +732,20 @@ def cli_argv(draw):
         if draw(st.booleans()):
             argv += ["--alpha", draw(st.sampled_from(NUMBER_STRINGS))]
     if command != "gen":
+        if draw(st.booleans()):
+            argv.append("--float")
         argv += ["--format", draw(st.sampled_from(FORMATS))]
-    return argv
+    rejected = draw(st.booleans())
+    if rejected:
+        choices = REJECTED_FLAGS + (GEN_REJECTED_FLAGS if command == "gen" else ())
+        argv += draw(st.sampled_from(choices))
+    return argv, rejected
 
 
 @given(cli_argv())
 @settings(max_examples=50, deadline=None)
-def test_cli_fuzz_ends_in_an_exit_code_or_one_error_record(argv):
+def test_cli_fuzz_ends_in_an_exit_code_or_one_error_record(drawn):
+    argv, rejected = drawn
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
@@ -710,3 +755,6 @@ def test_cli_fuzz_ends_in_an_exit_code_or_one_error_record(argv):
         assert code == 2
         assert stderr.endswith("\n") and stderr.count("\n") == 1
         assert set(json.loads(stderr)) == {"error"}
+    if rejected:
+        assert (code, out.getvalue()) == (2, "")
+        assert json.loads(stderr)["error"]["type"] == "InvalidParameters"

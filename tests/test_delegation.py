@@ -193,6 +193,14 @@ class TestEvaluateSpmi:
             assert evaluate_spmi(inst, Spmi(threshold), agent) == F(1, 20)
             assert evaluate_spmi(inst.to_float(), Spmi(threshold)) == 0.05
 
+    def test_a_threshold_that_is_not_a_number_type_is_read_exactly(self):
+        inst = Instance((box([(0, "0.5"), ("0.1", "0.5")]),))
+        assert Spmi("0.1").threshold == F(1, 10)
+        assert evaluate_spmi(inst, Spmi("0.1")) == F(1, 20)
+        for bad in (True, None, "abc"):
+            with pytest.raises(InvalidParameters):
+                Spmi(bad)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_threshold_is_rejected(self, bad):
         # nan < 0 is False, so only a finiteness check stops a NaN threshold.
@@ -853,7 +861,32 @@ class TestAgentSize:
 
 
 class TestAgentUtilities:
-    """A NaN utility ranks no box against another, so nothing may be evaluated on it."""
+    """A NaN utility ranks no box against another, so nothing may be evaluated on it.
+
+    A utility that is not an int, float or Fraction is read as an exact number,
+    so a str ranks by its number and a bool or None is rejected.
+    """
+
+    def test_spmi_ranks_a_str_utility_by_its_number(self):
+        # Both free boxes are eligible at threshold 1 when they show 1 and 3.
+        inst = Instance((box([(0, "0.5"), (1, "0.5")]), box([(0, "0.5"), (3, "0.5")])))
+        for ys, value in (([10, 9], F(5, 4)), ([9, 10], F(7, 4))):
+            strs = [str(y) for y in ys]
+            assert deterministic_agent(strs).utilities == tuple(ys)
+            assert evaluate_spmi(inst, Spmi(F(1)), deterministic_agent(strs)) == value
+            assert evaluate_spmi(inst, Spmi(F(1)), deterministic_agent(ys)) == value
+
+    def test_signaling_ranks_a_str_utility_by_its_number(self):
+        inst, mech = info_value(2, F(1, 10))
+        want = evaluate_signaling(inst, mech, deterministic_agent([2, 1]))
+        assert evaluate_signaling(inst, mech, deterministic_agent(["2", "1"])) == want
+
+    @pytest.mark.parametrize(
+        "ys, at", [([True, False], 0), ([None, 1], 0), ([1, "abc"], 1)], ids=["bool", "none", "str"]
+    )
+    def test_a_utility_that_is_not_a_number_is_rejected(self, ys, at):
+        with pytest.raises(InvalidParameters, match=f"agent utility {at}"):
+            deterministic_agent(ys)
 
     @pytest.mark.parametrize("at", [0, 1])
     def test_spmi_rejects_a_nan_utility(self, at):
